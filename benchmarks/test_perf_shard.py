@@ -12,7 +12,7 @@ by the shard, not the corpus.  Three things are recorded and gated:
   allocator never returns arenas mid-process, so in-process before /
   after readings would understate the flat peak) and reports its
   ``VmHWM``.  The sharded peak must come in >= 40% below the flat
-  peak at equal worker counts.
+  peak.
 * **Throughput parity**: the sharded run re-does no work — same
   scans, same verdicts — so its best-of-N wall time must stay within
   10% of the flat pipeline's.
@@ -20,9 +20,7 @@ by the shard, not the corpus.  Three things are recorded and gated:
   ``DatasetReport``; a lower peak is only worth publishing if the
   report is byte-identical.
 
-The snapshot records ``cpu_count`` and the resolved worker mode; on a
-multi-core machine a silent in-process fallback fails the bench
-loudly rather than publishing numbers that never exercised the pools.
+The snapshot records ``cpu_count``; both modes run in one process.
 """
 
 import json
@@ -33,18 +31,16 @@ import sys
 
 BENCH_DOMAINS = int(os.environ.get("REPRO_BENCH_DOMAINS", "20000"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "833"))
-WORKERS = 4
 ROUNDS = 2
 
 _RUNNER = r"""
 import hashlib, json, sys, time
 
-mode, n_domains, seed, shard_size, workers = (
+mode, n_domains, seed, shard_size = (
     sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]),
-    int(sys.argv[5]),
 )
 
-from repro.measurement import Campaign, resolve_workers
+from repro.measurement import Campaign
 from repro.webpki import Ecosystem, EcosystemConfig
 
 ecosystem = Ecosystem.generate(
@@ -53,20 +49,11 @@ ecosystem = Ecosystem.generate(
 campaign = Campaign(ecosystem, network=ecosystem.install())
 started = time.perf_counter()
 if mode == "flat":
-    collection = campaign.collect(collect_workers=workers)
-    cache = None
-    if workers:
-        from repro.measurement import VerdictCache
-
-        cache = VerdictCache()
-    report, _ = campaign.analyze(
-        collection.observations, workers=workers, cache=cache,
-    )
+    collection = campaign.collect()
+    report, _ = campaign.analyze(collection.observations)
     observations = collection.total_observations
 else:
-    result = campaign.run_sharded(
-        shard_size, collect_workers=workers, workers=workers,
-    )
+    result = campaign.run_sharded(shard_size)
     report = result.report
     observations = result.total_observations
 seconds = time.perf_counter() - started
@@ -86,7 +73,6 @@ print(json.dumps({
     "total": report.total,
     "noncompliant": report.noncompliant,
     "report_sha": hashlib.sha256(payload.encode()).hexdigest(),
-    "resolved_mode": resolve_workers(workers)[1],
 }))
 """
 
@@ -97,7 +83,7 @@ def _run_mode(mode: str, shard_size: int) -> dict:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", _RUNNER, mode, str(BENCH_DOMAINS),
-         str(BENCH_SEED), str(shard_size), str(WORKERS)],
+         str(BENCH_SEED), str(shard_size)],
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, (
@@ -142,8 +128,6 @@ def test_perf_shard_snapshot():
         "domains": BENCH_DOMAINS,
         "shard_size": shard_size,
         "shards": -(-BENCH_DOMAINS // shard_size),
-        "workers": WORKERS,
-        "resolved_mode": sharded["resolved_mode"],
         "cpu_count": os.cpu_count(),
         "observations": sharded["observations"],
         "flat_seconds": round(flat["seconds"], 6),
@@ -159,17 +143,6 @@ def test_perf_shard_snapshot():
             2 * BENCH_DOMAINS / sharded["seconds"], 1
         ),
     }
-
-    # Same loud-fail rule as the other benches: on a multi-core
-    # machine the pools must actually fork — a silent in-process
-    # fallback would publish "equal throughput" without ever
-    # measuring the pipelines the numbers claim to cover.
-    if (os.cpu_count() or 1) >= 2:
-        assert sharded["resolved_mode"] == "fork-pool", (
-            f"requested {WORKERS} workers on {os.cpu_count()} cores "
-            f"but resolved {sharded['resolved_mode']}; the published "
-            "parity would not measure the pools"
-        )
 
     assert reduction >= 0.40, (
         f"sharded peak RSS {sharded['peak_rss_bytes'] / 1e6:.0f}MB is "

@@ -203,49 +203,6 @@ def attribute_with_evidence(outcome: ChainOutcome) -> tuple[Evidence, ...]:
     return tuple(records)
 
 
-#: Placeholder marking a (domain, chain) pair whose evaluation is
-#: scheduled but not yet resolved during a deduplicated run.
-_PENDING = object()
-
-#: Inputs for the current differential pool phase (parent sets this
-#: immediately before forking; workers inherit it copy-on-write).
-_POOL_STATE: tuple | None = None
-
-
-def _evaluate_span(indices: list[int]):
-    """Worker: evaluate one span of observation indices.
-
-    Returns ``(outcomes, metrics_snapshot, spans)``.  The span runs
-    under a fresh metrics registry (when the parent's was live at
-    fork) so its snapshot is exactly this span's delta; likewise a
-    fresh :class:`~repro.obs.trace.Tracer` collects this span's
-    handshake/build timing tree, returned as picklable root spans for
-    the parent to adopt — a null tracer here would silently drop
-    every worker span from ``--trace-out``.
-    """
-    from repro import obs
-    from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-    from repro.obs.trace import NULL_TRACER, Tracer
-
-    (harness, observations, at_time,
-     live_metrics, live_trace) = _POOL_STATE
-    if live_metrics or live_trace:
-        obs.enable(
-            metrics=MetricsRegistry() if live_metrics else NULL_REGISTRY,
-            tracer=Tracer() if live_trace else NULL_TRACER,
-        )
-    tracer = obs.get_tracer()
-    with tracer.span("differential.span", chains=len(indices)):
-        outcomes = [
-            harness.evaluate(observations[i][0], observations[i][1],
-                             at_time=at_time)
-            for i in indices
-        ]
-    snapshot = obs.get_metrics().snapshot() if live_metrics else None
-    spans = tracer.roots() if live_trace else None
-    return outcomes, snapshot, spans
-
-
 class DifferentialHarness:
     """Runs a set of client models over (domain, chain) observations.
 
@@ -329,10 +286,7 @@ class DifferentialHarness:
         at_time: datetime,
         observe_into_cache: bool = False,
         journal=None,
-        cache=None,
         verdict_store=None,
-        workers: int = 1,
-        oversubscribe: bool = False,
     ) -> DifferentialReport:
         """Evaluate a corpus; optionally let Firefox learn as it goes.
 
@@ -345,14 +299,10 @@ class DifferentialHarness:
         chain) the journal already holds from an earlier run are not
         re-appended, so resuming never duplicates events.
 
-        ``cache`` (a :class:`repro.measurement.parallel.VerdictCache`)
-        reuses client outcomes for repeated (domain, chain)
-        observations — unlike compliance verdicts they are keyed on the
-        domain too, because client validation is name-sensitive end to
-        end.  ``workers`` shards evaluation across forked processes
-        (same sizing rules as the analysis pipeline) with an ordered
-        merge, so reports and journal events are byte-identical to a
-        sequential run.
+        Repeated (domain, chain) observations are evaluated once and
+        the outcome reused — unlike compliance verdicts, outcomes are
+        keyed on the domain too, because client validation is
+        name-sensitive end to end.
 
         ``verdict_store`` (a
         :class:`~repro.measurement.store.VerdictStore`) persists
@@ -362,7 +312,7 @@ class DifferentialHarness:
         result labels, attribution evidence, and journal events on a
         warm run are byte-identical to a cold one.
 
-        Both short-cuts are disabled while ``observe_into_cache`` is
+        Both reuses are disabled while ``observe_into_cache`` is
         set: a learning intermediate cache makes each verdict depend on
         every chain Firefox saw before it, so evaluation must stay
         strictly sequential and un-reused to mean anything — a
@@ -391,79 +341,44 @@ class DifferentialHarness:
                 self.cache.observe_chain(chain)
             return report
 
-        from repro.measurement.parallel import resolve_workers
-
-        keys = [tuple(c.fingerprint for c in chain)
-                for _, chain in observations]
-        capability = hexkeys = None
-        if verdict_store is not None:
-            capability = self.capability_digest()
-            hexkeys = [tuple(c.fingerprint_hex for c in chain)
-                       for _, chain in observations]
-        results: list[ChainOutcome | None] = [None] * len(observations)
+        capability = (self.capability_digest()
+                      if verdict_store is not None else None)
         local: dict[tuple[str, tuple[bytes, ...]], ChainOutcome] = {}
-        pending: list[int] = []
-        for index, (domain, chain) in enumerate(observations):
-            pair = (domain, keys[index])
+        for domain, chain in observations:
+            pair = (domain, tuple(c.fingerprint for c in chain))
             outcome = local.get(pair)
-            if outcome is None and cache is not None:
-                outcome = cache.outcome_for(domain, keys[index])
-            if outcome is None and verdict_store is not None:
-                payload = verdict_store.get_outcome(
-                    domain, hexkeys[index], capability
+            if outcome is None:
+                outcome = self._stored_or_evaluated(
+                    domain, chain, at_time, verdict_store, capability
                 )
-                if payload is not None:
-                    outcome = ChainOutcome(
-                        domain, int(payload["chain_length"]),
-                        {name: RecordedVerdict(
-                            result == "ok",
-                            None if result == "ok" else result,
-                        ) for name, result in payload["results"].items()},
-                    )
-                    local[pair] = outcome
-                    if cache is not None:
-                        cache.store_outcome(domain, keys[index], outcome)
-            if outcome is not None:
-                results[index] = outcome
-                continue
-            local[pair] = _PENDING
-            pending.append(index)
-
-        effective, mode = resolve_workers(workers,
-                                          oversubscribe=oversubscribe)
-        if mode == "fork-pool" and len(pending) > 1:
-            evaluated = self._evaluate_pool(
-                observations, pending, at_time=at_time, workers=effective
-            )
-        else:
-            evaluated = [
-                self.evaluate(observations[i][0], observations[i][1],
-                              at_time=at_time)
-                for i in pending
-            ]
-        for index, outcome in zip(pending, evaluated):
-            domain = observations[index][0]
-            results[index] = outcome
-            local[(domain, keys[index])] = outcome
-            if cache is not None:
-                cache.store_outcome(domain, keys[index], outcome)
-            if verdict_store is not None:
-                verdict_store.put_outcome(
-                    domain, hexkeys[index], capability,
-                    chain_length=outcome.chain_length,
-                    results={name: outcome.result_of(name)
-                             for name in outcome.verdicts},
-                )
-
-        for index, (domain, chain) in enumerate(observations):
-            outcome = results[index]
-            if outcome is _PENDING or outcome is None:
-                # a duplicate whose first occurrence was evaluated above
-                outcome = local[(domain, keys[index])]
-                results[index] = outcome
+                local[pair] = outcome
             report.outcomes.append(outcome)
             self._journal_outcome(journal, recorded, domain, chain, outcome)
         return report
+
+    def _stored_or_evaluated(self, domain, chain, at_time, verdict_store,
+                             capability) -> ChainOutcome:
+        """The stored outcome of one observation, else a fresh one
+        (written through to ``verdict_store`` when there is one)."""
+        if verdict_store is None:
+            return self.evaluate(domain, chain, at_time=at_time)
+        hexkey = tuple(c.fingerprint_hex for c in chain)
+        payload = verdict_store.get_outcome(domain, hexkey, capability)
+        if payload is not None:
+            return ChainOutcome(
+                domain, int(payload["chain_length"]),
+                {name: RecordedVerdict(
+                    result == "ok", None if result == "ok" else result,
+                ) for name, result in payload["results"].items()},
+            )
+        outcome = self.evaluate(domain, chain, at_time=at_time)
+        verdict_store.put_outcome(
+            domain, hexkey, capability,
+            chain_length=outcome.chain_length,
+            results={name: outcome.result_of(name)
+                     for name in outcome.verdicts},
+        )
+        return outcome
 
     @staticmethod
     def _journal_outcome(journal, recorded, domain, chain, outcome) -> None:
@@ -473,53 +388,6 @@ class DifferentialHarness:
         if (domain, chain_key) not in recorded:
             journal.record("differential", chain_key=list(chain_key),
                            **outcome.to_event())
-
-    def _evaluate_pool(self, observations, pending, *, at_time,
-                       workers) -> list[ChainOutcome]:
-        """Fork-pool evaluation of ``pending`` observation indices.
-
-        Spans are submitted and merged in index order; workers inherit
-        the harness via fork and run under a fresh metrics registry
-        whose snapshot the parent merges (same model as
-        :mod:`repro.measurement.parallel`).
-        """
-        import math
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro import obs
-        from repro.obs.metrics import NullMetricsRegistry
-        from repro.obs.trace import NullTracer
-
-        metrics = obs.get_metrics()
-        tracer = obs.get_tracer()
-        live_metrics = not isinstance(metrics, NullMetricsRegistry)
-        live_trace = not isinstance(tracer, NullTracer)
-        span = max(1, min(256, math.ceil(len(pending) / workers)))
-        spans = [pending[start:start + span]
-                 for start in range(0, len(pending), span)]
-        global _POOL_STATE
-        _POOL_STATE = (self, observations, at_time,
-                       live_metrics, live_trace)
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_evaluate_span, chunk)
-                           for chunk in spans]
-                evaluated: list[ChainOutcome] = []
-                for lane, future in enumerate(futures, 1):
-                    outcomes, snapshot, worker_spans = future.result()
-                    evaluated.extend(outcomes)
-                    if snapshot:
-                        metrics.merge_snapshot(snapshot)
-                    if worker_spans:
-                        # one Chrome-trace lane per span, in submission
-                        # order — same convention as the analyse pool
-                        tracer.adopt(worker_spans, thread_id=lane)
-        finally:
-            _POOL_STATE = None
-        return evaluated
 
 
 __all__ = [

@@ -92,8 +92,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.errors import JournalError
     from repro.measurement import (
-        Campaign, TableContext, render_table_3, render_table_5,
-        render_table_7,
+        Campaign, TableContext, VerdictCache, render_table_3,
+        render_table_5, render_table_7,
     )
     from repro.webpki import Ecosystem, EcosystemConfig
 
@@ -168,14 +168,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 return obs.ProgressLine(
                     total, prefix=f"scan[{vantage}]", force=True
                 )
-        status = live_view = server = None
+        status = server = None
         if serve_address is not None:
             status = obs.RunStatus()
-            live_view = obs.LiveRegistryView(registry)
             server = obs.TelemetryServer(
                 registry, host=serve_address[0], port=serve_address[1],
                 health=health_monitor, status=status,
-                journal_path=args.journal or None, live_view=live_view,
+                journal_path=args.journal or None,
             )
             try:
                 server.start()
@@ -204,11 +203,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 retries=args.retries, base_delay=args.backoff
             )
         try:
-            cache = None
-            if args.workers or verdict_store is not None:
-                from repro.measurement import VerdictCache
-
-                cache = VerdictCache(backing=verdict_store)
+            cache = VerdictCache(backing=verdict_store)
             if args.shard_size:
                 if not args.simulate_network:
                     print("repro-chain scan: --shard-size requires "
@@ -229,10 +224,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     args.shard_size,
                     journal=journal, retry_policy=retry_policy,
                     breaker_threshold=args.breaker_threshold or None,
-                    collect_workers=args.collect_workers,
-                    workers=args.workers, cache=cache,
-                    snapshot_writer=snapshot_writer,
-                    status=status, live_view=live_view,
+                    cache=cache, snapshot_writer=snapshot_writer,
+                    status=status,
                 )
                 report = sharded.report
                 # reachability from the result, not the metrics
@@ -267,8 +260,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                         progress_factory=progress_factory,
                         retry_policy=retry_policy,
                         breaker_threshold=args.breaker_threshold or None,
-                        collect_workers=args.collect_workers,
-                        status=status, live_view=live_view,
                     )
                     observations = collection.observations
                     for line in _render_reachability(registry.snapshot()):
@@ -287,9 +278,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     status.begin_phase("analyze", len(observations))
                 report, _ = campaign.analyze(
                     observations, journal=journal,
-                    snapshot_writer=snapshot_writer,
-                    workers=args.workers, cache=cache,
-                    status=status, live_view=live_view,
+                    snapshot_writer=snapshot_writer, cache=cache,
+                    status=status,
                 )
             if status is not None:
                 status.finish()
@@ -305,14 +295,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"verdict store: {store_stats['hits']:,} hits / "
                   f"{store_stats['misses']:,} misses / "
                   f"{store_stats['writes']:,} writes")
-        if cache is not None and (cache.hits + cache.misses):
-            print(f"verdict cache: {cache.hits:,} hits / "
-                  f"{cache.misses:,} misses "
-                  f"({100.0 * cache.hit_rate:.1f}% hit rate)")
+        print(f"verdict cache: {cache.hits:,} hits / "
+              f"{cache.misses:,} misses "
+              f"({100.0 * cache.hit_rate:.1f}% hit rate)")
         print(f"chains: {report.total:,}  "
               f"non-compliant: {report.noncompliant:,} "
               f"({report.noncompliance_rate:.2f}%)")
-        ctx = TableContext.build(ecosystem)
+        ctx = TableContext.from_dataset(ecosystem, report)
         for title, renderer in (
             ("Table 3 (leaf placement)", render_table_3),
             ("Table 5 (issuance order)", render_table_5),
@@ -661,7 +650,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.journal:
         return _explain_from_journal(args)
 
-    from repro.measurement import VerdictCache, analyze_observations
+    from repro.measurement import analyze_observations
     from repro.webpki import Ecosystem, EcosystemConfig
 
     ecosystem = Ecosystem.generate(
@@ -676,11 +665,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
               f"--seed {args.seed})", file=sys.stderr)
         return 2
     store = ecosystem.registry.union()
-    # One verdict-cache-backed pipeline pass: observations serving the
-    # identical chain are analysed once and fanned back out.
+    # One pipeline pass: observations serving the identical chain are
+    # analysed once and fanned back out.
     reports, _ = analyze_observations(
         matches, store=store, fetcher=ecosystem.aia_repo,
-        cache=VerdictCache(),
     )
     for index, ((domain, chain), report) in enumerate(zip(matches, reports)):
         if index:
@@ -781,26 +769,18 @@ def _cmd_differential(args: argparse.Namespace) -> int:
             print(f"journal: {resumed:,} differential outcomes already "
                   f"recorded in {args.journal}; re-evaluating without "
                   f"re-appending them")
-    # Parallel evaluation is order-independent, which a learning
-    # Firefox intermediate cache is not: with --workers the harness
-    # evaluates against the cold-cache model instead (the difference is
-    # documented in docs/PERFORMANCE.md).
-    learning = args.workers <= 1 and verdict_store is None
-    if args.workers > 1:
-        print(f"workers: {args.workers} requested; evaluating with a "
-              f"cold (non-learning) intermediate cache")
-    elif not learning:
+    # Stored outcomes must not depend on evaluation order, which a
+    # learning Firefox intermediate cache makes them do: with
+    # --cache-dir the harness evaluates against the cold-cache model.
+    learning = verdict_store is None
+    if not learning:
         print("cache-dir: persistent outcomes require order-independent "
               "evaluation; using a cold (non-learning) intermediate "
               "cache")
-    from repro.measurement import VerdictCache
-
-    cache = VerdictCache()
     try:
         report = harness.run(
             ecosystem.observations(), at_time=ecosystem.config.now,
             observe_into_cache=learning, journal=journal,
-            cache=cache, workers=args.workers,
             verdict_store=verdict_store,
         )
     finally:
@@ -948,17 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trip a per-vantage circuit breaker after "
                            "this many consecutive unreachable scans "
                            "(0: disabled)")
-    scan.add_argument("--workers", type=int, default=0,
-                      help="analyse through the deduplicating pipeline "
-                           "with this many workers (capped at the core "
-                           "count; 0: plain sequential loop)")
-    scan.add_argument("--collect-workers", type=int, default=0,
-                      help="collect through the probe/replay pipeline "
-                           "with this many probe workers (capped at "
-                           "the core count; output is byte-identical "
-                           "to the sequential scan for any count; "
-                           "requires --simulate-network; 0: direct "
-                           "sequential scan)")
     scan.add_argument("--shard-size", type=int, default=0,
                       help="stream collect → analyse in contiguous "
                            "domain shards of this size, bounding peak "
@@ -1112,11 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="append per-chain outcomes (with "
                                    "I-1..I-4 attribution evidence) to "
                                    "a JSONL run journal")
-    differential.add_argument("--workers", type=int, default=1,
-                              help="evaluate clients across this many "
-                                   "workers (capped at the core count; "
-                                   "disables the learning intermediate "
-                                   "cache, see docs/PERFORMANCE.md)")
     differential.add_argument("--journal-flush-every", type=int, default=64,
                               help="buffer this many journal records "
                                    "between flushes (1: flush per "

@@ -332,7 +332,7 @@ def rebind_for_domain(report: ChainComplianceReport, domain: str,
     (chain, store, fetcher) — so a report computed for one observation
     of a byte-identical chain transfers to any other observation by
     recomputing the leaf classification alone.  This is what lets the
-    parallel pipeline's verdict cache key on the chain fingerprints
+    analyse pipeline's verdict cache key on the chain fingerprints
     rather than on (domain, chain).
     """
     if report.domain == domain:
@@ -350,7 +350,7 @@ def record_outcome(report: ChainComplianceReport) -> None:
     A handful of no-op calls when instrumentation is disabled; with a
     live registry these counters reproduce the paper's headline
     breakdowns directly from a campaign run.  :func:`analyze_chain`
-    calls this once per analysis; cache-hit fan-out in the parallel
+    calls this once per analysis; cache-hit fan-out in the analyse
     pipeline calls it once per resolved observation so the counters
     match a run that analysed every observation from scratch.
     """

@@ -16,7 +16,6 @@ much each rule contributes.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.x509 import Certificate
@@ -62,60 +61,9 @@ class RelationEvidence:
     holds: bool
 
 
-# ----------------------------------------------------------------------
-# Memoisation
-#
-# The predicate is a pure function of two immutable certificates and a
-# frozen policy, and topology construction calls it O(n^2) times per
-# chain — in a deduplicated corpus the same (issuer, subject) pairs
-# recur across thousands of chains (shared intermediates and roots).
-# The memo is opt-in: plain library use stays allocation-free, and the
-# analysis pipeline enables it per process (workers enable their own).
-# ----------------------------------------------------------------------
-
-_MEMO_LIMIT = 1 << 16
-_memo: dict[tuple[bytes, bytes, "RelationPolicy"], "RelationEvidence"] | None = None
-
-
-def enable_memo() -> None:
-    """Turn on process-wide memoisation of :func:`evaluate`."""
-    global _memo
-    if _memo is None:
-        _memo = {}
-
-
-def disable_memo() -> None:
-    """Turn memoisation off and drop any cached entries."""
-    global _memo
-    _memo = None
-
-
-@contextmanager
-def memoized():
-    """Scope the relation memo to a block, restoring the prior state.
-
-    Nesting is safe: an inner block never discards an outer block's
-    cache on exit.
-    """
-    global _memo
-    previous = _memo
-    if previous is None:
-        _memo = {}
-    try:
-        yield
-    finally:
-        _memo = previous
-
-
 def evaluate(issuer: Certificate, subject: Certificate,
              policy: RelationPolicy = DEFAULT_POLICY) -> RelationEvidence:
     """Evaluate the issuance relation with full evidence."""
-    memo = _memo
-    if memo is not None:
-        memo_key = (issuer.fingerprint, subject.fingerprint, policy)
-        cached = memo.get(memo_key)
-        if cached is not None:
-            return cached
     signature_valid = subject.verify_signature(issuer.public_key)
     name_match = (not issuer.subject.is_empty()
                   and issuer.subject == subject.issuer)
@@ -142,15 +90,12 @@ def evaluate(issuer: Certificate, subject: Certificate,
             identifier_ok = identifier_ok or kid_match
         if checked_any and not identifier_ok:
             holds = False
-    evidence = RelationEvidence(
+    return RelationEvidence(
         signature_valid=signature_valid,
         name_match=name_match,
         kid_match=kid_match,
         holds=holds,
     )
-    if memo is not None and len(memo) < _MEMO_LIMIT:
-        memo[memo_key] = evidence
-    return evidence
 
 
 def issued(issuer: Certificate, subject: Certificate,

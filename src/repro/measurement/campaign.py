@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 from repro import obs
-from repro.core.compliance import ChainComplianceReport, analyze_chain
+from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
+from repro.measurement.parallel import analyze_observations
 from repro.net.scanner import (
     CircuitBreaker,
     RetryPolicy,
@@ -54,8 +55,7 @@ def _merge_union(
     Records carry their chain identity precomputed
     (:attr:`ScanRecord.chain_key`), so merging a second vantage that
     served the identical chains costs set lookups, not a re-hash of
-    every certificate — the collect bench pins that merge cost stays
-    sub-linear in vantage count.
+    every certificate.
 
     Iteration is domain-major (every vantage's record for one domain
     before any vantage's record for the next), which makes the merge
@@ -81,11 +81,6 @@ def _merge_union(
             observations.append((record.domain, list(record.chain)))
             all_certs.update(chain_key)
     return chain_keys, observations, all_certs
-
-
-def _chain_key_hex(chain) -> tuple[str, ...]:
-    """The journal form of a chain identity: fingerprint hexes."""
-    return tuple(cert.fingerprint_hex for cert in chain)
 
 
 @dataclass
@@ -114,23 +109,6 @@ class CollectionResult:
     @property
     def total_observations(self) -> int:
         return len(self.observations)
-
-    def raw_observations(self) -> list[tuple[str, list[Certificate]]]:
-        """The undeduplicated scan stream: every successful (domain,
-        chain) observation, vantage by vantage.
-
-        Most domains appear once per vantage serving the identical
-        chain, so this stream is what the chain-dedup verdict cache in
-        :mod:`repro.measurement.parallel` is built for; the union
-        :attr:`observations` list has that redundancy already merged
-        away.
-        """
-        stream: list[tuple[str, list[Certificate]]] = []
-        for records in self.per_vantage.values():
-            for record in records:
-                if record.success and record.chain:
-                    stream.append((record.domain, list(record.chain)))
-        return stream
 
 
 @dataclass
@@ -185,11 +163,7 @@ class Campaign:
                 progress_factory=None,
                 retry_policy: RetryPolicy | None = None,
                 breaker_threshold: int | None = None,
-                breaker_probe_interval: float = 300.0,
-                collect_workers: int = 0,
-                oversubscribe: bool = False,
-                status=None,
-                live_view=None) -> CollectionResult:
+                breaker_probe_interval: float = 300.0) -> CollectionResult:
         """Scan every domain from each vantage and merge (union rule).
 
         Parameters
@@ -216,23 +190,10 @@ class Campaign:
             this many consecutive unreachable scans; a vantage whose
             breaker is still open when its sweep ends is marked
             *degraded* rather than merged as if complete.
-        collect_workers:
-            ``>= 1`` switches collection onto the probe/replay
-            pipeline in :mod:`repro.measurement.parallel_collect`: the
-            pure per-(vantage, domain) handshake outcomes are computed
-            first (``1``: in-process, ``N``: sharded across forked
-            workers, capped at the core count unless
-            ``oversubscribe``), then the per-vantage sweeps *replay*
-            them against the shared clock/RNG/fault plan in the
-            sequential order.  Results — records, journal events, scan
-            metrics — are byte-identical to the default (``0``) direct
-            path for any worker count.
-        status / live_view:
-            Optional :class:`~repro.obs.server.RunStatus` /
-            :class:`~repro.obs.server.LiveRegistryView` feeding the
-            embedded telemetry server: the probe phase registers its
-            own ``collect.probe`` progress phase and streams worker
-            snapshot partials into the live view.  Read-side only.
+
+        The vantage sweeps share one decoded-flight memo (see
+        :func:`~repro.net.tls.perform_handshake`), so a chain served
+        identically to every vantage is decoded once per call.
 
         A vantage that finishes its sweep with zero successful scans
         (over a non-empty domain list) is always marked degraded, with
@@ -261,28 +222,7 @@ class Campaign:
         with phase_scope("collect"), \
                 tracer.span("campaign.collect", domains=len(domains),
                             vantages=len(vantages)):
-            probes = None
-            if collect_workers:
-                from repro.measurement.parallel_collect import (
-                    probe_collection,
-                )
-
-                with phase_scope("collect.probe"), \
-                        tracer.span("campaign.probe",
-                                    units=len(domains) * len(vantages),
-                                    workers=collect_workers):
-                    probes, probe_stats = probe_collection(
-                        network, vantages, domains,
-                        versions=(TLS12,),
-                        workers=collect_workers,
-                        oversubscribe=oversubscribe,
-                        status=status, live_view=live_view,
-                    )
-                _log.info("campaign.probed",
-                          units=probe_stats.units,
-                          unique_flights=probe_stats.unique_flights,
-                          workers=probe_stats.effective_workers,
-                          mode=probe_stats.mode)
+            memo: dict = {}
             for vantage in vantages:
                 with phase_scope(f"collect.scan.{vantage}"), \
                         tracer.span("campaign.scan", vantage=vantage):
@@ -326,7 +266,7 @@ class Campaign:
 
                     records = scanner.scan(
                         domains, versions=(TLS12,), progress=observe,
-                        probes=probes,
+                        memo=memo,
                     )
                     per_vantage[vantage] = records
                     if progress is not None:
@@ -432,18 +372,15 @@ class Campaign:
         fetcher: AIAFetcher | None = None,
         journal: RunJournal | None = None,
         snapshot_writer=None,
-        workers: int = 0,
         cache=None,
-        verdict_store=None,
-        oversubscribe: bool = False,
         status=None,
-        live_view=None,
     ) -> tuple[DatasetReport, list[ChainComplianceReport]]:
         """Run the Section 3.1 compliance analysis over a collection.
 
         Defaults: the ecosystem's ground-truth observations (skipping
         the network), the four-program union store, and the ecosystem's
-        AIA repository.
+        AIA repository.  Analysis runs through the deduplicating
+        pipeline, :func:`~repro.measurement.parallel.analyze_observations`.
 
         With a ``journal``, every verdict is appended as it is reached,
         and observations whose verdict the journal already holds (a
@@ -452,95 +389,33 @@ class Campaign:
         uninterrupted run byte for byte.  ``snapshot_writer`` (a
         :class:`repro.obs.SnapshotWriter`) is ticked once per chain.
 
-        ``workers``/``cache`` switch the analyse phase onto the
-        deduplicating pipeline in :mod:`repro.measurement.parallel`:
-        ``workers=1`` dedups in-process, ``workers=N`` shards unique
-        chains across forked workers (capped at the machine's core
-        count unless ``oversubscribe``), and a shared
-        :class:`~repro.measurement.parallel.VerdictCache` carries
-        verdicts across phases.  Output is byte-identical to the
-        default sequential loop either way.
+        ``cache`` (a :class:`~repro.measurement.parallel.VerdictCache`)
+        carries per-chain reports across calls and counts its hits and
+        misses; give it a ``backing``
+        :class:`~repro.measurement.store.VerdictStore` to persist
+        reports across runs, so a warm re-run produces byte-identical
+        output at a fraction of the analyse cost.  Without one, each
+        call dedups within its own observations.
 
-        ``verdict_store`` (a
-        :class:`~repro.measurement.store.VerdictStore`) persists the
-        cache across process lifetimes: chains whose report the store
-        already holds (from an earlier run against the same trust
-        anchors) skip re-analysis, and fresh reports are written
-        through, so a warm re-run produces byte-identical output at a
-        fraction of the analyse cost.
-
-        ``status``/``live_view`` (a
-        :class:`~repro.obs.server.RunStatus` and
-        :class:`~repro.obs.server.LiveRegistryView`, both optional)
-        feed the embedded telemetry server: progress advances once per
-        observation, and the fork-pool path streams worker snapshot
-        partials into the live view.  Pure read-side telemetry —
-        reports, journals, and merged metrics are byte-identical with
-        or without them.
+        ``status`` (a :class:`~repro.obs.server.RunStatus`) advances
+        once per observation; it is read-side telemetry only.
         """
         if observations is None:
             observations = self.ecosystem.observations()
         store = store or self.ecosystem.registry.union()
         fetcher = fetcher if fetcher is not None else self.ecosystem.aia_repo
-        if workers or cache is not None or verdict_store is not None:
-            from repro.measurement.parallel import (
-                VerdictCache,
-                analyze_observations,
-            )
-
-            if verdict_store is not None:
-                if cache is None:
-                    cache = VerdictCache(backing=verdict_store)
-                elif cache.backing is None:
-                    cache.backing = verdict_store
-            with phase_scope("analyze"), \
-                    obs.get_tracer().span("campaign.analyze",
-                                          chains=len(observations),
-                                          workers=workers):
-                reports, stats = analyze_observations(
-                    observations, store=store, fetcher=fetcher,
-                    workers=workers or 1, cache=cache, journal=journal,
-                    snapshot_writer=snapshot_writer,
-                    oversubscribe=oversubscribe,
-                    status=status, live_view=live_view,
-                )
-            if snapshot_writer is not None:
-                snapshot_writer.write_now()
-            _log.info("campaign.analyzed", chains=len(reports),
-                      resumed=stats.resumed)
-            return aggregate(reports), reports
-        resumed = 0
         with phase_scope("analyze"), \
                 obs.get_tracer().span("campaign.analyze",
                                       chains=len(observations)):
-            metrics = obs.get_metrics()
-            throughput = metrics.counter("campaign.chains_analyzed")
-            reports = []
-            for domain, chain in observations:
-                key = _chain_key_hex(chain) if journal is not None else ()
-                recorded = (
-                    journal.verdict_for(domain, key)
-                    if journal is not None else None
-                )
-                if recorded is not None:
-                    report = ChainComplianceReport.from_dict(recorded)
-                    resumed += 1
-                else:
-                    report = analyze_chain(domain, chain, store, fetcher)
-                    if journal is not None:
-                        journal.record_verdict(domain, key, report)
-                reports.append(report)
-                throughput.inc()
-                if status is not None:
-                    status.advance()
-                if snapshot_writer is not None:
-                    snapshot_writer.tick()
-            if resumed:
-                metrics.counter("campaign.chains_resumed").inc(resumed)
+            reports, stats = analyze_observations(
+                observations, store=store, fetcher=fetcher, cache=cache,
+                journal=journal, snapshot_writer=snapshot_writer,
+                status=status,
+            )
         if snapshot_writer is not None:
             snapshot_writer.write_now()
         _log.info("campaign.analyzed", chains=len(reports),
-                  resumed=resumed)
+                  resumed=stats.resumed)
         return aggregate(reports), reports
 
 

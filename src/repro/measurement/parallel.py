@@ -1,11 +1,9 @@
-"""Deduplicating, parallel execution of the compliance analyse phase.
+"""Deduplicating execution of the compliance analyse phase.
 
 The paper's corpus has far fewer *unique* chains than observations —
-every domain reachable from both vantage points appears twice in the
-raw scan stream, almost always serving the byte-identical chain — yet
-the sequential ``Campaign.analyze`` loop re-ran the full Section 3.1
-analysis per observation.  This module is the corpus-scale execution
-layer:
+two domains can serve the byte-identical chain, and the raw
+two-vantage scan stream repeats almost every chain — so the analyse
+phase keys work on the chain, not the observation:
 
 1. **Chain dedup.**  Observations are keyed by the tuple of certificate
    fingerprints; one :class:`~repro.core.compliance.ChainComplianceReport`
@@ -15,58 +13,29 @@ layer:
    depends on the queried domain, and
    :func:`~repro.core.compliance.rebind_for_domain` recomputes exactly
    that on a cross-domain hit.
-2. **Worker pool.**  Unique chains are sharded in contiguous spans
-   across fork-started ``ProcessPoolExecutor`` workers.  Spans are
-   submitted and merged in order, so results — and therefore the
-   aggregated :class:`~repro.core.report.DatasetReport` and every
-   journal line — are byte-identical to a sequential run.  The pool is
-   capped at ``os.cpu_count()``: oversubscribing cores pays fork + IPC
-   for no parallelism (measured ~1.6x *slower* on one core), so
-   ``workers=4`` on a single-core container degrades gracefully to the
-   in-process fast path.  ``oversubscribe=True`` (or the
-   ``REPRO_PIPELINE_OVERSUBSCRIBE`` environment variable) removes the
-   cap so tests can exercise the true multi-process path anywhere.
-3. **Metrics merge.**  Each worker span runs under a fresh
-   :class:`~repro.obs.MetricsRegistry` (when the parent's is live) and
-   ships its snapshot back with the results;
-   ``MetricsRegistry.merge_snapshot`` folds them into the parent so
-   ``stats`` / OpenMetrics output is identical to a sequential run.
-4. **Journal parity.**  Verdicts append in first-occurrence order with
-   the same (domain, chain_key, report) payloads a sequential run
-   writes; observations whose verdict the journal already holds resume
-   exactly as before.  Workers pre-encode their journal lines
-   (:func:`repro.obs.journal.encode_verdict_event`) so the parent's
-   append path is a buffered write, not a re-serialisation.
+2. **Journal parity.**  Verdicts append in observation order with the
+   same (domain, chain_key, report) payloads that analysing every
+   observation with :func:`~repro.core.compliance.analyze_chain` would
+   write; observations whose verdict the journal already holds (a
+   resumed run) are reconstructed from it instead of re-analysed.
 
-The relation predicate memo (:func:`repro.core.relation.memoized`) is
-enabled for the duration of the pipeline — topology construction is
-quadratic in issuance-relation checks and shared intermediates make the
-memo hit rate high — and within each worker process.
+Everything runs in the calling process (docs/PERFORMANCE.md,
+"Execution model").
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
-from repro.core import relation
 from repro.core.compliance import (
     ChainComplianceReport,
     analyze_chain,
     rebind_for_domain,
     record_outcome,
 )
-from repro.obs.journal import RunJournal, encode_verdict_event
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, \
-    NullMetricsRegistry
-from repro.obs.probe import phase_scope
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.obs.journal import RunJournal
 from repro.trust.aia import AIAFetcher
 from repro.trust.rootstore import RootStore
 from repro.x509 import Certificate
@@ -77,27 +46,12 @@ __all__ = [
     "analyze_observations",
     "chain_key",
     "chain_key_hex",
-    "resolve_workers",
 ]
 
 _log = obs.get_logger("measurement.parallel")
 
 #: A chain's identity: the ordered tuple of certificate fingerprints.
 ChainKey = tuple[bytes, ...]
-
-#: Span size cap: big enough to amortise IPC, small enough to balance
-#: load across workers on mid-sized corpora.
-DEFAULT_SPAN = 256
-
-#: Environment escape hatch for the cpu_count cap (tests use this to
-#: exercise the real pool on single-core machines).
-OVERSUBSCRIBE_ENV = "REPRO_PIPELINE_OVERSUBSCRIBE"
-
-#: Chains a worker analyses between partial-snapshot shipments to the
-#: live view (when one is attached); small enough that ``/metrics``
-#: moves visibly during a long span, large enough that pickling
-#: snapshots stays a rounding error next to the analyses themselves.
-LIVE_SNAPSHOT_EVERY = 32
 
 
 def chain_key(chain: list[Certificate]) -> ChainKey:
@@ -116,49 +70,34 @@ def chain_key_hex(chain: list[Certificate]) -> tuple[str, ...]:
 
 @dataclass
 class VerdictCache:
-    """Cross-phase cache of per-chain analysis results.
+    """Per-chain compliance reports, reused across observations.
 
-    Compliance reports are keyed on ``(chain_key, root_store_digest)``:
-    the same byte-identical chain evaluated against the same trust
-    anchors always yields the same R2 order and R3 completeness
-    verdicts, and a cross-domain hit only needs the R1 leaf
-    classification recomputed (``rebind_for_domain``).  Differential
-    client outcomes are keyed on ``(domain, chain_key)`` instead —
-    client validation is name-sensitive end to end.
-
-    One cache instance can serve a whole CLI invocation (analyse, then
-    ``differential``, then ``explain``), which is what the
-    ``--workers``/cache plumbing in ``repro.cli`` does.
+    Reports are keyed on ``(chain_key, root_store_digest)``: the same
+    byte-identical chain evaluated against the same trust anchors
+    always yields the same R2 order and R3 completeness verdicts, and a
+    cross-domain hit only needs the R1 leaf classification recomputed
+    (``rebind_for_domain``).
 
     ``backing`` (a :class:`~repro.measurement.store.VerdictStore`)
-    extends report lookups across process lifetimes: a miss probes the
-    store (promoting a hit into memory, so decoding happens once per
-    unique chain per run) and every fresh report is written through.
-    Cross-domain R1 rebinding stays in-process — the store holds one
+    extends lookups across process lifetimes: a miss probes the store
+    (promoting a hit into memory, so decoding happens once per unique
+    chain per run) and every fresh report is written through.
+    Cross-domain R1 rebinding stays in memory — the store holds one
     report per (chain, trust anchors) and ``rebind_for_domain``
-    recomputes leaf placement for whichever domain served it.  All
-    cache calls happen in the parent process (the pool plan and fan-out
-    passes), so the store keeps a single writer under any worker count.
+    recomputes leaf placement for whichever domain served it.
     """
 
     hits: int = 0
     misses: int = 0
-    outcome_hits: int = 0
-    outcome_misses: int = 0
     _reports: dict[tuple[ChainKey, str], ChainComplianceReport] = field(
         default_factory=dict, repr=False
     )
-    _outcomes: dict[tuple[str, ChainKey], Any] = field(
-        default_factory=dict, repr=False
-    )
-    #: optional persistent VerdictStore backing the report side
+    #: optional persistent VerdictStore
     backing: Any | None = None
 
     @staticmethod
     def _hex(key: ChainKey) -> tuple[str, ...]:
         return tuple(fingerprint.hex() for fingerprint in key)
-
-    # -- compliance reports (keyed on chain + trust anchors) -----------
 
     def report_for(self, key: ChainKey,
                    store_digest: str) -> ChainComplianceReport | None:
@@ -174,19 +113,11 @@ class VerdictCache:
         return report
 
     def store_report(self, key: ChainKey, store_digest: str,
-                     report: ChainComplianceReport, *,
-                     report_json: str | None = None) -> None:
-        """Cache (and write through) one fresh report.
-
-        ``report_json`` is an optional pre-serialised ``to_json`` of
-        the same report: pool workers serialise in parallel so the
-        parent's write-through is a buffered append instead of a fresh
-        encode.
-        """
+                     report: ChainComplianceReport) -> None:
+        """Cache (and write through) one fresh report."""
         self._reports[(key, store_digest)] = report
         if self.backing is not None:
-            self.backing.put_report(self._hex(key), store_digest, report,
-                                    report_json=report_json)
+            self.backing.put_report(self._hex(key), store_digest, report)
 
     def has_report(self, key: ChainKey, store_digest: str) -> bool:
         """Membership probe that does not touch the hit/miss counters."""
@@ -195,30 +126,11 @@ class VerdictCache:
         return (self.backing is not None
                 and self.backing.has_report(self._hex(key), store_digest))
 
-    # -- differential outcomes (keyed on domain + chain) ---------------
-
-    def outcome_for(self, domain: str, key: ChainKey) -> Any | None:
-        outcome = self._outcomes.get((domain, key))
-        if outcome is None:
-            self.outcome_misses += 1
-        else:
-            self.outcome_hits += 1
-        return outcome
-
-    def store_outcome(self, domain: str, key: ChainKey,
-                      outcome: Any) -> None:
-        self._outcomes[(domain, key)] = outcome
-
-    # -- stats ---------------------------------------------------------
-
     @property
     def hit_rate(self) -> float:
-        """Report-cache hit share of all lookups (0.0 when unused)."""
+        """Hit share of all lookups (0.0 when unused)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._reports) + len(self._outcomes)
 
 
 @dataclass(frozen=True)
@@ -230,9 +142,6 @@ class PipelineStats:
     analyzed: int
     resumed: int
     cache_hits: int
-    requested_workers: int
-    effective_workers: int
-    mode: str  # "in-process" | "fork-pool"
 
     @property
     def hit_rate(self) -> float:
@@ -240,125 +149,6 @@ class PipelineStats:
         if not self.observations:
             return 0.0
         return (self.cache_hits + self.resumed) / self.observations
-
-
-# ----------------------------------------------------------------------
-# Worker sizing
-# ----------------------------------------------------------------------
-
-def resolve_workers(requested: int, *,
-                    oversubscribe: bool = False) -> tuple[int, str]:
-    """Map a requested worker count to ``(effective, mode)``.
-
-    The effective pool never exceeds ``os.cpu_count()`` unless
-    oversubscription is forced: extra processes on a saturated CPU only
-    add fork/pickle overhead.  An effective pool of one runs in-process
-    (no fork at all), and platforms without the ``fork`` start method
-    fall back to in-process too — the pipeline inherits its inputs via
-    copy-on-write rather than pickling certificates to spawn-started
-    workers.
-    """
-    if requested <= 1:
-        return 1, "in-process"
-    oversubscribe = oversubscribe or bool(os.environ.get(OVERSUBSCRIBE_ENV))
-    effective = requested
-    if not oversubscribe:
-        effective = min(requested, os.cpu_count() or 1)
-    if effective <= 1:
-        return 1, "in-process"
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1, "in-process"
-    return effective, "fork-pool"
-
-
-# ----------------------------------------------------------------------
-# Pool workers
-# ----------------------------------------------------------------------
-
-#: Inputs for the current pool phase, installed in the parent
-#: immediately before the executor forks so workers inherit them via
-#: copy-on-write instead of per-task pickling.
-_WORKER_STATE: tuple | None = None
-
-
-def _analyze_span(start: int,
-                  end: int) -> tuple[list, dict | None, list | None]:
-    """Worker: analyse one contiguous span of the pending list.
-
-    Returns ``(results, metrics_snapshot, spans)`` where each result is
-    ``(report, encoded_line, report_json)`` — the line ``None`` when
-    the run is not journaled, the serialised report ``None`` when no
-    persistent store needs it.  The span runs under a fresh metrics registry (when the
-    parent's was live at fork) so its snapshot is exactly this span's
-    delta; the parent merges the deltas.  Likewise for the tracer: a
-    fresh :class:`~repro.obs.trace.Tracer` (when the parent's was live)
-    collects this span's timing tree, returned as picklable root spans
-    for the parent to adopt — a null tracer here would silently drop
-    every worker span from ``--trace-out``.
-
-    When a live view is attached (``scan --serve``), the worker also
-    ships its snapshot-so-far over the inherited queue every
-    :data:`LIVE_SNAPSHOT_EVERY` chains, keyed by the span's start
-    index, so ``/metrics`` moves *during* the pool phase.  Shipping is
-    strictly additive telemetry: the final returned snapshot — the one
-    merged into the real registry — is computed exactly as before.
-    """
-    (pending, store, fetcher, journaled, persist, live_metrics,
-     live_trace, live_queue) = _WORKER_STATE
-    if live_metrics or live_trace:
-        obs.enable(
-            metrics=MetricsRegistry() if live_metrics else NULL_REGISTRY,
-            tracer=Tracer() if live_trace else NULL_TRACER,
-        )
-    relation.enable_memo()
-    tracer = obs.get_tracer()
-    results = []
-    # Phase-scoped resource accounting: each span observes its own
-    # wall/CPU/RSS into the worker's fresh registry, and the parent's
-    # merge_snapshot folds the per-worker histograms into one
-    # ``analyze.worker`` series — the report's per-phase table then
-    # shows pool cost exactly, not just the parent's wait time.
-    with phase_scope("analyze.worker"), \
-            tracer.span("analyze.span", start=start, chains=end - start):
-        for offset, (domain, chain, hexkey) in enumerate(
-            pending[start:end], 1
-        ):
-            report = analyze_chain(domain, chain, store, fetcher)
-            line = (encode_verdict_event(domain, hexkey, report)
-                    if journaled else None)
-            # pre-serialise for the parent's store write-through, so
-            # persisting costs the (parallel) workers, not the
-            # (serial) merge loop
-            payload = report.to_json() if persist else None
-            results.append((report, line, payload))
-            if (live_queue is not None and live_metrics
-                    and offset % LIVE_SNAPSHOT_EVERY == 0
-                    and offset < end - start):
-                try:
-                    live_queue.put((start, obs.get_metrics().snapshot()))
-                except (OSError, ValueError):
-                    live_queue = None  # pipe gone; keep analysing
-    snapshot = obs.get_metrics().snapshot() if live_metrics else None
-    spans = tracer.roots() if live_trace else None
-    return results, snapshot, spans
-
-
-def _drain_live_snapshots(queue, live_view) -> None:
-    """Parent-side pump: worker partials → the live registry view.
-
-    Runs on a daemon thread until the sentinel ``None`` arrives (or the
-    queue's pipe dies with the pool).  Strictly read-side: it only ever
-    touches the view's partial map, never the real registry.
-    """
-    while True:
-        try:
-            item = queue.get()
-        except (EOFError, OSError):
-            break
-        if item is None:
-            break
-        key, snapshot = item
-        live_view.update(key, snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -370,77 +160,31 @@ def analyze_observations(
     *,
     store: RootStore,
     fetcher: AIAFetcher | None = None,
-    workers: int = 1,
     cache: VerdictCache | None = None,
     journal: RunJournal | None = None,
     snapshot_writer=None,
-    oversubscribe: bool = False,
     status=None,
-    live_view=None,
 ) -> tuple[list[ChainComplianceReport], PipelineStats]:
-    """Analyse a corpus with chain dedup and an optional worker pool.
+    """Analyse a corpus with chain dedup, in one pass.
 
-    Semantics match ``Campaign.analyze``'s sequential loop observation
-    for observation: the returned report list is index-aligned with
+    Results match :func:`~repro.core.compliance.analyze_chain` run on
+    every observation: the returned report list is index-aligned with
     ``observations``; journaled runs append one verdict event per new
-    (domain, chain_key) pair in the same order a sequential run would,
-    resume observations the journal already covers, and count them in
+    (domain, chain_key) pair in observation order, resume observations
+    the journal already covers, and count them in
     ``campaign.chains_resumed``; ``campaign.chains_analyzed`` ticks once
     per observation; compliance counters record once per observation
-    that a sequential run would have analysed.
+    that was not resumed.
 
     ``status`` (a :class:`~repro.obs.server.RunStatus`) is advanced
-    once per observation; ``live_view`` (a
-    :class:`~repro.obs.server.LiveRegistryView`) receives the workers'
-    periodic partial snapshots during the pool phase.  Both are pure
-    read-side telemetry: attaching them changes no report, journal
-    line, or merged metric.
+    once per observation and ``snapshot_writer`` ticked once per
+    observation; neither changes a report, journal line or metric.
     """
     cache = cache if cache is not None else VerdictCache()
     digest = store.digest()
     journaled = journal is not None
     metrics = obs.get_metrics()
     throughput = metrics.counter("campaign.chains_analyzed")
-    effective, mode = resolve_workers(workers, oversubscribe=oversubscribe)
-
-    with relation.memoized():
-        if mode == "in-process":
-            reports, stats = _run_in_process(
-                observations, store=store, fetcher=fetcher, cache=cache,
-                digest=digest, journal=journal,
-                snapshot_writer=snapshot_writer, throughput=throughput,
-                requested=workers, status=status,
-            )
-        else:
-            reports, stats = _run_pool(
-                observations, store=store, fetcher=fetcher, cache=cache,
-                digest=digest, journal=journal,
-                snapshot_writer=snapshot_writer, throughput=throughput,
-                requested=workers, effective=effective, status=status,
-                live_view=live_view,
-            )
-
-    if stats.resumed:
-        metrics.counter("campaign.chains_resumed").inc(stats.resumed)
-    if stats.cache_hits:
-        metrics.counter("campaign.cache_hits").inc(stats.cache_hits)
-    if journaled:
-        journal.flush()
-    _log.info(
-        "pipeline.analyzed", observations=stats.observations,
-        unique_chains=stats.unique_chains, analyzed=stats.analyzed,
-        resumed=stats.resumed, cache_hits=stats.cache_hits,
-        workers=stats.effective_workers, mode=stats.mode,
-    )
-    return reports, stats
-
-
-def _run_in_process(
-    observations, *, store, fetcher, cache, digest, journal,
-    snapshot_writer, throughput, requested, status=None,
-):
-    """Single-pass dedup + analysis in the calling process."""
-    journaled = journal is not None
     reports: list[ChainComplianceReport] = []
     run_reports: dict[tuple[str, ChainKey], ChainComplianceReport] = {}
     unique: set[ChainKey] = set()
@@ -454,9 +198,9 @@ def _run_in_process(
         if journaled:
             report = run_reports.get((domain, key))
             if report is not None:
-                # A sequential run reads the verdict it just recorded
-                # back out of the journal index; reusing the run-local
-                # object is the same report without the round-trip.
+                # the verdict this run just recorded for the same
+                # (domain, chain): reuse the object instead of reading
+                # it back out of the journal index
                 resumed += 1
             else:
                 hexkey = chain_key_hex(chain)
@@ -489,172 +233,16 @@ def _run_in_process(
     stats = PipelineStats(
         observations=len(reports), unique_chains=len(unique),
         analyzed=analyzed, resumed=resumed, cache_hits=cache_hits,
-        requested_workers=requested, effective_workers=1,
-        mode="in-process",
     )
-    return reports, stats
-
-
-def _run_pool(
-    observations, *, store, fetcher, cache, digest, journal,
-    snapshot_writer, throughput, requested, effective, status=None,
-    live_view=None,
-):
-    """Plan → shard unique chains across forked workers → ordered merge.
-
-    Pass 1 classifies every observation (resumed from the journal,
-    resolvable from the cache, or a fresh unique chain) and collects the
-    fresh chains in first-occurrence order.  The pool analyses
-    contiguous spans of that list; results come back in submission
-    order.  Pass 2 walks the observations in order again, so journal
-    appends, metric ticks, and the report list are sequenced exactly as
-    the in-process path sequences them.
-
-    Progress accounting sums exactly to ``len(observations)``: the
-    merge loop advances ``status`` by each span's fresh results as its
-    future completes (near-live visibility through the longest phase),
-    and pass 2 advances only the non-fresh entries.
-    """
-    journaled = journal is not None
-    metrics = obs.get_metrics()
-    tracer = obs.get_tracer()
-    live_metrics = not isinstance(metrics, NullMetricsRegistry)
-    live_trace = not isinstance(tracer, NullTracer)
-
-    # -- pass 1: plan ---------------------------------------------------
-    RESUMED, PAIR_DUP, HIT, FRESH = range(4)
-    plan: list[tuple] = []
-    pending: list[tuple[str, list[Certificate], tuple[str, ...]]] = []
-    pending_keys: set[ChainKey] = set()
-    seen_pairs: set[tuple[str, ChainKey]] = set()
-    unique: set[ChainKey] = set()
-    resumed = 0
-
-    for domain, chain in observations:
-        key = chain_key(chain)
-        unique.add(key)
-        pair = (domain, key)
-        if journaled:
-            if pair in seen_pairs:
-                plan.append((PAIR_DUP, domain, chain, key))
-                resumed += 1
-                continue
-            hexkey = chain_key_hex(chain)
-            recorded = journal.verdict_for(domain, hexkey)
-            if recorded is not None:
-                seen_pairs.add(pair)
-                plan.append((RESUMED, domain, chain, key, recorded))
-                resumed += 1
-                continue
-            seen_pairs.add(pair)
-        else:
-            hexkey = ()
-        if key in pending_keys or cache.has_report(key, digest):
-            plan.append((HIT, domain, chain, key))
-        else:
-            pending_keys.add(key)
-            if journaled:
-                pending.append((domain, chain, hexkey))
-            else:
-                pending.append((domain, chain, ()))
-            plan.append((FRESH, domain, chain, key))
-
-    # -- pool phase: analyse fresh unique chains ------------------------
-    fresh: dict[ChainKey, tuple] = {}
-    if pending:
-        span = max(1, min(DEFAULT_SPAN, math.ceil(len(pending) / effective)))
-        spans = [(start, min(start + span, len(pending)))
-                 for start in range(0, len(pending), span)]
-        context = multiprocessing.get_context("fork")
-        live_queue = drainer = None
-        if live_view is not None and live_metrics:
-            # Workers inherit the queue's write end through fork; the
-            # drainer folds their partial snapshots into the live view
-            # while the parent blocks in future.result() below.
-            live_queue = context.SimpleQueue()
-            drainer = threading.Thread(
-                target=_drain_live_snapshots, args=(live_queue, live_view),
-                name="repro-live-drain", daemon=True,
-            )
-            drainer.start()
-        global _WORKER_STATE
-        _WORKER_STATE = (pending, store, fetcher, journaled,
-                         cache.backing is not None,
-                         live_metrics, live_trace, live_queue)
-        try:
-            with ProcessPoolExecutor(max_workers=effective,
-                                     mp_context=context) as pool:
-                futures = [pool.submit(_analyze_span, start, end)
-                           for start, end in spans]
-                index = 0
-                for lane, ((span_start, _), future) in enumerate(
-                    zip(spans, futures), 1
-                ):  # submission order: deterministic
-                    results, snapshot, worker_spans = future.result()
-                    for report, line, payload in results:
-                        domain, chain, _ = pending[index]
-                        fresh[chain_key(chain)] = (report, line, payload)
-                        index += 1
-                    if snapshot:
-                        metrics.merge_snapshot(snapshot)
-                    if live_view is not None:
-                        # the real registry holds this span now; its
-                        # partial must leave the composite
-                        live_view.discard(span_start)
-                    if worker_spans:
-                        tracer.adopt(worker_spans, thread_id=lane)
-                    if status is not None and results:
-                        status.advance(len(results))
-        finally:
-            _WORKER_STATE = None
-            if live_queue is not None:
-                live_queue.put(None)
-                drainer.join(timeout=5.0)
-                live_view.clear()
-
-    # -- pass 2: fan out in observation order ---------------------------
-    reports: list[ChainComplianceReport] = []
-    run_reports: dict[tuple[str, ChainKey], ChainComplianceReport] = {}
-    analyzed = cache_hits = 0
-
-    for entry in plan:
-        kind, domain, chain, key = entry[0], entry[1], entry[2], entry[3]
-        if kind == RESUMED:
-            report = ChainComplianceReport.from_dict(entry[4])
-            run_reports[(domain, key)] = report
-            cache.store_report(key, digest, report)
-        elif kind == PAIR_DUP:
-            report = run_reports[(domain, key)]
-        elif kind == FRESH:
-            report, line, payload = fresh[key]
-            analyzed += 1
-            cache.store_report(key, digest, report, report_json=payload)
-            if journaled:
-                journal.record_verdict(domain, chain_key_hex(chain),
-                                       report, encoded=line)
-                run_reports[(domain, key)] = report
-        else:  # HIT
-            cached = cache.report_for(key, digest)
-            if cached is None:  # first occurrence was itself analysed
-                cached = fresh[key][0]
-            report = rebind_for_domain(cached, domain, chain)
-            cache_hits += 1
-            record_outcome(report)
-            if journaled:
-                journal.record_verdict(domain, chain_key_hex(chain),
-                                       report)
-                run_reports[(domain, key)] = report
-        reports.append(report)
-        throughput.inc()
-        if status is not None and kind != FRESH:
-            status.advance()  # FRESH advanced live in the merge loop
-        if snapshot_writer is not None:
-            snapshot_writer.tick()
-
-    stats = PipelineStats(
-        observations=len(reports), unique_chains=len(unique),
-        analyzed=analyzed, resumed=resumed, cache_hits=cache_hits,
-        requested_workers=requested, effective_workers=effective,
-        mode="fork-pool",
+    if stats.resumed:
+        metrics.counter("campaign.chains_resumed").inc(stats.resumed)
+    if stats.cache_hits:
+        metrics.counter("campaign.cache_hits").inc(stats.cache_hits)
+    if journaled:
+        journal.flush()
+    _log.info(
+        "pipeline.analyzed", observations=stats.observations,
+        unique_chains=stats.unique_chains, analyzed=stats.analyzed,
+        resumed=stats.resumed, cache_hits=stats.cache_hits,
     )
     return reports, stats

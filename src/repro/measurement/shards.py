@@ -67,6 +67,7 @@ from repro import obs
 from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
 from repro.measurement.campaign import Campaign, _merge_union
+from repro.measurement.parallel import VerdictCache
 from repro.net.scanner import CircuitBreaker, RetryPolicy, Scanner
 from repro.net.tls import TLS12
 from repro.obs.journal import RunJournal
@@ -224,29 +225,22 @@ def run_sharded(
     retry_policy: RetryPolicy | None = None,
     breaker_threshold: int | None = None,
     breaker_probe_interval: float = 300.0,
-    collect_workers: int = 0,
-    workers: int = 0,
     cache=None,
-    verdict_store=None,
-    oversubscribe: bool = False,
     store: RootStore | None = None,
     fetcher: AIAFetcher | None = None,
     snapshot_writer=None,
     status=None,
-    live_view=None,
 ) -> ShardedRunResult:
     """Stream the campaign shard by shard with bounded peak memory.
 
     Parameters mirror :meth:`Campaign.collect` /
-    :meth:`Campaign.analyze`; ``workers``/``collect_workers`` reuse
-    the probe/replay and verdict-cache fork pools *within* each shard.
-    A shared :class:`~repro.measurement.parallel.VerdictCache` is
-    created when ``workers`` is set and none is passed, so chain-dedup
-    hit rates match an unsharded parallel run.  ``verdict_store`` (a
-    :class:`~repro.measurement.store.VerdictStore`) backs that cache
-    persistently, exactly as in :meth:`Campaign.analyze` — shards of a
-    warm run resolve their chains from the store instead of
-    re-analysing them.
+    :meth:`Campaign.analyze`.  Each shard analyses through a fresh
+    :class:`~repro.measurement.parallel.VerdictCache` over ``cache``'s
+    persistent ``backing`` store, if any, and adds its hit/miss counts
+    to ``cache``: the shard's reports are released with it, while the
+    store still lets the shards of a warm run resolve their chains
+    instead of re-analysing them.  Each shard's vantage sweeps share
+    one decoded-flight memo, released with the shard too.
 
     ``status`` phases are shard-scoped — ``collect.shard.K`` counting
     scans, ``analyze.shard.K`` counting verdicts — as are the
@@ -260,13 +254,6 @@ def run_sharded(
     store = store or campaign.ecosystem.registry.union()
     fetcher = (fetcher if fetcher is not None
                else campaign.ecosystem.aia_repo)
-    if cache is None and (workers or verdict_store is not None):
-        from repro.measurement.parallel import VerdictCache
-
-        cache = VerdictCache(backing=verdict_store)
-    elif cache is not None and verdict_store is not None \
-            and cache.backing is None:
-        cache.backing = verdict_store
 
     journaled_scans: set[tuple[str, str]] = set()
     journaled_degradations: set[str] = set()
@@ -336,23 +323,7 @@ def run_sharded(
             if status is not None:
                 status.begin_phase(f"collect.shard.{index}",
                                    len(shard_domains) * len(vantages))
-            probes = None
-            if collect_workers:
-                from repro.measurement.parallel_collect import (
-                    probe_collection,
-                )
-
-                probes, probe_stats = probe_collection(
-                    network, vantages, shard_domains,
-                    versions=(TLS12,),
-                    workers=collect_workers,
-                    oversubscribe=oversubscribe,
-                    status=None, live_view=live_view,
-                )
-                _log.info("shards.probed", index=index,
-                          units=probe_stats.units,
-                          workers=probe_stats.effective_workers,
-                          mode=probe_stats.mode)
+            memo: dict = {}
             per_vantage = {}
             for vantage in vantages:
 
@@ -380,7 +351,7 @@ def run_sharded(
                                  shard=index):
                     records = scanners[vantage].scan(
                         shard_domains, versions=(TLS12,),
-                        progress=observe, probes=probes,
+                        progress=observe, memo=memo,
                     )
                 per_vantage[vantage] = records
                 attempted[vantage] += len(records)
@@ -395,7 +366,7 @@ def run_sharded(
                 tuple(fp.hex() for fp in key) for key in chain_keys
             )
             unique_cert_hexes.update(fp.hex() for fp in all_certs)
-            del per_vantage, records, chain_keys, all_certs
+            del memo, per_vantage, records, chain_keys, all_certs
 
         with phase_scope(f"analyze.shard.{index}"), \
                 tracer.span("campaign.analyze.shard", index=index,
@@ -403,14 +374,18 @@ def run_sharded(
             if status is not None:
                 status.begin_phase(f"analyze.shard.{index}",
                                    len(observations))
+            shard_cache = VerdictCache(
+                backing=cache.backing if cache is not None else None
+            )
             shard_report, _ = campaign.analyze(
                 observations, store=store, fetcher=fetcher,
                 journal=journal, snapshot_writer=snapshot_writer,
-                workers=workers, cache=cache,
-                oversubscribe=oversubscribe,
-                status=status, live_view=live_view,
+                cache=shard_cache, status=status,
             )
             dataset.merge(shard_report)
+            if cache is not None:
+                cache.hits += shard_cache.hits
+                cache.misses += shard_cache.misses
         return len(observations)
 
     with phase_scope("run.sharded"), \

@@ -43,10 +43,8 @@ the index and are decoded lazily on first hit, so a warm open is a
 line scan, not a full object materialisation.
 
 Concurrency model: all reads and writes go through the opening
-process.  The fork-pool analyse workers inherit the index
-copy-on-write (the pool plan consults it before forking) and never
-write; fresh verdicts funnel back to the parent, whose single writer
-appends them — there are no multi-process write races by construction.
+process, its single writer appending every record — there are no
+multi-process write races by construction.
 """
 
 from __future__ import annotations
@@ -278,9 +276,8 @@ class VerdictStore:
 
     Creating the instance opens (or initialises) the store: segments
     are replayed into the in-memory index, torn tails truncated, and
-    interrupted-compaction leftovers removed.  All methods are
-    parent-process only — see the module docstring for the fork-pool
-    concurrency model.
+    interrupted-compaction leftovers removed.  All methods run in the
+    opening process — see the module docstring's concurrency model.
     """
 
     def __init__(self, path, *,
@@ -471,9 +468,9 @@ class VerdictStore:
             raise StoreError(f"{self.path}: store is closed")
         for entry in self._pending:
             if entry[0] == "report":
-                _, key_hex, digest, report, report_json = entry
+                _, key_hex, digest, report = entry
                 self._append(_encode_report_line(
-                    key_hex, digest, report_json or report.to_json()
+                    key_hex, digest, report.to_json()
                 ))
             else:
                 _, domain, key_hex, digest, chain_length, results = entry
@@ -525,13 +522,8 @@ class VerdictStore:
 
     @_timed
     def put_report(self, key_hex: HexKey, digest: str,
-                   report: ChainComplianceReport, *,
-                   report_json: str | None = None) -> bool:
+                   report: ChainComplianceReport) -> bool:
         """Persist a report; a no-op (False) when already stored.
-
-        ``report_json``, when the caller already has the report's
-        ``to_json`` text (pool workers pre-serialise), skips the
-        re-encode; it must be the serialisation of ``report``.
 
         The record is queued write-behind: it is readable immediately
         (in-memory index) but reaches disk at the next
@@ -542,8 +534,7 @@ class VerdictStore:
         key = (tuple(key_hex), digest)
         if key in self._reports:
             return False
-        self._pending.append(("report", key[0], digest, report,
-                              report_json))
+        self._pending.append(("report", key[0], digest, report))
         self._reports[key] = report
         self.writes += 1
         obs.get_metrics().counter("store.writes", kind="report").inc()

@@ -43,6 +43,19 @@ class TableContext:
         _, reports = campaign.analyze(observations)
         return cls(ecosystem, observations, reports)
 
+    @classmethod
+    def from_dataset(cls, ecosystem: Ecosystem,
+                     dataset: DatasetReport) -> "TableContext":
+        """A context over an aggregate a run already produced.
+
+        Enough for the tables that read only :attr:`dataset` (3/5/7);
+        the ones that walk per-chain reports (8/10/11) need
+        :meth:`build`.  Nothing is analysed again.
+        """
+        ctx = cls(ecosystem, [], [])
+        ctx.dataset = dataset  # fills the cached property
+        return ctx
+
     @cached_property
     def dataset(self) -> DatasetReport:
         return aggregate(self.reports)

@@ -30,13 +30,7 @@ from repro.errors import (
 )
 from repro.net.ratelimit import TokenBucket
 from repro.net.simnet import SimClock, SimulatedNetwork
-from repro.net.tls import (
-    TLS12,
-    TLS13,
-    HandshakeProbe,
-    HandshakeResult,
-    perform_handshake,
-)
+from repro.net.tls import TLS12, TLS13, perform_handshake
 from repro.x509 import Certificate
 
 #: The paper's self-imposed bandwidth cap.
@@ -277,41 +271,14 @@ class Scanner:
         self.retry_cooldown = retry_policy.base_delay
         self.breaker = breaker
 
-    def _exchange(self, domain: str, versions: tuple[str, ...],
-                  probe: HandshakeProbe | None) -> HandshakeResult:
-        """One handshake attempt: live, or replayed against a probe.
-
-        The replay path performs the *real* connect — the same RNG
-        draw, clock advance, fault-plan consultation, and truncation
-        check the live path performs, in the same order — and only
-        substitutes the handler exchange with the probe's precomputed
-        answer.  Every retryable error (unreachable, reset) therefore
-        fires at exactly the instant it would have fired live, which is
-        what keeps parallel collection byte-identical to sequential.
-        """
-        if probe is None:
-            return perform_handshake(
-                self.network, self.vantage, domain, versions=versions
-            )
-        connection = self.network.connect(self.vantage, domain, probe.port)
-        if connection.truncated:
-            raise ConnectionResetError_(
-                f"{domain}:{probe.port} connection reset mid-handshake"
-            )
-        return probe.resolve()
-
     def scan_domain(self, domain: str, *,
                     versions: tuple[str, ...] = (TLS12,),
-                    probe: HandshakeProbe | None = None) -> ScanRecord:
+                    memo: dict | None = None) -> ScanRecord:
         """One scan (with optional retries); never raises — failures
         become records.
 
-        ``probe``, when given, replays a precomputed
-        :class:`~repro.net.tls.HandshakeProbe` (from
-        :func:`repro.measurement.parallel_collect.probe_collection`)
-        instead of exchanging with the handler; the probe must have
-        been computed against this network with the same versions and
-        port.
+        ``memo`` is the decoded-flight memo of
+        :func:`~repro.net.tls.perform_handshake`.
         """
         metrics = obs.get_metrics()
         breaker = self.breaker
@@ -335,7 +302,10 @@ class Scanner:
                 # whether or not retries fire.
                 metrics.counter("scan.attempts", vantage=self.vantage).inc()
                 try:
-                    result = self._exchange(domain, versions, probe)
+                    result = perform_handshake(
+                        self.network, self.vantage, domain,
+                        versions=versions, memo=memo,
+                    )
                     break
                 except TLSHandshakeError:
                     # Protocol-level refusals are deterministic: retrying
@@ -437,26 +407,18 @@ class Scanner:
 
     def scan(self, domains: Iterable[str], *,
              versions: tuple[str, ...] = (TLS12,),
-             progress=None, probes=None) -> list[ScanRecord]:
+             progress=None, memo: dict | None = None) -> list[ScanRecord]:
         """Scan every domain once, in order, under the rate limit.
 
         ``progress``, if given, is called after every domain with the
         finished :class:`ScanRecord` — the hook the CLI's live progress
-        line and the campaign journal hang off.
-
-        ``probes``, if given, maps ``(vantage, domain)`` to a
-        precomputed :class:`~repro.net.tls.HandshakeProbe`; domains
-        with an entry replay it instead of exchanging with the
-        handler (domains without one — statically unreachable hosts —
-        scan live, where the connect fails before any exchange).
+        line and the campaign journal hang off.  ``memo`` is the
+        decoded-flight memo of :func:`~repro.net.tls.perform_handshake`;
+        sweeps that share one decode each served flight once.
         """
         records = []
-        vantage = self.vantage
         for domain in domains:
-            probe = (probes.get((vantage, domain))
-                     if probes is not None else None)
-            record = self.scan_domain(domain, versions=versions,
-                                      probe=probe)
+            record = self.scan_domain(domain, versions=versions, memo=memo)
             records.append(record)
             if progress is not None:
                 progress(record)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import NetworkError, TLSHandshakeError
+from repro.errors import TLSHandshakeError
 from repro.net.simnet import SimulatedNetwork
 from repro.x509 import Certificate, load_pem_bundle, to_pem_bundle
 
@@ -155,132 +155,35 @@ def perform_handshake(
     *,
     versions: tuple[str, ...] = (TLS13, TLS12),
     port: int = DEFAULT_PORT,
+    memo: dict[str, tuple[Certificate, ...]] | None = None,
 ) -> HandshakeResult:
     """Run one ClientHello→Certificate exchange from ``vantage``.
 
     Raises :class:`~repro.errors.HostUnreachableError` or
     :class:`~repro.errors.TLSHandshakeError` on failure, mirroring the
     scanner's distinction between network and protocol errors.
+
+    ``memo`` maps a Certificate message's PEM text to its decoded
+    chain: a host usually sends every vantage the same flight, so a
+    memo shared by the vantage sweeps decodes each flight once.  The
+    caller scopes it (one collection, one shard) so decoded chains are
+    released with the records that hold them.
     """
     connection = network.connect(vantage, domain, port)
     flight = connection.request(ClientHello(domain, versions))
     if not isinstance(flight, ServerFlight):
         raise TLSHandshakeError(f"{domain}: unexpected server response")
+    pem = flight.certificate.pem
+    chain = memo.get(pem) if memo is not None else None
+    if chain is None:
+        chain = tuple(flight.certificate.certificates())
+        if memo is not None:
+            memo[pem] = chain
     return HandshakeResult(
         domain=domain,
         version=flight.hello.version,
-        chain=tuple(flight.certificate.certificates()),
+        chain=chain,
         wire_bytes=flight.size,
-    )
-
-
-#: Probe outcome kinds (see :class:`HandshakeProbe`).
-PROBE_SUCCESS = "success"
-PROBE_HANDSHAKE_FAILED = "handshake_failed"
-PROBE_REFUSED = "refused"
-
-
-@dataclass(frozen=True, slots=True)
-class HandshakeProbe:
-    """The *time-independent* outcome of one (vantage, domain) exchange.
-
-    A probe captures everything about a handshake that does not depend
-    on the simulated clock, the network RNG, or the fault plan: which
-    version the server would negotiate, the decoded certificate chain,
-    the wire size — or the deterministic protocol failure the server
-    would answer with.  Computing a probe calls the port handler but
-    draws no randomness and advances no clock, so probes can be
-    computed out of order (and across processes) and then *replayed*
-    through :meth:`Scanner.scan_domain`, which performs the real
-    connect — RNG draw, clock advance, fault-plan consultation — in
-    exactly the sequential order before consulting the probe instead
-    of the handler.  That split is what makes parallel collection
-    byte-identical to the sequential path (docs/PERFORMANCE.md,
-    "Parallel collection").
-    """
-
-    domain: str
-    port: int = DEFAULT_PORT
-    kind: str = PROBE_SUCCESS
-    version: str | None = None
-    chain: tuple[Certificate, ...] = ()
-    wire_bytes: int = 0
-    message: str = ""
-
-    def resolve(self) -> HandshakeResult:
-        """The handler's answer: a result, or the error it would raise."""
-        if self.kind == PROBE_REFUSED:
-            raise NetworkError(self.message)
-        if self.kind == PROBE_HANDSHAKE_FAILED:
-            raise TLSHandshakeError(self.message)
-        return HandshakeResult(
-            domain=self.domain,
-            version=self.version,
-            chain=self.chain,
-            wire_bytes=self.wire_bytes,
-        )
-
-
-def probe_handshake(
-    network: SimulatedNetwork,
-    vantage: str,
-    domain: str,
-    *,
-    versions: tuple[str, ...] = (TLS13, TLS12),
-    port: int = DEFAULT_PORT,
-    memo: dict[int, tuple[Certificate, ...]] | None = None,
-) -> HandshakeProbe:
-    """Compute the pure handshake outcome without touching clock or RNG.
-
-    Mirrors :func:`perform_handshake`'s exchange against the host's
-    port handler directly, bypassing :meth:`SimulatedNetwork.connect`
-    entirely — no RTT draw, no clock advance, no fault-plan counter is
-    consumed.  The caller is responsible for only probing hosts that
-    are statically reachable (``network.is_reachable``); the replay
-    never consults a probe for a connect that fails.
-
-    ``memo`` dedups chain decoding across probes keyed by the server
-    flight's object identity: both vantages of a host (and every
-    version without a dedicated chain) share the server's cached
-    flight, so the expensive PEM decode and fingerprint hashing happen
-    once per unique flight instead of once per probe.
-    """
-    host = network.hosts.get(domain)
-    handler = host.handlers.get(port) if host is not None else None
-    if handler is None:
-        return HandshakeProbe(
-            domain=domain, port=port, kind=PROBE_REFUSED,
-            message=f"{domain}:{port} refused connection",
-        )
-    hello = ClientHello(domain, versions)
-    try:
-        if getattr(handler, "vantage_aware", False):
-            flight = handler(hello, vantage=vantage)
-        else:
-            flight = handler(hello)
-    except TLSHandshakeError as exc:
-        return HandshakeProbe(
-            domain=domain, port=port, kind=PROBE_HANDSHAKE_FAILED,
-            message=str(exc),
-        )
-    if not isinstance(flight, ServerFlight):
-        return HandshakeProbe(
-            domain=domain, port=port, kind=PROBE_HANDSHAKE_FAILED,
-            message=f"{domain}: unexpected server response",
-        )
-    chain = memo.get(id(flight)) if memo is not None else None
-    if chain is None:
-        chain = tuple(flight.certificate.certificates())
-        for cert in chain:
-            # Pre-warm the cached identity properties so probe workers
-            # absorb the hashing cost and ship it with the pickle.
-            cert.fingerprint
-            cert.fingerprint_hex
-        if memo is not None:
-            memo[id(flight)] = chain
-    return HandshakeProbe(
-        domain=domain, port=port, kind=PROBE_SUCCESS,
-        version=flight.hello.version, chain=chain, wire_bytes=flight.size,
     )
 
 

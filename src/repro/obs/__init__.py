@@ -67,7 +67,6 @@ from repro.obs.report import (
     report_from_journal,
 )
 from repro.obs.server import (
-    LiveRegistryView,
     RunStatus,
     TelemetryServer,
     parse_serve_address,
@@ -83,7 +82,6 @@ __all__ = [
     "HealthReport",
     "HealthRule",
     "Histogram",
-    "LiveRegistryView",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NullTracer",

@@ -95,8 +95,7 @@ _RSS_BUCKETS: tuple[float, ...] = tuple(
 
 #: Histogram families with dedicated bucket ladders; everything else
 #: uses :data:`repro.obs.metrics.DEFAULT_BUCKETS`.  One table so
-#: ``preregister`` and the phase-accounting scopes bin identically —
-#: ``merge_snapshot`` refuses to fold differently-binned series.
+#: ``preregister`` and the phase-accounting scopes bin identically.
 BUCKET_BOUNDS: dict[str, tuple[float, ...]] = {
     "phase.wall_seconds": _PHASE_SECONDS_BUCKETS,
     "phase.cpu_seconds": _PHASE_SECONDS_BUCKETS,

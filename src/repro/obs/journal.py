@@ -84,10 +84,6 @@ def encode_verdict_event(domain: str, chain_key: tuple[str, ...],
     compact encoding of its ``to_dict()``) takes the fast path, which is
     what keeps verdict appends off the campaign's critical path.  The
     two spellings produce byte-identical lines.
-
-    Exposed so pool workers can serialise verdicts in parallel and hand
-    the parent process finished lines to append
-    (:meth:`RunJournal.record_verdict` ``encoded=``).
     """
     to_json = getattr(report, "to_json", None)
     report_json = to_json() if to_json is not None else _encode_record(report)
@@ -434,8 +430,7 @@ class RunJournal:
         }
 
     def record_verdict(self, domain: str, chain_key: tuple[str, ...],
-                       report: Any, *,
-                       encoded: str | None = None) -> None:
+                       report: Any) -> None:
         """Append one per-domain compliance verdict with its evidence.
 
         ``chain_key`` is the tuple of fingerprint hexes of the served
@@ -445,17 +440,8 @@ class RunJournal:
         skips the dict build entirely; :meth:`verdict_for` re-derives
         the payload lazily from the appended line if it is ever read
         back within the same run.
-
-        ``encoded`` optionally supplies the full event line already
-        serialised (``encode_verdict_event`` output): pool workers in
-        ``repro.measurement.parallel`` serialise verdicts off the main
-        process, and re-encoding them here would pay the dominant cost
-        of the append path a second time.  The caller owns the line's
-        correctness; it must be the compact encoding of exactly the
-        event ``(domain, chain_key, report)`` describes.
         """
-        if encoded is None:
-            encoded = encode_verdict_event(domain, chain_key, report)
+        encoded = encode_verdict_event(domain, chain_key, report)
         self._append_line(encoded, "verdict")
         key = (domain, tuple(chain_key))
         if isinstance(report, dict):

@@ -165,30 +165,6 @@ class Histogram:
         labels = [str(b) for b in self.bounds] + ["+Inf"]
         return dict(zip(labels, self._counts))
 
-    def merge_series(self, entry: Mapping) -> None:
-        """Fold one snapshot histogram series into this one.
-
-        ``entry`` is a ``snapshot()`` series dict (count/sum/min/max/
-        buckets).  The bucket bounds must match exactly — merging
-        distributions binned differently would silently misplace counts.
-        """
-        buckets = entry.get("buckets", {})
-        labels = [str(b) for b in self.bounds] + ["+Inf"]
-        if sorted(buckets) != sorted(labels):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge series with "
-                f"bucket bounds {sorted(buckets)} into {sorted(labels)}"
-            )
-        count = int(entry.get("count", 0))
-        with self._lock:
-            for index, label in enumerate(labels):
-                self._counts[index] += int(buckets.get(label, 0))
-            self._count += count
-            self._sum += float(entry.get("sum", 0.0))
-            if count:
-                self._min = min(self._min, float(entry["min"]))
-                self._max = max(self._max, float(entry["max"]))
-
     def quantile(self, q: float) -> float:
         """Streaming estimate of the ``q``-quantile (0 <= q <= 1)."""
         if not 0.0 <= q <= 1.0:
@@ -320,48 +296,6 @@ class MetricsRegistry:
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    # -- merging -------------------------------------------------------
-
-    def merge_snapshot(self, snapshot: Mapping[str, Mapping]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The parallel analysis pipeline gives every worker process a
-        fresh registry and merges the per-worker snapshots back here, so
-        counters and histograms stay correct under parallelism: counters
-        and gauges add (a gauge split across workers is a partitioned
-        total, e.g. per-worker cache sizes), histograms merge bucket
-        counts and extend min/max.  Families absent here are created;
-        merging a family recorded under a different metric type (or a
-        histogram binned differently) raises :class:`ValueError`.
-        """
-        for name, family in snapshot.items():
-            kind = family.get("type")
-            for entry in family.get("series", ()):
-                labels = entry.get("labels", {})
-                if kind == "counter":
-                    counter = self.counter(name, **labels)
-                    value = float(entry.get("value", 0.0))
-                    if value:
-                        counter.inc(value)
-                elif kind == "gauge":
-                    self.gauge(name, **labels).add(
-                        float(entry.get("value", 0.0))
-                    )
-                elif kind == "histogram":
-                    buckets = entry.get("buckets", {})
-                    bounds = sorted(
-                        float(b) for b in buckets if b != "+Inf"
-                    )
-                    histogram = self.histogram(
-                        name, buckets=bounds or None, **labels
-                    )
-                    histogram.merge_series(entry)
-                else:
-                    raise ValueError(
-                        f"cannot merge metric family {name!r} of "
-                        f"unknown type {kind!r}"
-                    )
-
 
 # ----------------------------------------------------------------------
 # Null implementations — installed by default, every method a no-op.
@@ -437,9 +371,6 @@ class NullMetricsRegistry:
 
     def snapshot(self) -> dict[str, dict]:
         return {}
-
-    def merge_snapshot(self, snapshot: Mapping[str, Mapping]) -> None:
-        pass
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return "{}"

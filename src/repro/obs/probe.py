@@ -26,9 +26,8 @@ The module also owns the process-resource side of attribution:
   CPU time, and peak RSS to one named pipeline phase as
   ``phase.wall_seconds`` / ``phase.cpu_seconds`` /
   ``phase.rss_peak_bytes`` histogram observations.  Histograms rather
-  than gauges so per-worker registries fold losslessly through
-  :meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`, which is
-  how the fork-pool analyse phase reports per-worker resource use.
+  than gauges so a phase entered many times (one scope per shard, say)
+  keeps every observation.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ CI gate) actually reads:
 * **retry / breaker / cache rollups** and **per-phase wall/CPU/RSS**
   resource attribution, read from a metrics snapshot when one is
   supplied (phase histograms are produced by
-  :func:`repro.obs.probe.phase_scope` and merge across pool workers).
+  :func:`repro.obs.probe.phase_scope`).
 
 Reports built from a journal alone are **deterministic**: every field
 derives from journal bytes, so two identical seeded runs render

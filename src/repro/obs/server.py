@@ -24,13 +24,6 @@ daemon threads, and never *writes* to the campaign's registry — its
 own request accounting lives on plain attributes so a scraped run's
 final metrics, reports, and journals stay byte-identical to an
 unscraped run's.
-
-During the fork-pool analyse phase the parent's registry only absorbs
-worker deltas when a span completes; :class:`LiveRegistryView` bridges
-the gap by folding the workers' periodic partial snapshots (shipped
-over a pipe, see :mod:`repro.measurement.parallel`) into the rendered
-view — composite only, the real registry is never touched, so merge
-order and byte parity of the final results are unaffected.
 """
 
 from __future__ import annotations
@@ -40,14 +33,12 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.obs.export import to_openmetrics
 from repro.obs.health import HealthMonitor
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "LiveRegistryView",
     "RunStatus",
     "TelemetryServer",
     "parse_serve_address",
@@ -123,60 +114,6 @@ class RunStatus:
             }
 
 
-class LiveRegistryView:
-    """A read-only composite of a registry plus in-flight worker deltas.
-
-    ``update(key, snapshot)`` retains the *latest* partial snapshot per
-    key (one key per submitted worker span); ``discard(key)`` drops a
-    partial once the parent has merged that span's final snapshot into
-    the real registry — keeping both would double count.  Rendering
-    folds base + partials into a scratch :class:`MetricsRegistry` via
-    the same ``merge_snapshot`` the final merge uses, so a live scrape
-    and the eventual final export agree on semantics.
-    """
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-        self._lock = threading.Lock()
-        self._partials: dict[Any, Mapping[str, Mapping]] = {}
-        #: keys whose final snapshot the registry already absorbed; a
-        #: late partial arriving over the pipe after that must not be
-        #: re-added or the view would double count the span
-        self._retired: set[Any] = set()
-
-    def update(self, key: Any, snapshot: Mapping[str, Mapping]) -> None:
-        with self._lock:
-            if key not in self._retired:
-                self._partials[key] = snapshot
-
-    def discard(self, key: Any) -> None:
-        with self._lock:
-            self._retired.add(key)
-            self._partials.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._partials.clear()
-            self._retired.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._partials)
-
-    def snapshot(self) -> dict[str, dict]:
-        """Base registry + live partials, rendered like any snapshot."""
-        with self._lock:
-            partials = list(self._partials.values())
-        base = self.registry.snapshot()
-        if not partials:
-            return base
-        scratch = MetricsRegistry()
-        scratch.merge_snapshot(base)
-        for partial in partials:
-            scratch.merge_snapshot(partial)
-        return scratch.snapshot()
-
-
 class _TelemetryHandler(BaseHTTPRequestHandler):
     """Routes one GET; the owning server hangs off the server object."""
 
@@ -194,7 +131,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         owner.count_request()
         try:
             if path == "/metrics":
-                body = to_openmetrics(owner.view_snapshot())
+                body = to_openmetrics(owner.registry.snapshot())
                 self._reply(200, body, OPENMETRICS_CONTENT_TYPE)
             elif path == "/healthz":
                 self._healthz(owner)
@@ -219,7 +156,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                       "unmatched_rules": []},
             )
             return
-        report = owner.health.evaluate(owner.view_snapshot())
+        report = owner.health.evaluate(owner.registry.snapshot())
         self._reply_json(200 if report.ok else 503, report.to_dict())
 
     def _progress(self, owner: "TelemetryServer") -> None:
@@ -271,7 +208,7 @@ class TelemetryServer:
     ----------
     registry:
         The campaign's metrics registry; ``/metrics`` and ``/healthz``
-        render its snapshots (through ``live_view`` when given).
+        render its snapshots.
     host / port:
         Bind address.  The default binds localhost; port 0 asks the
         kernel for an ephemeral port — read the real one from
@@ -283,16 +220,12 @@ class TelemetryServer:
         Optional :class:`RunStatus` behind ``/progress``.
     journal_path:
         Optional in-flight journal behind ``/report``.
-    live_view:
-        Optional :class:`LiveRegistryView`; when set, scrapes render
-        its composite instead of the bare registry.
     """
 
     def __init__(self, registry, *, host: str = "127.0.0.1",
                  port: int = 0, health: HealthMonitor | None = None,
                  status: RunStatus | None = None,
-                 journal_path: str | Path | None = None,
-                 live_view: LiveRegistryView | None = None) -> None:
+                 journal_path: str | Path | None = None) -> None:
         self.registry = registry
         self.requested_host = host
         self.requested_port = port
@@ -301,20 +234,12 @@ class TelemetryServer:
         self.journal_path = (
             Path(journal_path) if journal_path is not None else None
         )
-        self.live_view = live_view
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._requests_lock = threading.Lock()
         #: plain attribute, deliberately not a registry counter: the
         #: scrape traffic must not perturb the campaign's own metrics
         self.requests_served = 0
-
-    # -- view ----------------------------------------------------------
-
-    def view_snapshot(self) -> dict[str, dict]:
-        if self.live_view is not None:
-            return self.live_view.snapshot()
-        return self.registry.snapshot()
 
     def count_request(self) -> None:
         with self._requests_lock:

@@ -169,26 +169,6 @@ class Tracer:
             self._roots.clear()
             self._stacks.clear()
 
-    def adopt(self, spans: list[Span], *,
-              thread_id: int | None = None) -> None:
-        """Graft finished span trees from another tracer into this one.
-
-        The fork-pool analyse phase runs each worker under its own
-        :class:`Tracer` and ships the finished root spans back with the
-        results; the parent adopts them so ``--trace-out`` contains the
-        workers' timelines.  ``thread_id`` (applied recursively)
-        relabels the spans onto one Chrome-trace ``tid`` lane per
-        worker batch — worker-side thread idents collide with the
-        parent's after fork, which would interleave unrelated
-        timelines in the viewer.
-        """
-        if thread_id is not None:
-            for root in spans:
-                for span in root.walk():
-                    span.thread_id = thread_id
-        with self._lock:
-            self._roots.extend(spans)
-
     # -- export --------------------------------------------------------
 
     def to_chrome_trace(self) -> list[dict[str, object]]:
@@ -251,10 +231,6 @@ class NullTracer:
         return ""
 
     def clear(self) -> None:
-        pass
-
-    def adopt(self, spans: list[Span], *,
-              thread_id: int | None = None) -> None:
         pass
 
     def to_chrome_trace(self) -> list[dict[str, object]]:

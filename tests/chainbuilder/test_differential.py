@@ -114,59 +114,6 @@ class TestHarness:
         assert outcome.result_of("firefox") != "ok"
 
 
-class TestWorkerSpans:
-    """Fork-pool workers trace for real; the parent adopts their spans.
-
-    Regression: the differential pool used to pin workers to
-    ``NULL_TRACER``, so a traced ``differential --workers N`` run
-    silently lost every worker-side evaluation span — the same bug
-    the analyse pool in ``repro.measurement.parallel`` already fixed.
-    """
-
-    def spread_observations(self, world, count=4):
-        h, _leaf, _registry, _repo = world
-        return [
-            (f"span{i}.example",
-             h.chain_for(h.issue_leaf(
-                 f"span{i}.example",
-                 not_before=utc(2024, 1, 1), days=365,
-             )))
-            for i in range(count)
-        ]
-
-    def test_worker_spans_surface_in_parent_trace(self, world):
-        from repro import obs
-
-        _h, _leaf, registry, repo = world
-        harness = DifferentialHarness(registry, aia_fetcher=repo)
-        observations = self.spread_observations(world)
-        with obs.instrumented() as (_, tracer):
-            report = harness.run(observations, at_time=NOW,
-                                 workers=2, oversubscribe=True)
-            events = tracer.to_chrome_trace()
-        assert report.total == len(observations)
-        worker_events = [
-            e for e in events if e["name"] == "differential.span"
-        ]
-        assert worker_events  # the regression: these used to vanish
-        # each submitted span rides its own Chrome-trace tid lane, so
-        # worker timelines render side by side instead of stacked
-        lanes = {e["tid"] for e in worker_events}
-        assert len(lanes) == len(worker_events)
-        assert 0 not in lanes  # lane 0 stays the parent's
-
-    def test_untraced_run_adopts_nothing(self, world):
-        from repro import obs
-
-        _h, _leaf, registry, repo = world
-        harness = DifferentialHarness(registry, aia_fetcher=repo)
-        observations = self.spread_observations(world)
-        with obs.instrumented(tracer=obs.NullTracer()) as (_, tracer):
-            harness.run(observations, at_time=NOW,
-                        workers=2, oversubscribe=True)
-        assert tracer.roots() == []
-
-
 class TestAttributionRules:
     def _outcome(self, results):
         from repro.chainbuilder import BuildResult, ClientVerdict

@@ -40,6 +40,36 @@ class TestCollection:
         identical = campaign.compare_tls_versions(sample=200)
         assert identical >= 95.0  # paper: 98.8%
 
+    def test_vantages_share_decoded_chains(self, campaign, monkeypatch):
+        """Each collect decodes a served flight once, not once per
+        vantage, and the result equals an unshared sweep's."""
+        from repro.net import CertificateMessage, Scanner, TLS12
+
+        network = campaign.ecosystem.install()
+        domains = [d.domain for d in campaign.ecosystem.deployments]
+        unshared = {
+            vantage: Scanner(network, vantage).scan(domains,
+                                                    versions=(TLS12,))
+            for vantage in (VANTAGE_US, VANTAGE_AU)
+        }
+        decodes = []
+        certificates = CertificateMessage.certificates
+
+        def counting(message):
+            decodes.append(message.pem)
+            return certificates(message)
+
+        monkeypatch.setattr(CertificateMessage, "certificates", counting)
+        result = Campaign(campaign.ecosystem,
+                          network=campaign.ecosystem.install()).collect()
+        assert decodes and len(decodes) == len(set(decodes))
+        successes = sum(result.reachable_counts.values())
+        assert len(decodes) < successes
+        for vantage, records in unshared.items():
+            assert [(r.domain, r.chain_key) for r in records] == [
+                (r.domain, r.chain_key) for r in result.per_vantage[vantage]
+            ]
+
 
 class TestUnionAccounting:
     """Two domains serving the identical chain are two *observations*

@@ -1,27 +1,25 @@
-"""The deduplicating pipeline: byte-parity with the sequential loop.
+"""The deduplicating pipeline: byte-parity with per-observation analysis.
 
 Every test here checks the same contract from a different angle: with
-or without workers, with or without a journal, interrupted or not, the
-pipeline's outputs — report list, aggregate tables, journal bytes,
-metrics — are indistinguishable from the plain sequential
-``Campaign.analyze`` loop.
+or without a shared cache, with or without a journal, interrupted or
+not, the pipeline's outputs — report list, aggregate tables, journal
+bytes, metrics — are indistinguishable from running
+:func:`~repro.core.compliance.analyze_chain` on every observation.
 """
 
 import json
-import os
 
 import pytest
 
 from repro import obs
 from repro.core import aggregate, analyze_chain
-from repro.core.compliance import rebind_for_domain
+from repro.core.compliance import ChainComplianceReport, rebind_for_domain
 from repro.measurement import Campaign
 from repro.measurement.parallel import (
-    OVERSUBSCRIBE_ENV,
     VerdictCache,
     analyze_observations,
     chain_key,
-    resolve_workers,
+    chain_key_hex,
 )
 from repro.obs import RunJournal
 from repro.webpki import Ecosystem, EcosystemConfig
@@ -67,6 +65,26 @@ def aggregate_json(reports) -> str:
     return json.dumps(aggregate(reports).to_dict(), sort_keys=True)
 
 
+def reference_journal(ecosystem, stream, journal):
+    """The reference: ``analyze_chain`` per observation, journaled.
+
+    An observation whose (domain, chain) the journal already holds is
+    read back from it instead of re-analysed, as a resumed run does.
+    """
+    union = ecosystem.registry.union()
+    reports = []
+    for domain, chain in stream:
+        key = chain_key_hex(chain)
+        recorded = journal.verdict_for(domain, key)
+        if recorded is not None:
+            reports.append(ChainComplianceReport.from_dict(recorded))
+            continue
+        report = analyze_chain(domain, chain, union, ecosystem.aia_repo)
+        journal.record_verdict(domain, key, report)
+        reports.append(report)
+    return reports
+
+
 class TestVerdictCache:
     def test_report_keyed_on_chain_and_store(self, ecosystem, union, stream):
         cache = VerdictCache()
@@ -85,15 +103,6 @@ class TestVerdictCache:
         assert not cache.has_report(key, union.digest())
         assert (cache.hits, cache.misses) == (0, 0)
 
-    def test_outcome_cache_is_domain_sensitive(self, stream):
-        cache = VerdictCache()
-        key = chain_key(stream[0][1])
-        cache.store_outcome("a.example", key, "outcome-a")
-        assert cache.outcome_for("a.example", key) == "outcome-a"
-        assert cache.outcome_for("b.example", key) is None
-        assert (cache.outcome_hits, cache.outcome_misses) == (1, 1)
-        assert len(cache) == 1
-
     def test_hit_rate(self):
         cache = VerdictCache()
         assert cache.hit_rate == 0.0
@@ -101,54 +110,19 @@ class TestVerdictCache:
         assert cache.hit_rate == pytest.approx(0.75)
 
 
-class TestResolveWorkers:
-    def test_one_worker_is_in_process(self):
-        assert resolve_workers(0) == (1, "in-process")
-        assert resolve_workers(1) == (1, "in-process")
-
-    def test_capped_at_core_count(self):
-        effective, _ = resolve_workers(4096)
-        assert effective <= (os.cpu_count() or 1)
-
-    def test_oversubscribe_flag_lifts_the_cap(self):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        assert resolve_workers(3, oversubscribe=True) == (3, "fork-pool")
-
-    def test_oversubscribe_env(self, monkeypatch):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
-        effective, mode = resolve_workers(3)
-        assert (effective, mode) == (3, "fork-pool")
-
-
 class TestPipelineParity:
     def test_in_process_matches_sequential(
         self, ecosystem, union, stream, sequential_reports
     ):
         reports, stats = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, workers=1,
+            stream, store=union, fetcher=ecosystem.aia_repo,
         )
         assert reports == sequential_reports
         assert aggregate_json(reports) == aggregate_json(sequential_reports)
-        assert stats.mode == "in-process"
         assert stats.observations == len(stream)
+        assert stats.analyzed == stats.unique_chains
         assert stats.analyzed + stats.cache_hits == len(stream)
         assert stats.cache_hits > 0 and stats.hit_rate > 0.0
-
-    def test_fork_pool_matches_sequential(
-        self, ecosystem, union, stream, sequential_reports
-    ):
-        reports, stats = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, workers=2,
-            oversubscribe=True,
-        )
-        assert reports == sequential_reports
-        assert aggregate_json(reports) == aggregate_json(sequential_reports)
-        assert stats.mode == "fork-pool"
-        assert stats.effective_workers == 2
-        assert stats.analyzed == stats.unique_chains
 
     def test_cache_carries_across_calls(self, ecosystem, union, stream):
         cache = VerdictCache()
@@ -161,14 +135,14 @@ class TestPipelineParity:
         assert stats.analyzed == 0
         assert stats.cache_hits == len(stream)
 
-    def test_campaign_analyze_delegates(self, ecosystem, stream):
+    def test_campaign_analyze_delegates(self, ecosystem, stream,
+                                        sequential_reports):
         campaign = Campaign(ecosystem)
-        baseline, seq_reports = campaign.analyze(stream)
-        report, reports = campaign.analyze(
-            stream, workers=2, cache=VerdictCache(), oversubscribe=True,
-        )
-        assert report == baseline
-        assert reports == seq_reports
+        cache = VerdictCache()
+        report, reports = campaign.analyze(stream, cache=cache)
+        assert reports == sequential_reports
+        assert report == aggregate(sequential_reports)
+        assert cache.hits + cache.misses == len(stream)
 
 
 class TestCrossDomainRebind:
@@ -199,22 +173,22 @@ class TestJournalParity:
     def test_all_modes_write_identical_journals(
         self, ecosystem, stream, tmp_path
     ):
+        """No cache, a fresh shared cache, and a cache already holding
+        every report all write the reference journal."""
         campaign = Campaign(ecosystem)
-        _, seq_reports, seq_bytes = self.run_journaled(
-            campaign, stream, tmp_path / "seq.jsonl"
-        )
-        _, in_reports, in_bytes = self.run_journaled(
-            campaign, stream, tmp_path / "inproc.jsonl",
-            workers=1, cache=VerdictCache(),
-        )
-        _, pool_reports, pool_bytes = self.run_journaled(
-            campaign, stream, tmp_path / "pool.jsonl",
-            workers=2, cache=VerdictCache(), oversubscribe=True,
-        )
-        assert in_bytes == seq_bytes
-        assert pool_bytes == seq_bytes
-        assert in_reports == seq_reports
-        assert pool_reports == seq_reports
+        path = tmp_path / "reference.jsonl"
+        with RunJournal.create(path, campaign.manifest()) as journal:
+            ref_reports = reference_journal(ecosystem, stream, journal)
+        ref_bytes = path.read_bytes()
+        warm = VerdictCache()
+        campaign.analyze(stream, cache=warm)
+        for tag, cache in (("none", None), ("fresh", VerdictCache()),
+                           ("warm", warm)):
+            _, reports, journal_bytes = self.run_journaled(
+                campaign, stream, tmp_path / f"{tag}.jsonl", cache=cache,
+            )
+            assert journal_bytes == ref_bytes, tag
+            assert reports == ref_reports, tag
 
     def test_crash_resume_is_byte_identical(
         self, ecosystem, stream, tmp_path
@@ -222,32 +196,23 @@ class TestJournalParity:
         campaign = Campaign(ecosystem)
         _, seq_reports, seq_bytes = self.run_journaled(
             campaign, stream, tmp_path / "uninterrupted.jsonl",
-            workers=2, cache=VerdictCache(), oversubscribe=True,
         )
 
         path = tmp_path / "crashed.jsonl"
         with RunJournal.create(path, campaign.manifest()) as journal:
-            campaign.analyze(
-                stream[:80], journal=journal,
-                workers=2, cache=VerdictCache(), oversubscribe=True,
-            )
+            campaign.analyze(stream[:80], journal=journal)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type":"verdict","domain":"crash.ex')
 
         with RunJournal.open(path, campaign.manifest()) as journal:
-            _, reports = campaign.analyze(
-                stream, journal=journal,
-                workers=2, cache=VerdictCache(), oversubscribe=True,
-            )
+            _, reports = campaign.analyze(stream, journal=journal)
         assert reports == seq_reports
         assert path.read_bytes() == seq_bytes
 
     def test_rerun_appends_nothing(self, ecosystem, stream, tmp_path):
         campaign = Campaign(ecosystem)
         path = tmp_path / "run.jsonl"
-        self.run_journaled(
-            campaign, stream, path, workers=1, cache=VerdictCache()
-        )
+        self.run_journaled(campaign, stream, path)
         before = path.read_bytes()
         with RunJournal.open(path, campaign.manifest()) as journal:
             _, stats = analyze_observations(
@@ -259,197 +224,63 @@ class TestJournalParity:
         assert stats.resumed == len(stream)
 
 
-class TestMetricsMerge:
+class TestMetrics:
     def totals(self, registry) -> dict[str, float]:
         snapshot = registry.snapshot()
         return {
             name: registry.total(name)
             for name, family in snapshot.items()
             if family["type"] == "counter"
-            and name.split(".")[0] in ("campaign", "compliance")
+            and name.split(".")[0] == "compliance"
         }
 
-    def test_pool_counters_match_in_process(self, ecosystem, union, stream):
+    def test_counters_match_per_observation_analysis(
+        self, ecosystem, union, stream
+    ):
+        """Cache hits record their outcome, so the compliance counters
+        equal those of analysing every observation."""
         obs.disable()
         with obs.instrumented() as (registry, _):
-            analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo, workers=1,
-            )
-            in_process = self.totals(registry)
+            for domain, chain in stream:
+                analyze_chain(domain, chain, union, ecosystem.aia_repo)
+            reference = self.totals(registry)
         with obs.instrumented() as (registry, _):
-            analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo, workers=2,
-                oversubscribe=True,
+            _, stats = analyze_observations(
+                stream, store=union, fetcher=ecosystem.aia_repo,
             )
-            pooled = self.totals(registry)
+            pipelined = self.totals(registry)
+            analyzed = registry.total("campaign.chains_analyzed")
+            hits = registry.total("campaign.cache_hits")
         obs.disable()
-        assert pooled == in_process
-        assert in_process["campaign.chains_analyzed"] == len(stream)
-
-
-class TestPhaseHistogramMerge:
-    """Per-worker ``phase.*`` histograms fold losslessly back into the
-    parent registry through ``merge_snapshot``."""
-
-    def test_worker_phase_timers_merge_across_fork_pool(
-        self, ecosystem, union, stream
-    ):
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        with obs.instrumented() as (registry, _):
-            obs.catalogue.preregister(registry)
-            _, stats = analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-            )
-            snapshot = registry.snapshot()
-        assert stats.mode == "fork-pool"
-        series = [
-            s for s in snapshot["phase.wall_seconds"]["series"]
-            if s["labels"].get("phase") == "analyze.worker"
-        ]
-        # Each worker span observes the scope once; every observation
-        # survives the merge into the single parent series.
-        assert len(series) == 1
-        assert series[0]["count"] >= stats.effective_workers
-        assert series[0]["sum"] >= 0.0
-        cpu = [
-            s for s in snapshot["phase.cpu_seconds"]["series"]
-            if s["labels"].get("phase") == "analyze.worker"
-        ]
-        assert cpu[0]["count"] == series[0]["count"]
-
-    def test_merge_preserves_bucket_counts(self):
-        """Distinct registries with catalogue bounds fold exactly."""
-        from repro.obs.probe import phase_scope
-
-        parent = obs.MetricsRegistry()
-        obs.catalogue.preregister(parent)
-        totals = 0
-        for _ in range(2):  # two "workers"
-            worker = obs.MetricsRegistry()
-            for _ in range(3):
-                with phase_scope("analyze.worker", worker):
-                    pass
-            totals += 3
-            parent.merge_snapshot(worker.snapshot())
-        series = [
-            s for s in parent.snapshot()["phase.wall_seconds"]["series"]
-            if s["labels"].get("phase") == "analyze.worker"
-        ]
-        assert series[0]["count"] == totals
-        assert sum(series[0]["buckets"].values()) == totals
-
-
-class TestWorkerSpans:
-    """Fork-pool workers trace for real; the parent adopts their spans.
-
-    Regression: the pool used to pin workers to ``NULL_TRACER``, so a
-    traced ``scan --workers 4`` silently lost every worker-side span.
-    """
-
-    def test_worker_spans_surface_in_parent_trace(
-        self, ecosystem, union, stream
-    ):
-        with obs.instrumented() as (_, tracer):
-            _, stats = analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-            )
-            events = tracer.to_chrome_trace()
-        assert stats.mode == "fork-pool"
-        worker_events = [e for e in events if e["name"] == "analyze.span"]
-        assert worker_events  # the regression: these used to vanish
-        # each submitted span rides its own Chrome-trace tid lane, so
-        # worker timelines render side by side instead of stacked
-        lanes = {e["tid"] for e in worker_events}
-        assert len(lanes) == len(worker_events)
-        assert 0 not in lanes  # lane 0 stays the parent's
-
-    def test_worker_span_children_keep_the_lane(
-        self, ecosystem, union, stream
-    ):
-        with obs.instrumented() as (_, tracer):
-            analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-            )
-            roots = [s for s in tracer.roots() if s.name == "analyze.span"]
-        assert roots
-        for root in roots:
-            for child in root.children:
-                assert child.thread_id == root.thread_id
-
-    def test_untraced_run_adopts_nothing(self, ecosystem, union, stream):
-        with obs.instrumented(tracer=obs.NullTracer()) as (_, tracer):
-            analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-            )
-        assert tracer.roots() == []
+        assert pipelined == reference
+        assert reference["compliance.chains"] == len(stream)
+        assert analyzed == len(stream)
+        assert hits == stats.cache_hits > 0
 
 
 class TestLiveView:
-    def run_with_live_view(self, ecosystem, union, stream, *, metrics=True):
-        from repro.obs.server import LiveRegistryView, RunStatus
+    """The live telemetry plumbing: a ``RunStatus`` behind ``/progress``."""
+
+    def run_with_status(self, ecosystem, union, stream):
+        from repro.obs.server import RunStatus
 
         status = RunStatus()
-        if metrics:
-            context = obs.instrumented()
-        else:
-            from contextlib import nullcontext
-            context = nullcontext((obs.get_metrics(), obs.get_tracer()))
-        with context as (registry, _):
-            view = LiveRegistryView(registry)
-            reports, stats = analyze_observations(
+        with obs.instrumented():
+            reports, _ = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-                status=status, live_view=view,
+                status=status,
             )
-        return reports, stats, status, view
+        return reports, status
 
     def test_results_unchanged_by_live_plumbing(
         self, ecosystem, union, stream, sequential_reports
     ):
-        reports, stats, _, _ = self.run_with_live_view(
-            ecosystem, union, stream
-        )
+        reports, _ = self.run_with_status(ecosystem, union, stream)
         assert reports == sequential_reports
         assert aggregate_json(reports) == aggregate_json(sequential_reports)
-        assert stats.mode == "fork-pool"
 
     def test_status_accounts_every_observation(
         self, ecosystem, union, stream
     ):
-        _, _, status, _ = self.run_with_live_view(ecosystem, union, stream)
-        snap = status.snapshot()
-        assert snap["done"] == len(stream)
-
-    def test_view_is_drained_and_cleared_at_the_end(
-        self, ecosystem, union, stream
-    ):
-        _, _, _, view = self.run_with_live_view(ecosystem, union, stream)
-        assert len(view) == 0  # every partial discarded or cleared
-
-    def test_in_process_mode_advances_status_too(
-        self, ecosystem, union, stream
-    ):
-        from repro.obs.server import RunStatus
-
-        status = RunStatus()
-        _, stats = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, workers=1,
-            status=status,
-        )
-        assert stats.mode == "in-process"
+        _, status = self.run_with_status(ecosystem, union, stream)
         assert status.snapshot()["done"] == len(stream)
-
-    def test_null_metrics_run_skips_the_pipe(
-        self, ecosystem, union, stream, sequential_reports
-    ):
-        reports, _, status, view = self.run_with_live_view(
-            ecosystem, union, stream, metrics=False,
-        )
-        assert reports == sequential_reports
-        assert status.snapshot()["done"] == len(stream)
-        assert len(view) == 0

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.measurement import Campaign, shard_bounds
+from repro.measurement import Campaign, VerdictCache, shard_bounds
 from repro.obs import RunJournal
 from repro.obs.journal import read_journal
 from repro.obs.report import build_report, render_report_text
@@ -132,18 +132,18 @@ class TestByteParity:
                 == result.total_observations)
         assert not any(s.resumed for s in result.shards)
 
-    def test_parallel_shards_match_sequential(self, flat, tmp_path):
-        """The probe/replay and verdict-cache pipelines nest inside
-        shards without perturbing the output."""
+    def test_cached_shards_match_flat(self, flat, tmp_path):
+        """A caller's verdict cache collects every shard's counts
+        without perturbing the output."""
         campaign = fresh_campaign()
-        path = tmp_path / "parallel.jsonl"
+        cache = VerdictCache()
+        path = tmp_path / "cached.jsonl"
         with RunJournal.open(path, campaign.manifest()) as journal:
-            result = campaign.run_sharded(
-                11, journal=journal, collect_workers=1, workers=1,
-            )
+            result = campaign.run_sharded(11, journal=journal, cache=cache)
         assert fingerprint(result.report) == flat["fingerprint"]
         _, events = read_journal(path)
         assert event_multiset(events) == event_multiset(flat["events"])
+        assert cache.hits + cache.misses == result.total_observations
 
     def test_sharded_journal_validates(self, tmp_path):
         """`shard` boundary events satisfy the journal invariants —

@@ -259,12 +259,12 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as cold_store:
             _, cold_reports, cold_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "cold.jsonl",
-                verdict_store=cold_store,
+                cache=VerdictCache(backing=cold_store),
             )
         with VerdictStore(tmp_path / "vs") as store:
             _, warm_reports, warm_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "warm.jsonl",
-                verdict_store=store,
+                cache=VerdictCache(backing=store),
             )
             assert store.stats()["writes"] == 0
         assert warm_reports == cold_reports
@@ -285,25 +285,6 @@ class TestWarmStartParity:
         assert stats.analyzed == 0
         assert stats.cache_hits == len(stream)
 
-    def test_warm_fork_pool_matches_cold(self, ecosystem, union, stream,
-                                         tmp_path):
-        cold, _ = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo,
-        )
-        with VerdictStore(tmp_path / "vs") as store:
-            analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                cache=VerdictCache(backing=store),
-            )
-        with VerdictStore(tmp_path / "vs") as store:
-            warm, stats = analyze_observations(
-                stream, store=union, fetcher=ecosystem.aia_repo,
-                workers=2, oversubscribe=True,
-                cache=VerdictCache(backing=store),
-            )
-        assert stats.analyzed == 0
-        assert warm == cold
-
     def test_resume_after_store_truncation(self, ecosystem, stream,
                                            tmp_path):
         """A crash mid-write costs one verdict, never correctness."""
@@ -311,7 +292,7 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as cold_store:
             _, cold_reports, cold_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "cold.jsonl",
-                verdict_store=cold_store,
+                cache=VerdictCache(backing=cold_store),
             )
         segment = tmp_path / "vs" / "segments" / "000001.seg"
         data = segment.read_bytes()
@@ -320,7 +301,7 @@ class TestWarmStartParity:
             assert store.recovered_records == 1
             _, warm_reports, warm_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "warm.jsonl",
-                verdict_store=store,
+                cache=VerdictCache(backing=store),
             )
             # exactly the truncated verdict was recomputed and re-stored
             assert store.stats()["writes"] == 1

@@ -93,3 +93,25 @@ class TestClientHandshake:
 
         with pytest.raises(HostUnreachableError):
             perform_handshake(net, "v", "nothere.example")
+
+    def test_memo_decodes_each_flight_once(self, network, monkeypatch):
+        net, chain = network
+        net.add_vantage("w")
+        decodes = []
+        certificates = CertificateMessage.certificates
+
+        def counting(message):
+            decodes.append(message.pem)
+            return certificates(message)
+
+        monkeypatch.setattr(CertificateMessage, "certificates", counting)
+        memo: dict = {}
+        first = perform_handshake(net, "v", "tls.example", memo=memo)
+        second = perform_handshake(net, "w", "tls.example", memo=memo)
+        # one flight, one decode: the second vantage gets the same tuple
+        assert len(decodes) == 1
+        assert second.chain is first.chain
+        assert list(first.chain) == chain
+        unmemoised = perform_handshake(net, "v", "tls.example")
+        assert len(decodes) == 2
+        assert unmemoised == first

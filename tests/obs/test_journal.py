@@ -282,17 +282,6 @@ class TestVerdictEncoding:
         _, events = read_journal(tmp_path / "run.jsonl")
         assert events == [json.loads(line)]
 
-    def test_pre_encoded_lines_are_written_verbatim(self, tmp_path):
-        from repro.obs.journal import encode_verdict_event
-
-        key = ("dd" * 32,)
-        line = encode_verdict_event("pre.example", key, {"domain": "pre"})
-        with fresh(tmp_path) as journal:
-            journal.record_verdict("pre.example", key, {"domain": "pre"},
-                                   encoded=line)
-        text = (tmp_path / "run.jsonl").read_text().splitlines()
-        assert text[1] == line
-
 
 class TestValidation:
     """``validate_journal`` / ``RunJournal.validate``: the invariants a

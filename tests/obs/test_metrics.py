@@ -188,64 +188,3 @@ class TestNullRegistry:
         assert NULL_REGISTRY.to_json() == "{}"
         assert NULL_REGISTRY.total("c") == 0.0
         assert len(NULL_REGISTRY) == 0
-
-
-class TestMergeSnapshot:
-    def test_counters_and_gauges_add(self):
-        worker = MetricsRegistry()
-        worker.counter("jobs", kind="a").inc(3)
-        worker.counter("jobs", kind="b").inc(1)
-        worker.gauge("cache.size").set(10)
-
-        parent = MetricsRegistry()
-        parent.counter("jobs", kind="a").inc(2)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.value("jobs", kind="a") == 5
-        assert parent.value("jobs", kind="b") == 1
-        assert parent.value("cache.size") == 10
-
-    def test_merge_equals_single_registry(self):
-        """Sharded recording then merge == recording it all in one place."""
-        # dyadic fractions: float addition is exact in any merge order
-        samples = [0.25, 0.5, 1.0, 2.0, 0.125, 4.0]
-        single = MetricsRegistry()
-        for s in samples:
-            single.counter("n").inc()
-            single.histogram("t").observe(s)
-
-        parent = MetricsRegistry()
-        for shard in (samples[:2], samples[2:4], samples[4:]):
-            worker = MetricsRegistry()
-            for s in shard:
-                worker.counter("n").inc()
-                worker.histogram("t").observe(s)
-            parent.merge_snapshot(worker.snapshot())
-        assert parent.snapshot() == single.snapshot()
-
-    def test_merge_creates_absent_families(self):
-        worker = MetricsRegistry()
-        worker.histogram("d").observe(0.25)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.snapshot() == worker.snapshot()
-
-    def test_type_conflict_rejected(self):
-        worker = MetricsRegistry()
-        worker.counter("x").inc()
-        parent = MetricsRegistry()
-        parent.gauge("x").set(1)
-        with pytest.raises(ValueError):
-            parent.merge_snapshot(worker.snapshot())
-
-    def test_unknown_family_type_rejected(self):
-        parent = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown type"):
-            parent.merge_snapshot(
-                {"weird": {"type": "summary", "series": [{"labels": {}}]}}
-            )
-
-    def test_null_registry_merge_is_a_noop(self):
-        worker = MetricsRegistry()
-        worker.counter("c").inc()
-        NULL_REGISTRY.merge_snapshot(worker.snapshot())
-        assert NULL_REGISTRY.snapshot() == {}

@@ -162,9 +162,9 @@ class TestPhaseScope:
         series = registry.snapshot()["phase.wall_seconds"]["series"]
         assert series[0]["count"] == 1
 
-    def test_buckets_match_catalogue_for_merging(self):
-        """phase_scope and catalogue.preregister must agree on bucket
-        bounds or merge_snapshot would refuse to fold them."""
+    def test_buckets_match_catalogue(self):
+        """phase_scope bins exactly like catalogue.preregister, so a
+        phase series reads the same whichever created the family."""
         from repro.obs import catalogue
 
         preregistered = MetricsRegistry()
@@ -172,6 +172,11 @@ class TestPhaseScope:
         scoped = MetricsRegistry()
         with phase_scope("analyze", scoped):
             pass
-        preregistered.merge_snapshot(scoped.snapshot())  # must not raise
-        series = preregistered.snapshot()["phase.wall_seconds"]["series"]
-        assert any(s["labels"].get("phase") == "analyze" for s in series)
+
+        def buckets(registry):
+            return {
+                s["labels"].get("phase"): sorted(s["buckets"])
+                for s in registry.snapshot()["phase.wall_seconds"]["series"]
+            }
+
+        assert buckets(scoped)["analyze"] == buckets(preregistered)[None]

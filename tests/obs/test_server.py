@@ -1,4 +1,4 @@
-"""The embedded telemetry server: endpoints, lifecycle, live view."""
+"""The embedded telemetry server: endpoints, lifecycle, mid-run scrapes."""
 
 import json
 import threading
@@ -14,7 +14,6 @@ from repro.obs.health import HealthMonitor, parse_health_rule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.server import (
     OPENMETRICS_CONTENT_TYPE,
-    LiveRegistryView,
     RunStatus,
     TelemetryServer,
     parse_serve_address,
@@ -263,79 +262,6 @@ class TestRunStatus:
         assert snap["finished"] is True and snap["phase"] == "finished"
 
 
-class TestLiveRegistryView:
-    def test_no_partials_returns_base_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(3)
-        view = LiveRegistryView(registry)
-        assert view.snapshot() == registry.snapshot()
-
-    def test_partials_fold_without_touching_the_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(3)
-        worker = MetricsRegistry()
-        worker.counter("a").inc(2)
-        worker.counter("b").inc(1)
-        view = LiveRegistryView(registry)
-        view.update(0, worker.snapshot())
-        folded = view.snapshot()
-        assert folded["a"]["series"][0]["value"] == 5
-        assert folded["b"]["series"][0]["value"] == 1
-        # the real registry is untouched
-        assert registry.snapshot()["a"]["series"][0]["value"] == 3
-        assert "b" not in registry.snapshot()
-
-    def test_update_replaces_rather_than_accumulates(self):
-        registry = MetricsRegistry()
-        view = LiveRegistryView(registry)
-        worker = MetricsRegistry()
-        counter = worker.counter("a")
-        counter.inc(2)
-        view.update(0, worker.snapshot())
-        counter.inc(3)
-        view.update(0, worker.snapshot())
-        assert view.snapshot()["a"]["series"][0]["value"] == 5
-
-    def test_discard_after_final_merge_prevents_double_count(self):
-        registry = MetricsRegistry()
-        view = LiveRegistryView(registry)
-        worker = MetricsRegistry()
-        worker.counter("a").inc(2)
-        partial = worker.snapshot()
-        view.update(7, partial)
-        registry.merge_snapshot(partial)  # parent absorbs the final
-        view.discard(7)
-        assert view.snapshot()["a"]["series"][0]["value"] == 2
-        # a late partial arriving over the pipe after retirement is
-        # ignored — re-adding it would double count the span
-        view.update(7, partial)
-        assert len(view) == 0
-        assert view.snapshot()["a"]["series"][0]["value"] == 2
-
-    def test_clear_forgets_partials_and_retirements(self):
-        registry = MetricsRegistry()
-        view = LiveRegistryView(registry)
-        worker = MetricsRegistry()
-        worker.counter("a").inc(1)
-        view.update(1, worker.snapshot())
-        view.discard(2)
-        view.clear()
-        assert len(view) == 0
-        view.update(2, worker.snapshot())  # retirement was reset
-        assert len(view) == 1
-
-    def test_server_renders_the_view(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(1)
-        view = LiveRegistryView(registry)
-        worker = MetricsRegistry()
-        worker.counter("a").inc(9)
-        view.update(0, worker.snapshot())
-        with TelemetryServer(registry, live_view=view) as server:
-            _, _, body = get(server.url, "/metrics")
-        assert b"a_total 10" in body
-
-
 class TestParseServeAddress:
     @pytest.mark.parametrize("spec, expected", [
         ("8080", ("127.0.0.1", 8080)),
@@ -358,12 +284,11 @@ class TestParseServeAddress:
 class TestMidRunScrapes:
     """The acceptance-criteria scrapes: live, mid-phase, valid."""
 
-    def test_metrics_valid_during_fork_pool_analyse(self):
-        """Scrapes during the pooled analyse phase parse as OpenMetrics
-        and the run's results are unaffected by being watched."""
+    def test_metrics_valid_during_analyse(self):
+        """Scrapes during the analyse phase parse as OpenMetrics and
+        the run's results are unaffected by being watched."""
         from repro import obs
         from repro.measurement.parallel import analyze_observations
-        from repro.obs.server import LiveRegistryView
 
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=140, seed=7)
@@ -372,32 +297,28 @@ class TestMidRunScrapes:
         base = ecosystem.observations()
         stream = base + [(d, list(c)) for d, c in base]
 
-        baseline = [r for r, _ in [analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, workers=1,
-        )]][0]
+        baseline, _ = analyze_observations(
+            stream, store=union, fetcher=ecosystem.aia_repo,
+        )
 
         with obs.instrumented() as (registry, _):
-            view = LiveRegistryView(registry)
             status = RunStatus()
             outcome = {}
 
             def run():
-                outcome["reports"], outcome["stats"] = analyze_observations(
+                outcome["reports"], _ = analyze_observations(
                     stream, store=union, fetcher=ecosystem.aia_repo,
-                    workers=4, oversubscribe=True,
-                    status=status, live_view=view,
+                    status=status,
                 )
 
             thread = threading.Thread(target=run)
-            with TelemetryServer(registry, status=status,
-                                 live_view=view) as server:
+            with TelemetryServer(registry, status=status) as server:
                 thread.start()
                 bodies = []
                 while thread.is_alive():
                     bodies.append(get(server.url, "/metrics"))
                 thread.join()
                 bodies.append(get(server.url, "/metrics"))
-        assert outcome["stats"].mode == "fork-pool"
         assert outcome["reports"] == baseline
         for code, headers, body in bodies:
             assert code == 200

@@ -156,44 +156,6 @@ class TestScanNetworkMode:
         assert "campaign.collect" in names and "campaign.analyze" in names
 
 
-class TestScanCollectWorkers:
-    """--collect-workers N must be invisible in every output: journal
-    bytes, stdout report, and deterministic metrics families."""
-
-    def run_scan(self, tmp_path, tag, workers, capsys):
-        import json
-
-        journal = tmp_path / f"{tag}.jsonl"
-        metrics = tmp_path / f"{tag}-metrics.json"
-        code = main(["scan", "--domains", "100", "--seed", "6",
-                     "--simulate-network",
-                     "--collect-workers", str(workers),
-                     "--journal", str(journal),
-                     "--metrics-out", str(metrics)])
-        assert code == 0
-        out = (capsys.readouterr().out
-               .replace(str(journal), "<journal>")
-               .replace(str(metrics), "<metrics>"))
-        families = json.loads(metrics.read_text())
-        deterministic = {
-            name: family for name, family in families.items()
-            if not name.startswith("phase.")
-        }
-        return journal.read_bytes(), out, deterministic
-
-    def test_worker_count_is_invisible(self, tmp_path, capsys,
-                                       monkeypatch):
-        from repro.measurement.parallel import OVERSUBSCRIBE_ENV
-
-        monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")
-        one = self.run_scan(tmp_path, "one", 1, capsys)
-        four = self.run_scan(tmp_path, "four", 4, capsys)
-        assert four[0] == one[0]  # journal bytes
-        assert four[1] == one[1]  # rendered report
-        assert four[2] == one[2]  # deterministic metric families
-        assert "collect.probe.scans" in one[2]
-
-
 class TestStats:
     def test_stats_from_file(self, tmp_path, capsys):
         import json
@@ -450,40 +412,55 @@ class TestCapabilitiesMatrix:
         assert "MbedTLS" in out
 
 
-class TestScanWorkers:
-    def test_workers_tables_match_sequential(self, capsys):
-        base = ["scan", "--domains", "120", "--seed", "6"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert "verdict cache:" in parallel
-        assert "hit rate" in parallel
+class TestScanVerdictCache:
+    BASE = ["scan", "--domains", "120", "--seed", "6"]
 
-        def tables(text: str) -> str:
-            return text[text.index("chains:"):]
+    @staticmethod
+    def count(pattern: str, text: str) -> int:
+        import re
 
-        assert tables(parallel) == tables(plain)
+        return int(re.search(pattern, text, re.M).group(1).replace(",", ""))
 
-    def test_workers_journal_is_byte_identical(self, tmp_path, capsys):
-        seq = tmp_path / "seq.jsonl"
-        par = tmp_path / "par.jsonl"
-        assert main(["scan", "--domains", "120", "--seed", "6",
-                     "--journal", str(seq)]) == 0
-        assert main(["scan", "--domains", "120", "--seed", "6",
-                     "--journal", str(par), "--workers", "2",
-                     "--journal-flush-every", "8"]) == 0
-        capsys.readouterr()
-        assert par.read_bytes() == seq.read_bytes()
-
-
-class TestDifferentialWorkers:
-    def test_workers_use_cold_cache_model(self, capsys):
-        assert main(["differential", "--domains", "120", "--seed", "6",
-                     "--workers", "2"]) == 0
+    def test_verdict_cache_counts_every_chain(self, capsys):
+        assert main(self.BASE) == 0
         out = capsys.readouterr().out
-        assert "cold (non-learning) intermediate cache" in out
-        assert "attribution" in out
+        hits = self.count(r"^verdict cache: ([\d,]+) hits", out)
+        misses = self.count(r"^verdict cache: [\d,]+ hits / ([\d,]+) "
+                            r"misses", out)
+        assert hits + misses == self.count(r"^chains: ([\d,]+)", out)
+
+    def test_one_analysis_per_observation(self, capsys, monkeypatch):
+        """The tables come from the scan's own aggregate: no chain is
+        analysed a second time to print them."""
+        import sys
+
+        from repro.core import compliance
+
+        original = compliance.analyze_chain
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "repro" or name.startswith("repro.")) and getattr(
+                module, "analyze_chain", None
+            ) is original:
+                monkeypatch.setattr(module, "analyze_chain", counting)
+        assert main(self.BASE) == 0
+        out = capsys.readouterr().out
+        assert "== Table 7 (completeness) ==" in out
+        assert 0 < len(calls) <= self.count(r"^chains: ([\d,]+)", out)
+
+    def test_journal_flush_policy_is_invisible(self, tmp_path, capsys):
+        default = tmp_path / "default.jsonl"
+        eager = tmp_path / "eager.jsonl"
+        assert main(self.BASE + ["--journal", str(default)]) == 0
+        assert main(self.BASE + ["--journal", str(eager),
+                                 "--journal-flush-every", "8"]) == 0
+        capsys.readouterr()
+        assert eager.read_bytes() == default.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -778,11 +755,9 @@ class TestScanServeAndHealth:
     ):
         plain = tmp_path / "plain.jsonl"
         served = tmp_path / "served.jsonl"
-        assert main(self.BASE + ["--journal", str(plain),
-                                 "--workers", "2"]) == 0
+        assert main(self.BASE + ["--journal", str(plain)]) == 0
         capsys.readouterr()
         assert main(self.BASE + ["--journal", str(served),
-                                 "--workers", "2",
                                  "--serve", "127.0.0.1:0"]) == 0
         out = capsys.readouterr().out
         assert "serving telemetry on http://127.0.0.1:" in out
@@ -854,9 +829,9 @@ class TestWatchCommand:
 class TestScanCacheDir:
     """Warm-start scans through ``--cache-dir`` are byte-identical.
 
-    One cold run populates the store; every warm variant — plain,
-    ``--workers 4``, ``--shard-size`` — must reproduce the cold run's
-    journal verdict lines, rendered report, and printed tables exactly.
+    One cold run populates the store; every warm variant — plain and
+    ``--shard-size`` — must reproduce the cold run's journal verdict
+    lines, rendered report, and printed tables exactly.
     """
 
     @staticmethod
@@ -883,7 +858,6 @@ class TestScanCacheDir:
         variants = {
             "cold": [],
             "warm": [],
-            "warm-workers": ["--workers", "4"],
             "warm-shards": ["--shard-size", "80"],
         }
         outputs, journals, reports = {}, {}, {}
@@ -906,25 +880,25 @@ class TestScanCacheDir:
     def test_warm_runs_hit_for_every_chain(self, runs):
         _, outputs, _, _ = runs
         assert " / 0 misses / 0 writes" not in outputs["cold"]
-        for name in ("warm", "warm-workers", "warm-shards"):
+        for name in ("warm", "warm-shards"):
             assert " / 0 misses / 0 writes" in outputs[name], name
 
     def test_journal_verdicts_byte_identical(self, runs):
         _, _, journals, _ = runs
         cold = self.verdict_lines(journals["cold"])
         assert cold
-        for name in ("warm", "warm-workers", "warm-shards"):
+        for name in ("warm", "warm-shards"):
             assert self.verdict_lines(journals[name]) == cold, name
 
     def test_reports_byte_identical(self, runs):
         _, _, _, reports = runs
-        for name in ("warm", "warm-workers", "warm-shards"):
+        for name in ("warm", "warm-shards"):
             assert reports[name] == reports["cold"], name
 
     def test_tables_byte_identical(self, runs):
         _, outputs, _, _ = runs
         cold = self.tables(outputs["cold"])
-        for name in ("warm", "warm-workers", "warm-shards"):
+        for name in ("warm", "warm-shards"):
             assert self.tables(outputs[name]) == cold, name
 
     def test_manifest_records_cache_identity(self, runs):

@@ -82,33 +82,27 @@ def test_report_snippet(tmp_path):
     ]) == 0
 
 
-def test_parallel_collect_snippet(tmp_path, monkeypatch):
-    """The README's `--collect-workers 4 --workers 4` line, plus the
-    byte-identical-to-sequential claim made right under it."""
+def test_journaled_scan_snippet(tmp_path, capsys):
+    """The README's `--journal run.jsonl` line, plus the claims made
+    right under it: a verdict cache line, and a re-run that resumes
+    without appending to the journal."""
     from repro.cli import main
-    from repro.measurement.parallel import OVERSUBSCRIBE_ENV
 
-    monkeypatch.setenv(OVERSUBSCRIBE_ENV, "1")  # force the pool on 1 core
-    parallel = tmp_path / "parallel.jsonl"
-    assert main([
-        "scan", "--domains", "60", "--seed", "833", "--simulate-network",
-        "--collect-workers", "4", "--workers", "4",
-        "--journal", str(parallel),
-    ]) == 0
-    sequential = tmp_path / "sequential.jsonl"
-    assert main([
-        "scan", "--domains", "60", "--seed", "833", "--simulate-network",
-        "--journal", str(sequential),
-    ]) == 0
-    assert parallel.read_bytes() == sequential.read_bytes()
+    argv = ["scan", "--domains", "60", "--seed", "833",
+            "--simulate-network", "--journal", str(tmp_path / "run.jsonl")]
+    assert main(argv) == 0
+    first = (tmp_path / "run.jsonl").read_bytes()
+    assert "verdict cache: " in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "journal: resuming " in capsys.readouterr().out
+    assert (tmp_path / "run.jsonl").read_bytes() == first
 
 
 def test_sharded_scan_snippet(tmp_path):
     """The README's `--shard-size` line, plus the byte-identical-report
     claim made right under it.
 
-    Unlike the parallel-collect snippet the journals are *not* compared
-    raw: a sharded journal interleaves events per shard and adds
+    The journals are *not* compared raw: a sharded journal interleaves events per shard and adds
     `shard` boundary markers. The contract is same events (same
     content, order interleaved), same verdict order, byte-identical
     rendered report.
