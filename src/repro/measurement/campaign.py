@@ -191,9 +191,10 @@ class Campaign:
             breaker is still open when its sweep ends is marked
             *degraded* rather than merged as if complete.
 
-        The vantage sweeps share one decoded-flight memo (see
-        :func:`~repro.net.tls.perform_handshake`), so a chain served
-        identically to every vantage is decoded once per call.
+        The vantage sweeps share one decoded-block memo (see
+        :func:`~repro.net.tls.perform_handshake`), so each distinct
+        certificate served — to any vantage, in any chain — is decoded
+        once per call, and the chains that carry it share the object.
 
         A vantage that finishes its sweep with zero successful scans
         (over a non-empty domain list) is always marked degraded, with

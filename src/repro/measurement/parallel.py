@@ -119,13 +119,6 @@ class VerdictCache:
         if self.backing is not None:
             self.backing.put_report(self._hex(key), store_digest, report)
 
-    def has_report(self, key: ChainKey, store_digest: str) -> bool:
-        """Membership probe that does not touch the hit/miss counters."""
-        if (key, store_digest) in self._reports:
-            return True
-        return (self.backing is not None
-                and self.backing.has_report(self._hex(key), store_digest))
-
     @property
     def hit_rate(self) -> float:
         """Hit share of all lookups (0.0 when unused)."""

@@ -240,7 +240,7 @@ def run_sharded(
     to ``cache``: the shard's reports are released with it, while the
     store still lets the shards of a warm run resolve their chains
     instead of re-analysing them.  Each shard's vantage sweeps share
-    one decoded-flight memo, released with the shard too.
+    one decoded-block memo, released with the shard too.
 
     ``status`` phases are shard-scoped — ``collect.shard.K`` counting
     scans, ``analyze.shard.K`` counting verdicts — as are the

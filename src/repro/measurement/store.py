@@ -516,11 +516,6 @@ class VerdictStore:
         return ChainComplianceReport.from_dict(value)
 
     @_timed
-    def has_report(self, key_hex: HexKey, digest: str) -> bool:
-        """Membership probe that does not touch the hit/miss counters."""
-        return (tuple(key_hex), digest) in self._reports
-
-    @_timed
     def put_report(self, key_hex: HexKey, digest: str,
                    report: ChainComplianceReport) -> bool:
         """Persist a report; a no-op (False) when already stored.

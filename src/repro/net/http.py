@@ -15,7 +15,7 @@ from urllib.parse import urlparse
 
 from repro.errors import AIAFetchError, HTTPError, HostUnreachableError, NetworkError
 from repro.net.simnet import SimulatedNetwork
-from repro.x509 import Certificate, from_pem, to_pem
+from repro.x509 import Certificate, from_pem
 
 HTTP_PORT = 80
 
@@ -114,4 +114,4 @@ def install_http_server(network: SimulatedNetwork,
 def publish_certificate(server: StaticHTTPServer, path: str,
                         cert: Certificate) -> None:
     """Serve ``cert`` as PEM at ``path`` (an AIA repository entry)."""
-    server.put(path, to_pem(cert).encode())
+    server.put(path, cert.pem.encode())

@@ -277,7 +277,7 @@ class Scanner:
         """One scan (with optional retries); never raises — failures
         become records.
 
-        ``memo`` is the decoded-flight memo of
+        ``memo`` is the decoded-block memo of
         :func:`~repro.net.tls.perform_handshake`.
         """
         metrics = obs.get_metrics()
@@ -413,8 +413,9 @@ class Scanner:
         ``progress``, if given, is called after every domain with the
         finished :class:`ScanRecord` — the hook the CLI's live progress
         line and the campaign journal hang off.  ``memo`` is the
-        decoded-flight memo of :func:`~repro.net.tls.perform_handshake`;
-        sweeps that share one decode each served flight once.
+        decoded-block memo of :func:`~repro.net.tls.perform_handshake`;
+        sweeps that share one decode each distinct served certificate
+        once.
         """
         records = []
         for domain in domains:

@@ -53,8 +53,10 @@ class CertificateMessage:
     def from_chain(cls, chain: list[Certificate]) -> "CertificateMessage":
         return cls(to_pem_bundle(chain))
 
-    def certificates(self) -> list[Certificate]:
-        return load_pem_bundle(self.pem)
+    def certificates(self, memo: dict[str, Certificate] | None = None
+                     ) -> list[Certificate]:
+        """The certificates sent; ``memo`` is :func:`load_pem_bundle`'s."""
+        return load_pem_bundle(self.pem, memo=memo)
 
     @property
     def size(self) -> int:
@@ -107,7 +109,6 @@ class TLSServer:
     def __init__(self, config: TLSServerConfig) -> None:
         self.config = config
         self.handshakes = 0
-        self._flight_cache: dict[tuple[str | None, str], ServerFlight] = {}
 
     def __call__(self, payload: object, *,
                  vantage: str | None = None) -> ServerFlight:
@@ -124,18 +125,12 @@ class TLSServer:
                 f"server {self.config.supported_versions}"
             )
         self.handshakes += 1
-        key = (vantage if vantage in self.config.vantage_chains else None,
-               version)
-        flight = self._flight_cache.get(key)
-        if flight is None:
-            chain = self.config.chain_for(version, vantage)
-            if not chain:
-                raise TLSHandshakeError("server has no certificate configured")
-            flight = ServerFlight(
-                ServerHello(version), CertificateMessage.from_chain(chain)
-            )
-            self._flight_cache[key] = flight
-        return flight
+        chain = self.config.chain_for(version, vantage)
+        if not chain:
+            raise TLSHandshakeError("server has no certificate configured")
+        return ServerFlight(
+            ServerHello(version), CertificateMessage.from_chain(chain)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +150,7 @@ def perform_handshake(
     *,
     versions: tuple[str, ...] = (TLS13, TLS12),
     port: int = DEFAULT_PORT,
-    memo: dict[str, tuple[Certificate, ...]] | None = None,
+    memo: dict[str, Certificate] | None = None,
 ) -> HandshakeResult:
     """Run one ClientHello→Certificate exchange from ``vantage``.
 
@@ -163,26 +158,23 @@ def perform_handshake(
     :class:`~repro.errors.TLSHandshakeError` on failure, mirroring the
     scanner's distinction between network and protocol errors.
 
-    ``memo`` maps a Certificate message's PEM text to its decoded
-    chain: a host usually sends every vantage the same flight, so a
-    memo shared by the vantage sweeps decodes each flight once.  The
-    caller scopes it (one collection, one shard) so decoded chains are
-    released with the records that hold them.
+    ``memo`` is the block memo of
+    :func:`~repro.x509.encoding.load_pem_bundle`: it maps a PEM block's
+    body to its decoded certificate.  A host usually sends every vantage
+    the same flight, and hosts under one CA send the same intermediate,
+    so a memo shared by the vantage sweeps decodes each distinct block
+    once, and chains that share a block share its decoded certificate.
+    The caller scopes it (one collection, one shard) so decoded
+    certificates are released with the records that hold them.
     """
     connection = network.connect(vantage, domain, port)
     flight = connection.request(ClientHello(domain, versions))
     if not isinstance(flight, ServerFlight):
         raise TLSHandshakeError(f"{domain}: unexpected server response")
-    pem = flight.certificate.pem
-    chain = memo.get(pem) if memo is not None else None
-    if chain is None:
-        chain = tuple(flight.certificate.certificates())
-        if memo is not None:
-            memo[pem] = chain
     return HandshakeResult(
         domain=domain,
         version=flight.hello.version,
-        chain=chain,
+        chain=tuple(flight.certificate.certificates(memo)),
         wire_bytes=flight.size,
     )
 

@@ -73,6 +73,18 @@ class Certificate:
     def fingerprint_hex(self) -> str:
         return self.fingerprint.hex()
 
+    @cached_property
+    def pem(self) -> str:
+        """This certificate as a PEM block, encoded once per object.
+
+        Cached on the object rather than looked up by fingerprint:
+        certificates that differ only in ``signature_algorithm``, which
+        the TBS bytes omit, are equal yet encode differently.
+        """
+        from repro.x509.encoding import to_pem
+
+        return to_pem(self)
+
     def __hash__(self) -> int:
         return hash(self.fingerprint)
 

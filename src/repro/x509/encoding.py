@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import base64
 import json
-import textwrap
 from datetime import datetime
 
-from repro.errors import EncodingError
+from repro.errors import EncodingError, ExtensionError
 from repro.x509.certificate import Certificate
 from repro.x509.extensions import (
     AccessDescription,
@@ -42,6 +41,47 @@ _PEM_FOOTER = "-----END CERTIFICATE-----"
 
 
 # ---------------------------------------------------------------------------
+# Payload type checks
+# ---------------------------------------------------------------------------
+
+def _typed(value, field: str, *types: type):
+    """``value`` if its exact type is one of ``types``, else raise.
+
+    Exact, not ``isinstance``: JSON ``true`` decodes to a ``bool``, which
+    is an ``int``.  A field of the wrong type must not decode at all —
+    ``"serial": "5"`` would fingerprint like ``5`` (TBS bytes carry the
+    serial as text) yet re-encode to different wire bytes, and
+    ``"version": "three"`` would only fail later, inside ``tbs_bytes``.
+    """
+    if type(value) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise EncodingError(
+            f"malformed certificate payload: {field!r} must be {expected},"
+            f" not {type(value).__name__}"
+        )
+    return value
+
+
+def _strings(value, field: str) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise EncodingError(
+            f"malformed certificate payload: {field!r} must be a list of str"
+        )
+    return tuple(value)
+
+
+def _string_pairs(value, field: str) -> list[tuple[str, str]]:
+    """A JSON list of ``[str, str]`` pairs."""
+    pairs = [_strings(item, field) for item in _typed(value, field, list)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise EncodingError(
+            f"malformed certificate payload: {field!r} entries must be pairs"
+        )
+    return pairs
+
+
+# ---------------------------------------------------------------------------
 # Name serialisation
 # ---------------------------------------------------------------------------
 
@@ -55,9 +95,10 @@ def _name_to_obj(name: Name) -> list[list[list[str]]]:
 def _name_from_obj(obj: list[list[list[str]]]) -> Name:
     return Name(
         RelativeDistinguishedName(
-            tuple(NameAttribute(lookup(dotted), value) for dotted, value in rdn)
+            tuple(NameAttribute(lookup(dotted), value)
+                  for dotted, value in _string_pairs(rdn, "name"))
         )
-        for rdn in obj
+        for rdn in _typed(obj, "name", list)
     )
 
 
@@ -102,11 +143,13 @@ def _ext_to_obj(ext: Extension) -> dict:
 
 
 def _ext_from_obj(obj: dict) -> Extension:
-    kind = obj.get("kind")
-    critical = bool(obj.get("critical", False))
+    kind = _typed(obj, "extension", dict).get("kind")
+    critical = _typed(obj.get("critical", False), "critical", bool)
     if kind == "san":
         return SubjectAlternativeName(
-            tuple(GeneralName(k, v) for k, v in obj["names"]), critical
+            tuple(GeneralName(k, v)
+                  for k, v in _string_pairs(obj["names"], "names")),
+            critical,
         )
     if kind == "skid":
         return SubjectKeyIdentifier(bytes.fromhex(obj["key_id"]), critical)
@@ -114,27 +157,41 @@ def _ext_from_obj(obj: dict) -> Extension:
         key_id = obj.get("key_id")
         return AuthorityKeyIdentifier(
             bytes.fromhex(key_id) if key_id is not None else None,
-            obj.get("issuer"),
-            obj.get("serial"),
+            _typed(obj.get("issuer"), "issuer", str, type(None)),
+            _typed(obj.get("serial"), "serial", int, type(None)),
             critical,
         )
     if kind == "aia":
         return AuthorityInformationAccess(
-            tuple(AccessDescription(lookup(m), u) for m, u in obj["descriptions"]),
+            tuple(AccessDescription(lookup(m), u)
+                  for m, u in _string_pairs(obj["descriptions"], "descriptions")),
             critical,
         )
     if kind == "bc":
-        return BasicConstraints(obj["ca"], obj.get("path_length"), critical)
+        return BasicConstraints(
+            _typed(obj["ca"], "ca", bool),
+            _typed(obj.get("path_length"), "path_length", int, type(None)),
+            critical,
+        )
     if kind == "ku":
-        return KeyUsage(frozenset(obj["bits"]), critical)
+        return KeyUsage(frozenset(_strings(obj["bits"], "bits")), critical)
     if kind == "eku":
-        return ExtendedKeyUsage(tuple(lookup(p) for p in obj["purposes"]), critical)
+        return ExtendedKeyUsage(
+            tuple(lookup(p) for p in _strings(obj["purposes"], "purposes")),
+            critical,
+        )
     if kind == "nc":
         return NameConstraints(
-            tuple(obj["permitted"]), tuple(obj["excluded"]), critical
+            _strings(obj["permitted"], "permitted"),
+            _strings(obj["excluded"], "excluded"),
+            critical,
         )
     if kind == "opaque":
-        return OpaqueExtension(lookup(obj["oid"]), bytes.fromhex(obj["value"]), critical)
+        return OpaqueExtension(
+            lookup(_typed(obj["oid"], "oid", str)),
+            bytes.fromhex(obj["value"]),
+            critical,
+        )
     raise EncodingError(f"unknown extension kind {kind!r}")
 
 
@@ -166,34 +223,42 @@ def certificate_to_dict(cert: Certificate) -> dict:
 def certificate_from_dict(obj: dict) -> Certificate:
     """Inverse of :func:`certificate_to_dict`."""
     try:
+        _typed(obj, "certificate", dict)
+        sig_alg = _typed(obj.get("sig_alg"), "sig_alg", str, type(None))
         return Certificate(
-            version=obj["version"],
-            serial_number=obj["serial"],
+            version=_typed(obj["version"], "version", int),
+            serial_number=_typed(obj["serial"], "serial", int),
             subject=_name_from_obj(obj["subject"]),
             issuer=_name_from_obj(obj["issuer"]),
             validity=Validity(
                 ensure_utc(datetime.fromisoformat(obj["not_before"])),
                 ensure_utc(datetime.fromisoformat(obj["not_after"])),
             ),
-            public_key=PublicKey(obj["key_scheme"], bytes.fromhex(obj["key_bytes"])),
+            public_key=PublicKey(
+                _typed(obj["key_scheme"], "key_scheme", str),
+                bytes.fromhex(obj["key_bytes"]),
+            ),
             extensions=ExtensionSet(
-                tuple(_ext_from_obj(e) for e in obj["extensions"])
+                tuple(_ext_from_obj(e)
+                      for e in _typed(obj["extensions"], "extensions", list))
             ),
-            signature_algorithm=(
-                lookup(obj["sig_alg"]) if obj.get("sig_alg") else None
-            ),
+            signature_algorithm=lookup(sig_alg) if sig_alg else None,
             signature=bytes.fromhex(obj["signature"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ExtensionError) as exc:
         raise EncodingError(f"malformed certificate payload: {exc}") from exc
 
 
 def to_pem(cert: Certificate) -> str:
-    """Encode one certificate as a PEM block."""
+    """Encode one certificate as a PEM block.
+
+    Every call encodes afresh; :attr:`Certificate.pem` keeps the result
+    on the certificate, and bundles are joined from that.
+    """
     payload = json.dumps(certificate_to_dict(cert), separators=(",", ":"))
     body = base64.b64encode(payload.encode()).decode()
-    wrapped = "\n".join(textwrap.wrap(body, 64))
-    return f"{_PEM_HEADER}\n{wrapped}\n{_PEM_FOOTER}\n"
+    lines = "\n".join(body[i:i + 64] for i in range(0, len(body), 64))
+    return f"{_PEM_HEADER}\n{lines}\n{_PEM_FOOTER}\n"
 
 
 def from_pem(text: str) -> Certificate:
@@ -206,25 +271,46 @@ def from_pem(text: str) -> Certificate:
 
 def to_pem_bundle(certs: list[Certificate]) -> str:
     """Concatenate PEM blocks the way ``fullchain.pem`` files do."""
-    return "".join(to_pem(cert) for cert in certs)
+    return "".join(cert.pem for cert in certs)
 
 
-def load_pem_bundle(text: str) -> list[Certificate]:
-    """Parse every PEM certificate block in ``text``, in file order."""
+def _decode_block(body: str) -> Certificate:
+    try:
+        payload = base64.b64decode("".join(body.split()), validate=True)
+        obj = json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise EncodingError(f"corrupt PEM body: {exc}") from exc
+    return certificate_from_dict(obj)
+
+
+def load_pem_bundle(text: str,
+                    memo: dict[str, Certificate] | None = None
+                    ) -> list[Certificate]:
+    """Parse every PEM certificate block in ``text``, in file order.
+
+    ``memo`` maps a block's body to its decoded certificate.  A block
+    found there is not decoded again, so bundles loaded through one
+    memo share the decoded object — and its cached fingerprint and TBS
+    bytes — for every block they have in common.  A block is stored
+    only after it decodes.  The memo holds every certificate decoded
+    through it, so the caller decides how long that is by how long it
+    keeps the memo.
+    """
     certs: list[Certificate] = []
-    remainder = text
+    position = 0
     while True:
-        start = remainder.find(_PEM_HEADER)
+        start = text.find(_PEM_HEADER, position)
         if start < 0:
-            break
-        end = remainder.find(_PEM_FOOTER, start)
+            return certs
+        start += len(_PEM_HEADER)
+        end = text.find(_PEM_FOOTER, start)
         if end < 0:
             raise EncodingError("unterminated PEM block")
-        body = remainder[start + len(_PEM_HEADER):end]
-        remainder = remainder[end + len(_PEM_FOOTER):]
-        try:
-            payload = base64.b64decode("".join(body.split()), validate=True)
-            certs.append(certificate_from_dict(json.loads(payload)))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise EncodingError(f"corrupt PEM body: {exc}") from exc
-    return certs
+        position = end + len(_PEM_FOOTER)
+        body = text[start:end]
+        cert = memo.get(body) if memo is not None else None
+        if cert is None:
+            cert = _decode_block(body)
+            if memo is not None:
+                memo[body] = cert
+        certs.append(cert)

@@ -41,9 +41,11 @@ class TestCollection:
         assert identical >= 95.0  # paper: 98.8%
 
     def test_vantages_share_decoded_chains(self, campaign, monkeypatch):
-        """Each collect decodes a served flight once, not once per
-        vantage, and the result equals an unshared sweep's."""
-        from repro.net import CertificateMessage, Scanner, TLS12
+        """Each collect decodes every distinct served certificate once,
+        not once per vantage or per chain that carries it, and the
+        result equals an unshared sweep's."""
+        from repro.net import Scanner, TLS12
+        from repro.x509 import encoding
 
         network = campaign.ecosystem.install()
         domains = [d.domain for d in campaign.ecosystem.deployments]
@@ -53,18 +55,16 @@ class TestCollection:
             for vantage in (VANTAGE_US, VANTAGE_AU)
         }
         decodes = []
-        certificates = CertificateMessage.certificates
+        decode = encoding.certificate_from_dict
 
-        def counting(message):
-            decodes.append(message.pem)
-            return certificates(message)
+        def counting(obj):
+            decodes.append(obj)
+            return decode(obj)
 
-        monkeypatch.setattr(CertificateMessage, "certificates", counting)
+        monkeypatch.setattr(encoding, "certificate_from_dict", counting)
         result = Campaign(campaign.ecosystem,
                           network=campaign.ecosystem.install()).collect()
-        assert decodes and len(decodes) == len(set(decodes))
-        successes = sum(result.reachable_counts.values())
-        assert len(decodes) < successes
+        assert len(decodes) == result.unique_certificates
         for vantage, records in unshared.items():
             assert [(r.domain, r.chain_key) for r in records] == [
                 (r.domain, r.chain_key) for r in result.per_vantage[vantage]

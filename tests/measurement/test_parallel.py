@@ -97,12 +97,6 @@ class TestVerdictCache:
         assert cache.report_for(key, "0" * 64) is None
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_has_report_does_not_count(self, union, stream):
-        cache = VerdictCache()
-        key = chain_key(stream[0][1])
-        assert not cache.has_report(key, union.digest())
-        assert (cache.hits, cache.misses) == (0, 0)
-
     def test_hit_rate(self):
         cache = VerdictCache()
         assert cache.hit_rate == 0.0

@@ -241,9 +241,10 @@ class TestVerdictCacheBacking:
         with VerdictStore(tmp_path / "vs") as store:
             cache = VerdictCache(backing=store)
             cache.store_report(key, digest, report)
-            assert store.has_report(key_hex, digest)
         with VerdictStore(tmp_path / "vs") as store:
-            assert VerdictCache(backing=store).has_report(key, digest)
+            persisted = store.get_report(key_hex, digest)
+            assert persisted is not None
+            assert persisted.to_json() == report.to_json()
 
 
 class TestWarmStartParity:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ca import build_hierarchy
 from repro.errors import TLSHandshakeError
 from repro.net import (
     CertificateMessage,
@@ -14,6 +15,34 @@ from repro.net import (
     install_tls_server,
     perform_handshake,
 )
+from repro.x509 import encoding, utc
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def sibling_chains(org):
+    """Two hosts' chains under one fresh intermediate, by domain.
+
+    Fresh certificates: the session fixtures' may already hold their
+    cached encodings.
+    """
+    hierarchy = build_hierarchy(org, depth=1, key_seed_prefix=org)
+    return {
+        domain: hierarchy.chain_for(hierarchy.issue_leaf(
+            domain, not_before=utc(2024, 1, 1), days=365))
+        for domain in ("a.example", "b.example")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +102,18 @@ class TestServer:
         server(ClientHello("x"))
         assert server.handshakes == 2
 
+    def test_servers_sharing_an_intermediate_encode_it_once(self,
+                                                            monkeypatch):
+        servers = [TLSServer(TLSServerConfig(default_chain=chain))
+                   for chain in sibling_chains("Encode Once").values()]
+        encodes = count_calls(monkeypatch, encoding, "to_pem")
+        flights = [server(ClientHello("x")).certificate.pem
+                   for server in servers for _ in range(2)]
+        # two leaves plus the one shared intermediate, however often
+        # each server answers
+        assert len(encodes) == 3
+        assert flights[0] == flights[1] != flights[2] == flights[3]
+
 
 class TestClientHandshake:
     def test_handshake_returns_served_chain(self, network):
@@ -97,21 +138,29 @@ class TestClientHandshake:
     def test_memo_decodes_each_flight_once(self, network, monkeypatch):
         net, chain = network
         net.add_vantage("w")
-        decodes = []
-        certificates = CertificateMessage.certificates
-
-        def counting(message):
-            decodes.append(message.pem)
-            return certificates(message)
-
-        monkeypatch.setattr(CertificateMessage, "certificates", counting)
+        decodes = count_calls(monkeypatch, encoding, "certificate_from_dict")
         memo: dict = {}
         first = perform_handshake(net, "v", "tls.example", memo=memo)
         second = perform_handshake(net, "w", "tls.example", memo=memo)
-        # one flight, one decode: the second vantage gets the same tuple
-        assert len(decodes) == 1
-        assert second.chain is first.chain
+        # one decode per block: the second vantage gets the same objects
+        assert len(decodes) == len(chain)
+        assert all(a is b for a, b in zip(first.chain, second.chain))
         assert list(first.chain) == chain
         unmemoised = perform_handshake(net, "v", "tls.example")
-        assert len(decodes) == 2
+        assert len(decodes) == 2 * len(chain)
         assert unmemoised == first
+
+    def test_memo_shares_a_common_intermediate(self, monkeypatch):
+        net = SimulatedNetwork(seed=6)
+        net.add_vantage("v")
+        for domain, chain in sibling_chains("Shared Decode").items():
+            install_tls_server(net, domain,
+                               TLSServerConfig(default_chain=chain))
+        decodes = count_calls(monkeypatch, encoding, "certificate_from_dict")
+        memo: dict = {}
+        first = perform_handshake(net, "v", "a.example", memo=memo)
+        second = perform_handshake(net, "v", "b.example", memo=memo)
+        assert first.chain[0] != second.chain[0]
+        # the leaves differ; the intermediate is decoded once and shared
+        assert all(a is b for a, b in zip(first.chain[1:], second.chain[1:]))
+        assert len(decodes) == len(first.chain) + 1

@@ -1,5 +1,9 @@
 """PEM-like serialisation: loss-less round trips and corrupt input."""
 
+import base64
+import json
+import textwrap
+
 import pytest
 
 from repro.errors import EncodingError
@@ -94,12 +98,56 @@ def test_dict_roundtrip_all_extension_kinds():
     assert restored.extensions.get(lookup("1.2.3.4.5")).critical
 
 
-def test_malformed_dict_raises_encoding_error():
+def pem_block(payload: str) -> str:
+    """``payload`` as one PEM block, valid base64 whatever it holds."""
+    body = base64.b64encode(payload.encode()).decode()
+    return f"-----BEGIN CERTIFICATE-----\n{body}\n-----END CERTIFICATE-----\n"
+
+
+def test_malformed_dict_raises_encoding_error(chain):
+    valid = certificate_to_dict(chain[0])
+    payloads = {
+        "missing fields": {"version": 3},
+        "extension that is not an object": {**valid, "extensions": [1]},
+        "duplicate extension": {**valid,
+                                "extensions": valid["extensions"] * 2},
+        "version that is not an int": {**valid, "version": "three"},
+        "key scheme that is not a string": {**valid, "key_scheme": 5},
+        # would fingerprint like serial 5, yet re-encode differently
+        "serial that is not an int": {**valid, "serial": "5"},
+    }
+    for case, payload in payloads.items():
+        with pytest.raises(EncodingError):
+            certificate_from_dict(payload)
+        with pytest.raises(EncodingError):
+            load_pem_bundle(pem_block(json.dumps(payload)))
+    too_deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(EncodingError):
-        certificate_from_dict({"version": 3})
+        load_pem_bundle(pem_block(too_deep))
 
 
-def test_pem_body_is_wrapped_at_64_columns(chain):
-    lines = to_pem(chain[0]).splitlines()
-    body = lines[1:-1]
-    assert all(len(line) <= 64 for line in body)
+def test_block_that_fails_to_decode_is_not_memoised(chain):
+    bad = pem_block(json.dumps({"version": 3}))
+    memo: dict = {}
+    with pytest.raises(EncodingError):
+        load_pem_bundle(to_pem(chain[0]) + bad, memo=memo)
+    # the good block decoded before the bad one failed
+    assert list(memo.values()) == [chain[0]]
+    with pytest.raises(EncodingError):
+        load_pem_bundle(bad, memo=memo)
+    assert len(memo) == 1
+
+
+def reference_to_pem(cert):
+    """The encoder as it was before wrapping by slicing."""
+    payload = json.dumps(certificate_to_dict(cert), separators=(",", ":"))
+    body = base64.b64encode(payload.encode()).decode()
+    wrapped = "\n".join(textwrap.wrap(body, 64))
+    return f"-----BEGIN CERTIFICATE-----\n{wrapped}\n-----END CERTIFICATE-----\n"
+
+
+def test_pem_body_is_wrapped_at_64_columns(small_ecosystem):
+    certs = {id(cert): cert for _, chain in small_ecosystem.observations()
+             for cert in chain}
+    for cert in certs.values():
+        assert to_pem(cert) == reference_to_pem(cert)
