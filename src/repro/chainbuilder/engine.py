@@ -342,10 +342,13 @@ class ChainBuilder:
                 )
             ]
 
-        ranked = sorted(
+        if len(found) < 2:
+            # ``sorted`` computes the key even for a lone element; with
+            # no choice to make, skip the ranking.
+            return found
+        return sorted(
             found, key=lambda step: self._priority_key(step, steps, at_time)
         )
-        return ranked
 
     # ------------------------------------------------------------------
     # Priority ordering

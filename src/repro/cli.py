@@ -543,16 +543,36 @@ def _cmd_diff_runs(args: argparse.Namespace) -> int:
 
 
 def _load_chain_and_store(args: argparse.Namespace):
+    """The chain, root store and AIA source ``analyze``/``repair`` run
+    on; or, when the chain or ``--roots`` file cannot be read, exit
+    status 2 after one ``repro-chain <command>: <path>: <reason>`` line
+    (1 would read as a non-compliant verdict for ``analyze``)."""
+    from repro.errors import EncodingError
     from repro.trust import RootStore, StaticAIARepository
 
-    with open(args.chain, encoding="utf-8") as handle:
-        chain = load_pem_bundle(handle.read())
+    def read_bundle(path: str):
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return load_pem_bundle(handle.read())
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+        except (EncodingError, UnicodeDecodeError) as exc:
+            reason = str(exc)
+        print(f"repro-chain {args.command}: {path}: {reason}",
+              file=sys.stderr)
+        return None
+
+    chain = read_bundle(args.chain)
+    if chain is None:
+        return 2
     if not chain:
-        raise SystemExit(f"{args.chain}: no certificates found")
-    anchors = []
+        print(f"repro-chain {args.command}: {args.chain}: no certificates "
+              f"found", file=sys.stderr)
+        return 2
     if args.roots:
-        with open(args.roots, encoding="utf-8") as handle:
-            anchors = load_pem_bundle(handle.read())
+        anchors = read_bundle(args.roots)
+        if anchors is None:
+            return 2
     else:
         anchors = [cert for cert in chain if cert.is_self_signed]
     return chain, RootStore("cli", anchors), StaticAIARepository()
@@ -561,7 +581,10 @@ def _load_chain_and_store(args: argparse.Namespace):
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core import analyze_chain
 
-    chain, store, fetcher = _load_chain_and_store(args)
+    loaded = _load_chain_and_store(args)
+    if loaded == 2:
+        return 2
+    chain, store, fetcher = loaded
     report = analyze_chain(args.domain, chain, store, fetcher)
     print(f"domain        : {args.domain}")
     print(f"certificates  : {len(chain)}")
@@ -680,7 +703,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.core import repair_chain
 
-    chain, store, fetcher = _load_chain_and_store(args)
+    loaded = _load_chain_and_store(args)
+    if loaded == 2:
+        return 2
+    chain, store, fetcher = loaded
     result = repair_chain(
         chain, domain=args.domain, store=store, fetcher=fetcher,
         include_root=args.include_root,

@@ -25,6 +25,7 @@ from collections.abc import Iterable
 from repro import obs
 from repro.errors import (
     ConnectionResetError_,
+    EncodingError,
     NetworkError,
     TLSHandshakeError,
 )
@@ -53,6 +54,9 @@ class ScanErrorKind(enum.StrEnum):
     RESET = "reset"
     #: not attempted: the vantage's circuit breaker was open
     SKIPPED = "skipped"
+    #: the host answered with a Certificate message that does not
+    #: decode (deterministic; not retried)
+    MALFORMED = "malformed_chain"
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +125,9 @@ class CircuitBreaker:
     the breaker.
 
     A scan that reaches the host but fails the handshake (or is reset
-    mid-exchange) counts as *contact* — it closes the breaker, because
-    the vantage evidently has connectivity.
+    mid-exchange, or is served a chain that does not decode) counts as
+    *contact* — it closes the breaker, because the vantage evidently
+    has connectivity.
     """
 
     def __init__(self, clock: SimClock, vantage: str, *,
@@ -310,13 +315,16 @@ class Scanner:
                 except TLSHandshakeError:
                     # Protocol-level refusals are deterministic: retrying
                     # a version mismatch cannot help.
-                    self._count_error(ScanErrorKind.HANDSHAKE_FAILED)
-                    if breaker is not None:
-                        breaker.record(reachable=True)
-                    return self._failure(
+                    return self._answered_failure(
                         domain, ScanErrorKind.HANDSHAKE_FAILED,
-                        attempts=attempts,
-                        duration=(clock.now_ns() - started_ns) / 1e9,
+                        attempts, started_ns,
+                    )
+                except EncodingError:
+                    # So is a served chain that does not decode: the
+                    # host would send the same bytes again.
+                    return self._answered_failure(
+                        domain, ScanErrorKind.MALFORMED,
+                        attempts, started_ns,
                     )
                 except ConnectionResetError_:
                     failure_reason = ScanErrorKind.RESET
@@ -384,6 +392,18 @@ class Scanner:
         obs.get_metrics().counter(
             "scan.error", vantage=self.vantage, kind=reason.value
         ).inc()
+
+    def _answered_failure(self, domain: str, reason: ScanErrorKind,
+                          attempts: int, started_ns: int) -> ScanRecord:
+        """A failed scan of a host that answered: one failed attempt,
+        and contact for the breaker (the vantage has connectivity)."""
+        self._count_error(reason)
+        if self.breaker is not None:
+            self.breaker.record(reachable=True)
+        return self._failure(
+            domain, reason, attempts=attempts,
+            duration=(self.network.clock.now_ns() - started_ns) / 1e9,
+        )
 
     def _failure(self, domain: str, reason: ScanErrorKind, *,
                  attempts: int = 1, duration: float = 0.0) -> ScanRecord:

@@ -142,8 +142,8 @@ class CertificateBuilder:
             extensions=ExtensionSet(tuple(self._extensions)),
             signature_algorithm=issuer_keypair.signature_algorithm,
         )
-        signature = issuer_keypair.sign(unsigned.tbs_bytes)
-        return Certificate(
+        tbs = unsigned.tbs_bytes
+        signed = Certificate(
             subject=unsigned.subject,
             issuer=unsigned.issuer,
             serial_number=unsigned.serial_number,
@@ -151,5 +151,13 @@ class CertificateBuilder:
             public_key=unsigned.public_key,
             extensions=unsigned.extensions,
             signature_algorithm=unsigned.signature_algorithm,
-            signature=signature,
+            signature=issuer_keypair.sign(tbs),
         )
+        # The TBS encoding leaves out both signature fields, so the bytes
+        # just signed are the signed certificate's own: set them where
+        # the ``tbs_bytes`` cached_property keeps its value.  Not via
+        # ``__dict__``: reading it makes CPython build a per-instance
+        # dict that the cyclic collector tracks (one more full
+        # collection while generating 10k domains).
+        object.__setattr__(signed, "tbs_bytes", tbs)
+        return signed

@@ -40,6 +40,11 @@ class Certificate:
     signature: bytes = b""
     version: int = 3
 
+    #: The last key that verified the signature, set on the instance by
+    #: :meth:`verify_signature`.  Not annotated, so not a dataclass
+    #: field: ``dataclasses.replace`` and equality never see it.
+    _verified_by = None
+
     # ------------------------------------------------------------------
     # Canonical encodings and identity
     # ------------------------------------------------------------------
@@ -148,10 +153,25 @@ class Certificate:
         return self.subject == self.issuer
 
     def verify_signature(self, issuer_key: PublicKey) -> bool:
-        """True iff ``issuer_key`` verifies this certificate's signature."""
+        """True iff ``issuer_key`` verifies this certificate's signature.
+
+        The last key that verified it is remembered on the instance, and
+        a later check with that key (the same object or an equal one)
+        returns True without hashing.  A certificate carries one
+        signature, so one slot covers the repeats; failed checks are
+        not remembered and run again.
+        """
         if not self.signature:
             return False
-        return issuer_key.verify(self.tbs_bytes, self.signature)
+        verified_by = self._verified_by
+        if verified_by is not None and (
+            verified_by is issuer_key or verified_by == issuer_key
+        ):
+            return True
+        if not issuer_key.verify(self.tbs_bytes, self.signature):
+            return False
+        object.__setattr__(self, "_verified_by", issuer_key)
+        return True
 
     # ------------------------------------------------------------------
     # Identity matching (leaf placement analysis)

@@ -1,5 +1,8 @@
 """Differential harness: outcomes, attribution rules, cache modes."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.ca import build_hierarchy, malform
@@ -19,6 +22,7 @@ from repro.chainbuilder.differential import (
     ChainOutcome,
 )
 from repro.trust import RootStoreRegistry, StaticAIARepository
+from repro.webpki import Ecosystem, EcosystemConfig
 from repro.x509 import utc
 
 NOW = utc(2024, 6, 15)
@@ -154,3 +158,32 @@ class TestAttributionRules:
             "mbedtls": "ok", "cryptoapi": "ok",
         })
         assert attribute_library_discrepancy(outcome) == {ISSUE_OTHER}
+
+
+class TestPinnedOutcomes:
+    #: SHA-256 over the 312 outcomes' ``to_event()`` payloads of the
+    #: 300-domain seed-833 ecosystem, computed with this recipe before
+    #: the builder carried TBS bytes out of signing, certificates
+    #: remembered their verifying key and lone issuer candidates went
+    #: unranked.  Any changed verdict, error label or attribution
+    #: record changes it.
+    PINNED = "2daa1d2d5ab0d2206b30991d8b22e5b2a46b347b4c2b5e2c1a56e2e1845459b7"
+
+    def test_cli_mode_outcomes_are_pinned(self):
+        ecosystem = Ecosystem.generate(
+            EcosystemConfig(n_domains=300, seed=833)
+        )
+        harness = DifferentialHarness(
+            ecosystem.registry, aia_fetcher=ecosystem.aia_repo
+        )
+        # the CLI's mode: Firefox's intermediate cache learns as it goes
+        report = harness.run(ecosystem.observations(),
+                             at_time=ecosystem.config.now,
+                             observe_into_cache=True)
+        digest = hashlib.sha256()
+        for outcome in report.outcomes:
+            digest.update(json.dumps(outcome.to_event(), sort_keys=True,
+                                     separators=(",", ":")).encode())
+            digest.update(b"\n")
+        assert report.total == 312
+        assert digest.hexdigest() == self.PINNED

@@ -65,6 +65,23 @@ class TestHappyPath:
         result = _builder(world).build([], at_time=NOW)
         assert result.error == "empty_input"
 
+    def test_lone_candidates_are_not_ranked(self, world, monkeypatch):
+        h, leaf, _, _ = world
+        ranked = []
+        priority_key = ChainBuilder._priority_key
+
+        def counting_priority_key(self, step, steps, at_time):
+            ranked.append(step)
+            return priority_key(self, step, steps, at_time)
+
+        monkeypatch.setattr(ChainBuilder, "_priority_key",
+                            counting_priority_key)
+        result = _builder(world).build(h.chain_for(leaf), at_time=NOW)
+        assert result.structure == "store->2->1->0"
+        # three hops, one candidate at each: nothing to rank
+        assert result.stats.candidates_considered == 3
+        assert ranked == []
+
 
 class TestSearchScope:
     def test_all_scope_reorders(self, world):

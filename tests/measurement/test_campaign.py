@@ -128,6 +128,45 @@ class TestUnionAccounting:
         assert f"{result.total_observations:,}" in rendered
 
 
+class TestMalformedChain:
+    def test_collect_journals_an_undecodable_chain(self, tmp_path):
+        """A host serving a chain that does not decode fails its scans;
+        the collection completes and journals them."""
+        from repro.net import CertificateMessage, ServerFlight, ServerHello
+        from repro.net import TLS12
+        from repro.obs import RunJournal
+        from repro.obs.journal import read_journal
+
+        ecosystem = Ecosystem.generate(EcosystemConfig(n_domains=40, seed=21))
+        network = ecosystem.install()
+        mangled = next(d.domain for d in ecosystem.deployments
+                       if not d.unreachable_from)
+        bad_pem = ("-----BEGIN CERTIFICATE-----\nnot base64!!\n"
+                   "-----END CERTIFICATE-----\n")
+        network.hosts[mangled].handlers[443] = (
+            lambda payload: ServerFlight(ServerHello(TLS12),
+                                         CertificateMessage(bad_pem))
+        )
+        campaign = Campaign(ecosystem, network=network)
+        path = tmp_path / "run.jsonl"
+        with RunJournal.open(path, campaign.manifest()) as journal:
+            result = campaign.collect(journal=journal)
+
+        assert mangled not in {domain for domain, _ in result.observations}
+        assert result.total_observations > 30
+        _, events = read_journal(path)
+        scans = [e for e in events
+                 if e["type"] == "scan" and e["domain"] == mangled]
+        assert sorted(e["vantage"] for e in scans) == sorted(
+            (VANTAGE_US, VANTAGE_AU)
+        )
+        for scan in scans:
+            assert not scan["success"]
+            assert scan["error"] == "malformed_chain"
+            assert scan["attempts"] == 1
+        assert sum(e["type"] == "collection" for e in events) == 1
+
+
 class TestAnalysis:
     def test_analyze_scanned_matches_ground_truth(self, campaign):
         scanned, _ = campaign.analyze(campaign.collect().observations)

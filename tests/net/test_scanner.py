@@ -4,13 +4,28 @@ import pytest
 
 from repro.net import (
     RATE_LIMIT_BYTES_PER_SECOND,
+    CertificateMessage,
+    CircuitBreaker,
+    RetryPolicy,
     Scanner,
+    ServerFlight,
+    ServerHello,
     SimulatedNetwork,
     TLS12,
     TLS13,
     TLSServerConfig,
     install_tls_server,
 )
+
+#: A Certificate message whose one PEM block has no base64 body.
+MALFORMED_PEM = (
+    "-----BEGIN CERTIFICATE-----\nnot base64!!\n-----END CERTIFICATE-----\n"
+)
+
+
+def serve_malformed_chain(payload):
+    """A port-443 handler that answers with an undecodable chain."""
+    return ServerFlight(ServerHello(TLS12), CertificateMessage(MALFORMED_PEM))
 
 
 @pytest.fixture()
@@ -138,6 +153,38 @@ class TestErrorMetrics:
         obs.disable()
         (series,) = registry.series("scan.wire_bytes")
         assert series.labels == (("vantage", "us"),)
+
+
+class TestMalformedChain:
+    def test_undecodable_chain_is_a_failed_record(self, network):
+        from repro import obs
+
+        net, _ = network
+        net.get_or_add_host("mangled.example").bind(443,
+                                                    serve_malformed_chain)
+        breaker = CircuitBreaker(net.clock, "us", threshold=5)
+        scanner = Scanner(
+            net, "us", breaker=breaker,
+            retry_policy=RetryPolicy(retries=3, base_delay=100.0),
+        )
+        with obs.instrumented() as (registry, _):
+            scanner.scan_domain("ghost.example")
+            assert breaker.consecutive_failures == 1
+            before = net.clock.now()
+            record = scanner.scan_domain("mangled.example")
+        obs.disable()
+        assert not record.success
+        assert record.error == "malformed_chain"
+        assert record.chain == () and record.chain_key == ()
+        # deterministic, so not retried: one attempt, no backoff burned
+        assert record.attempts == 1
+        assert net.clock.now() - before < 100.0
+        # the host answered: contact for the breaker
+        assert breaker.consecutive_failures == 0
+        assert registry.value("scan.error", vantage="us",
+                              kind="malformed_chain") == 1
+        assert registry.value("scan.failure", vantage="us",
+                              kind="malformed_chain") == 1
 
 
 class TestVersionComparison:

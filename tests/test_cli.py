@@ -81,6 +81,53 @@ class TestRepair:
         assert "BEGIN CERTIFICATE" in capsys.readouterr().out
 
 
+class TestChainFileErrors:
+    """``analyze`` and ``repair`` exit 2 with one line on an unreadable
+    chain or ``--roots`` file, never 1 (a verdict) or a traceback."""
+
+    CORRUPT_PEM = ("-----BEGIN CERTIFICATE-----\nnot base64!!\n"
+                   "-----END CERTIFICATE-----\n")
+
+    def _assert_one_line_exit_two(self, argv, bad_path, reason, capsys):
+        for command in ("analyze", "repair"):
+            code = main([command, *argv, "--domain", "fixture.example"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"repro-chain {command}: {bad_path}: {reason}"
+            )
+            assert captured.err.count("\n") == 1
+
+    def test_missing_file(self, tmp_path, chain_file, capsys):
+        missing = tmp_path / "nope.pem"
+        self._assert_one_line_exit_two(
+            [str(missing)], missing, "No such file or directory", capsys
+        )
+        self._assert_one_line_exit_two(
+            [str(chain_file), "--roots", str(missing)], missing,
+            "No such file or directory", capsys,
+        )
+
+    def test_corrupt_pem(self, tmp_path, chain_file, capsys):
+        corrupt = tmp_path / "corrupt.pem"
+        corrupt.write_text(self.CORRUPT_PEM)
+        self._assert_one_line_exit_two(
+            [str(corrupt)], corrupt, "corrupt PEM body", capsys
+        )
+        self._assert_one_line_exit_two(
+            [str(chain_file), "--roots", str(corrupt)], corrupt,
+            "corrupt PEM body", capsys,
+        )
+
+    def test_empty_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.pem"
+        empty.write_text("")
+        self._assert_one_line_exit_two(
+            [str(empty)], empty, "no certificates found", capsys
+        )
+
+
 class TestCapabilities:
     def test_single_client(self, capsys):
         code = main(["capabilities", "--client", "gnutls"])

@@ -1,15 +1,20 @@
 """CertificateBuilder: field validation and extension wiring."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import BuilderError
 from repro.x509 import (
+    Certificate,
     CertificateBuilder,
     ExtendedKeyUsage,
     KeyUsage,
     Name,
+    PublicKey,
     SimulatedKeyPair,
     Validity,
+    generate_keypair,
     utc,
 )
 
@@ -24,6 +29,14 @@ def _base(key=None):
         .validity(Validity(utc(2024, 1, 1), utc(2025, 1, 1)))
         .public_key(key.public_key)
     ), key
+
+
+def _recomputed_tbs(cert):
+    """The TBS encoding of a fresh certificate with ``cert``'s fields."""
+    fresh = Certificate(**{spec.name: getattr(cert, spec.name)
+                           for spec in dataclasses.fields(Certificate)})
+    assert "tbs_bytes" not in fresh.__dict__
+    return fresh.tbs_bytes
 
 
 class TestValidation:
@@ -57,12 +70,58 @@ class TestValidation:
 
 
 class TestWiring:
-    def test_signed_certificate_verifies(self):
-        builder, key = _base()
+    def test_signed_certificate_verifies(self, monkeypatch):
+        calls = []
+        real_verify = PublicKey.verify
+
+        def counting_verify(self, data, signature):
+            calls.append(self)
+            return real_verify(self, data, signature)
+
+        monkeypatch.setattr(PublicKey, "verify", counting_verify)
+        for backend in ("simulated", "ecdsa"):
+            builder, key = _base()
+            signer = generate_keypair(backend)
+            cert = builder.sign(signer)
+            wrong = key.public_key
+
+            # A failure is not remembered: it is checked again, and it
+            # does not block the signer's key.
+            assert not cert.verify_signature(wrong)
+            assert not cert.verify_signature(wrong)
+            assert len(calls) == 2
+            assert cert.verify_signature(signer.public_key)
+            assert len(calls) == 3
+
+            # A repeat with the verifying key, or an equal but distinct
+            # key object, returns True without hashing.
+            twin = PublicKey(signer.public_key.scheme,
+                             signer.public_key.key_bytes)
+            assert twin is not signer.public_key
+            assert cert.verify_signature(signer.public_key)
+            assert cert.verify_signature(twin)
+            assert len(calls) == 3
+
+            # A wrong key still fails after a success.
+            assert not cert.verify_signature(wrong)
+            assert len(calls) == 4
+            calls.clear()
+
+    def test_carried_facts_are_not_fields(self):
+        # The TBS bytes and the verifying key live on the instance, so
+        # replace() re-derives them for a certificate with other fields.
+        builder, _ = _base()
         signer = SimulatedKeyPair()
         cert = builder.sign(signer)
         assert cert.verify_signature(signer.public_key)
-        assert not cert.verify_signature(key.public_key)
+        renumbered = dataclasses.replace(cert, serial_number=2)
+        assert "tbs_bytes" not in renumbered.__dict__
+        assert "_verified_by" not in renumbered.__dict__
+        assert renumbered.tbs_bytes != cert.tbs_bytes
+        assert not renumbered.verify_signature(signer.public_key)
+        assert {f.name for f in dataclasses.fields(Certificate)}.isdisjoint(
+            {"tbs_bytes", "_verified_by"}
+        )
 
     def test_skid_from_key_uses_subject_key(self):
         builder, key = _base()
@@ -118,3 +177,14 @@ class TestWiring:
         )
         assert cert.validity.not_before == utc(2024, 1, 1)
         assert cert.validity.not_after == utc(2024, 7, 1)
+
+
+def test_generated_certificates_carry_their_tbs_bytes(small_ecosystem):
+    certs = {id(cert): cert for _, chain in small_ecosystem.observations()
+             for cert in chain}
+    for store in small_ecosystem.registry.stores.values():
+        certs.update((id(anchor), anchor) for anchor in store)
+    assert len(certs) > 1_000
+    for cert in certs.values():
+        assert "tbs_bytes" in cert.__dict__
+        assert cert.tbs_bytes == _recomputed_tbs(cert)
