@@ -571,7 +571,6 @@ def test_perf_live_overhead_snapshot(tmp_path):
     import threading
     import urllib.request
 
-    from repro.cli import _StatusProgress
     from repro.measurement import Campaign
     from repro.webpki import Ecosystem, EcosystemConfig
 
@@ -615,9 +614,18 @@ def test_perf_live_overhead_snapshot(tmp_path):
                 scraper = threading.Thread(target=scrape, daemon=True)
                 scraper.start()
 
+                class StatusProgress:
+                    """Advances the served RunStatus once per scan."""
+
+                    def update(self, *, ok=True):
+                        status.advance(ok=ok)
+
+                    def finish(self):
+                        pass
+
                 def progress_factory(vantage, total):
                     status.begin_phase(f"collect[{vantage}]", total)
-                    return _StatusProgress(status)
+                    return StatusProgress()
             else:
                 progress_factory = None
             gc.collect()

@@ -40,52 +40,36 @@ import sys
 from repro.x509 import load_pem_bundle, to_pem_bundle
 
 
-def _render_reachability(snapshot: dict) -> list[str]:
-    """Per-vantage ``reachable/attempted`` lines from a metrics snapshot.
+def _unwritable(command: str, *paths: str | None) -> bool:
+    """Report the first output path that cannot be written.
 
-    ``attempted`` counts finished *scans* — successes plus failed scans
-    (summed across failure kinds) — not ``scan.attempts``, which counts
-    every handshake attempt and so over-counts whenever retries fire.
+    A path whose directory is missing or unwritable, or which names a
+    directory, gets one ``repro-chain <command>: <path>: <reason>``
+    line on stderr and True back; the command then exits with its
+    input-error code.  Commands check before any work, so a long run
+    never ends in a traceback at its first write.
     """
-    def by_vantage(family: str) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for series in snapshot.get(family, {}).get("series", []):
-            vantage = series["labels"].get("vantage")
-            if vantage is not None:
-                totals[vantage] = totals.get(vantage, 0.0) + series["value"]
-        return totals
+    import errno
+    import os
 
-    successes = by_vantage("scan.success")
-    failures = by_vantage("scan.failure")
-    lines = []
-    for vantage in sorted(set(successes) | set(failures)):
-        reached = successes.get(vantage, 0.0)
-        attempted = reached + failures.get(vantage, 0.0)
-        share = 100.0 * reached / attempted if attempted else 0.0
-        lines.append(
-            f"vantage {vantage:<4} reachable {int(reached):,}/"
-            f"{int(attempted):,} ({share:.1f}%)"
-        )
-    return lines
-
-
-class _StatusProgress:
-    """Fans one collect progress stream into a RunStatus (for the
-    telemetry server's ``/progress``) and an optional inner renderer
-    (the ``--progress`` line)."""
-
-    def __init__(self, status, inner=None) -> None:
-        self.status = status
-        self.inner = inner
-
-    def update(self, *, ok: bool = True) -> None:
-        self.status.advance(ok=ok)
-        if self.inner is not None:
-            self.inner.update(ok=ok)
-
-    def finish(self) -> None:
-        if self.inner is not None:
-            self.inner.finish()
+    for path in paths:
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            code = (errno.ENOTDIR if os.path.exists(directory)
+                    else errno.ENOENT)
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else directory,
+                           os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        print(f"repro-chain {command}: {path}: {os.strerror(code)}",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -114,6 +98,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro-chain scan: {exc}", file=sys.stderr)
             return 2
+    if args.shard_size and not args.simulate_network:
+        print("repro-chain scan: --shard-size requires --simulate-network",
+              file=sys.stderr)
+        return 2
+    if args.report_out and not args.journal:
+        print("repro-chain scan: --report-out requires --journal (the "
+              "report is built from the run journal)", file=sys.stderr)
+        return 2
+    if _unwritable("scan", args.metrics_out, args.trace_out,
+                   args.openmetrics_out, args.report_out, args.output):
+        return 2
 
     obs.configure()
     with obs.instrumented() as (registry, tracer):
@@ -187,14 +182,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             # flushed eagerly so a parallel scraper (CI, `repro-chain
             # watch`) can read the ephemeral port before the scan ends
             print(f"serving telemetry on {server.url}", flush=True)
-            inner_factory = progress_factory
-
-            def progress_factory(vantage: str, total: int,
-                                 _inner=inner_factory):
-                status.begin_phase(f"collect[{vantage}]", total)
-                inner = (_inner(vantage, total)
-                         if _inner is not None else None)
-                return _StatusProgress(status, inner)
         retry_policy = None
         if args.retries:
             from repro.net import RetryPolicy
@@ -204,30 +191,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             )
         try:
             cache = VerdictCache(backing=verdict_store)
-            if args.shard_size:
-                if not args.simulate_network:
-                    print("repro-chain scan: --shard-size requires "
-                          "--simulate-network", file=sys.stderr)
+            if args.simulate_network:
+                shard_size = args.shard_size or len(ecosystem.deployments)
+                try:
+                    sharded = campaign.run_sharded(
+                        shard_size,
+                        journal=journal, retry_policy=retry_policy,
+                        breaker_threshold=args.breaker_threshold or None,
+                        cache=cache, snapshot_writer=snapshot_writer,
+                        status=status, progress_factory=progress_factory,
+                        output=args.output,
+                    )
+                except JournalError as exc:
+                    print(f"repro-chain scan: {exc}", file=sys.stderr)
                     return 2
-                if args.output:
-                    print("repro-chain scan: --output needs the full "
-                          "observation list, which a sharded run "
-                          "releases shard by shard; drop --shard-size "
-                          "to export observations", file=sys.stderr)
-                    return 2
-                if args.progress:
-                    print("note: --progress is per-vantage; a sharded "
-                          "run reports progress through its "
-                          "collect.shard.K/analyze.shard.K status "
-                          "phases instead", file=sys.stderr)
-                sharded = campaign.run_sharded(
-                    args.shard_size,
-                    journal=journal, retry_policy=retry_policy,
-                    breaker_threshold=args.breaker_threshold or None,
-                    cache=cache, snapshot_writer=snapshot_writer,
-                    status=status,
-                )
                 report = sharded.report
+                written = sharded.total_observations
                 # reachability from the result, not the metrics
                 # snapshot: resumed shards fold from the journal
                 # without re-scanning, so the registry only covers
@@ -252,28 +231,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     if sharded.resumed_shards else ""
                 )
                 print(f"shards: {len(sharded.shards)} × "
-                      f"{args.shard_size:,} domains{resumed_note}")
+                      f"{shard_size:,} domains{resumed_note}")
             else:
-                if args.simulate_network:
-                    collection = campaign.collect(
-                        journal=journal,
-                        progress_factory=progress_factory,
-                        retry_policy=retry_policy,
-                        breaker_threshold=args.breaker_threshold or None,
-                    )
-                    observations = collection.observations
-                    for line in _render_reachability(registry.snapshot()):
-                        print(line)
-                    for vantage, reason in sorted(
-                        collection.degraded_vantages.items()
-                    ):
-                        if status is not None:
-                            status.mark_degraded(vantage, reason)
-                        print(f"warning: vantage {vantage} degraded "
-                              f"({reason}); union dataset is partial",
-                              file=sys.stderr)
-                else:
-                    observations = ecosystem.observations()
+                observations = ecosystem.observations()
                 if status is not None:
                     status.begin_phase("analyze", len(observations))
                 report, _ = campaign.analyze(
@@ -281,6 +241,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     snapshot_writer=snapshot_writer, cache=cache,
                     status=status,
                 )
+                if args.output:
+                    from repro.measurement import save_observations
+
+                    save_observations(args.output, observations)
+                written = len(observations)
             if status is not None:
                 status.finish()
         finally:
@@ -310,10 +275,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"\n== {title} ==")
             print(renderer(ctx))
         if args.output:
-            from repro.measurement.dataset import save_observations
-
-            count = save_observations(args.output, observations)
-            print(f"\nwrote {count:,} observations to {args.output}")
+            print(f"\nwrote {written:,} observations to {args.output}")
         if journal is not None:
             print(f"wrote {journal.events_written:,} journal events "
                   f"to {args.journal}")
@@ -329,11 +291,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 handle.write(tracer.to_json())
             print(f"wrote Chrome trace to {args.trace_out}")
         if args.report_out:
-            if not args.journal:
-                print("repro-chain scan: --report-out requires "
-                      "--journal (the report is built from the run "
-                      "journal)", file=sys.stderr)
-                return 2
             run_report = obs.report_from_journal(
                 args.journal, metrics=registry.snapshot()
             )
@@ -426,9 +383,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=args.domains, seed=args.seed)
         )
-        campaign = Campaign(ecosystem)
-        collection = campaign.collect()
-        campaign.analyze(collection.observations)
+        Campaign(ecosystem).run_sharded(len(ecosystem.deployments))
         print(obs.render_metrics_table(registry.snapshot(), top=args.top))
         print()
         print("== phase timing ==")
@@ -453,6 +408,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.errors import JournalError
 
+    if _unwritable("report", args.out, args.json_out):
+        return 2
     metrics = None
     if args.metrics:
         try:
@@ -516,6 +473,8 @@ def _cmd_diff_runs(args: argparse.Namespace) -> int:
     from repro.errors import JournalError
     from repro.obs.diff import parse_threshold
 
+    if _unwritable("diff-runs", args.json_out):
+        return 3
     thresholds: dict[str, float] = {}
     for spec in args.threshold or ():
         try:
@@ -703,6 +662,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     from repro.core import repair_chain
 
+    if _unwritable("repair", args.output):
+        return 2
     loaded = _load_chain_and_store(args)
     if loaded == 2:
         return 2
@@ -924,7 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--simulate-network", action="store_true",
                       help="scan over the simulated network instead of "
                            "reading deployments directly")
-    scan.add_argument("--output", help="write observations to a JSONL file")
+    scan.add_argument("--output",
+                      help="write the observations to a JSONL file "
+                           "(a network scan appends each shard's union "
+                           "as the shard completes)")
     scan.add_argument("--metrics-out",
                       help="write the run's metrics registry as JSON")
     scan.add_argument("--trace-out",
@@ -942,7 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "refreshes (default: 5)")
     scan.add_argument("--progress", action="store_true",
                       help="render a live single-line progress bar "
-                           "per vantage (requires --simulate-network)")
+                           "per vantage and shard (requires "
+                           "--simulate-network)")
     scan.add_argument("--retries", type=int, default=0,
                       help="retry transient scan failures up to this "
                            "many times with exponential backoff "
@@ -959,8 +924,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "domain shards of this size, bounding peak "
                            "memory by the shard instead of the corpus; "
                            "the report and tables are byte-identical "
-                           "to an unsharded run for any size; requires "
-                           "--simulate-network (0: unsharded)")
+                           "for any size; requires --simulate-network "
+                           "(default 0: one shard of the whole corpus)")
     scan.add_argument("--journal-flush-every", type=int, default=64,
                       help="buffer this many journal records between "
                            "flushes (1: flush per record; default: 64)")

@@ -5,10 +5,17 @@ ZGrab2-style scans of every domain from two vantage points under the
 500 KB/s cap, the TLS 1.2 / TLS 1.3 comparison, the union merge of both
 vantages, and finally the per-chain compliance analysis feeding the
 dataset report.
+
+The collection sweep is written once, in :class:`_Sweep`.
+:meth:`Campaign.collect` feeds it the whole population as one slice
+and keeps the records; :func:`~repro.measurement.shards.run_sharded`
+feeds it one contiguous slice per shard and releases each shard's
+records before analysis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -23,7 +30,7 @@ from repro.net.scanner import (
     Scanner,
 )
 from repro.net.simnet import SimulatedNetwork
-from repro.net.tls import TLS12, TLS13
+from repro.net.tls import TLS12
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
 from repro.trust.aia import AIAFetcher
@@ -33,13 +40,11 @@ from repro.x509 import Certificate
 
 _log = obs.get_logger("measurement.campaign")
 
-
-def _chain_key(chain: tuple[Certificate, ...]) -> tuple[bytes, ...]:
-    return tuple(cert.fingerprint for cert in chain)
+#: the paper's two vantage points, swept in this order
+VANTAGES = (VANTAGE_US, VANTAGE_AU)
 
 
 def _merge_union(
-    vantages: tuple[str, ...],
     per_vantage: dict[str, list[ScanRecord]],
 ) -> tuple[set[tuple[bytes, ...]],
            list[tuple[str, list[Certificate]]], set[bytes]]:
@@ -67,20 +72,198 @@ def _merge_union(
     chain_keys: set[tuple[bytes, ...]] = set()
     observations: list[tuple[str, list[Certificate]]] = []
     all_certs: set[bytes] = set()
-    streams = [per_vantage[vantage] for vantage in vantages]
-    for group in zip_longest(*streams):
+    for group in zip_longest(*per_vantage.values()):
         for record in group:
             if record is None or not record.success or not record.chain:
                 continue
-            chain_key = record.chain_key or _chain_key(record.chain)
-            key = (record.domain, chain_key)
+            key = (record.domain, record.chain_key)
             if key in seen:
                 continue
             seen.add(key)
-            chain_keys.add(chain_key)
+            chain_keys.add(record.chain_key)
             observations.append((record.domain, list(record.chain)))
-            all_certs.update(chain_key)
+            all_certs.update(record.chain_key)
     return chain_keys, observations, all_certs
+
+
+class _Sweep:
+    """The collection sweep of Section 3.1, fed contiguous domain slices.
+
+    One :class:`~repro.net.scanner.Scanner` per vantage — and with it
+    the rate-limit bucket and the optional circuit breaker — lives for
+    the whole run, so a sweep fed in slices is the same continuous
+    per-vantage scan as one fed the population at once: journaled
+    durations and breaker behaviour carry across slice boundaries.
+
+    With a ``journal``, every scan outcome is appended as a ``scan``
+    event, each degraded vantage as one ``degradation`` event and the
+    merged totals as one ``collection`` event.  Whatever a resumed
+    journal already holds — a (domain, vantage) scan, a vantage's
+    degradation, the collection summary — is not appended again.
+    """
+
+    def __init__(self, network: SimulatedNetwork, *,
+                 journal: RunJournal | None = None,
+                 retry_policy: RetryPolicy | None = None,
+                 breaker_threshold: int | None = None) -> None:
+        self.journal = journal
+        self.breakers: dict[str, CircuitBreaker | None] = {}
+        self.scanners: dict[str, Scanner] = {}
+        for vantage in VANTAGES:
+            breaker = (
+                CircuitBreaker(network.clock, vantage,
+                               threshold=breaker_threshold)
+                if breaker_threshold else None
+            )
+            self.breakers[vantage] = breaker
+            self.scanners[vantage] = Scanner(
+                network, vantage, retry_policy=retry_policy, breaker=breaker,
+            )
+        #: finished scans (successes + failures) and successes per vantage
+        self.attempted: Counter[str] = Counter()
+        self.successes: Counter[str] = Counter()
+        #: the union so far: distinct chains, certificates, observations
+        self.chain_keys: set[tuple[bytes, ...]] = set()
+        self.certificates: set[bytes] = set()
+        self.observations = 0
+        #: degraded vantage -> reason, decided by :meth:`finish`
+        self.degraded: dict[str, str] = {}
+        events = journal.events() if journal is not None else []
+        self._journaled_scans = {
+            (event.get("domain"), event.get("vantage"))
+            for event in events if event.get("type") == "scan"
+        }
+        self._journaled_degradations = {
+            event.get("vantage"): event.get("reason")
+            for event in events if event.get("type") == "degradation"
+        }
+        self._collection_journaled = any(
+            event.get("type") == "collection" for event in events
+        )
+
+    def collect(self, domains: list[str], *, shard: int | None = None,
+                progress_factory=None, status=None
+                ) -> tuple[dict[str, list[ScanRecord]],
+                           list[tuple[str, list[Certificate]]]]:
+        """Scan one slice from every vantage and merge it (union rule).
+
+        Returns the slice's per-vantage records and union observations.
+        ``shard`` scopes the phase (``collect.shard.K`` instead of
+        ``collect``) and labels the spans.  ``progress_factory(vantage,
+        total)`` gives each vantage's scan of the slice an object with
+        ``update(ok=...)`` / ``finish()``; ``status`` (a
+        :class:`~repro.obs.server.RunStatus`) begins the phase and
+        advances once per scan.
+
+        The vantages share one decoded-block memo (see
+        :func:`~repro.net.tls.perform_handshake`), so each distinct
+        certificate served in the slice — to any vantage, in any chain
+        — is decoded once, and the chains that carry it share the object.
+        """
+        tracer = obs.get_tracer()
+        journal = self.journal
+        phase = "collect" if shard is None else f"collect.shard.{shard}"
+        labels = {} if shard is None else {"shard": shard}
+        per_vantage: dict[str, list[ScanRecord]] = {}
+        with phase_scope(phase), \
+                tracer.span("campaign.collect", domains=len(domains),
+                            vantages=len(VANTAGES), **labels):
+            if status is not None:
+                status.begin_phase(phase, len(domains) * len(VANTAGES))
+            memo: dict = {}
+            for vantage in VANTAGES:
+                progress = (progress_factory(vantage, len(domains))
+                            if progress_factory is not None else None)
+
+                def observe(record: ScanRecord, progress=progress) -> None:
+                    if journal is not None and (
+                        (record.domain, record.vantage)
+                        not in self._journaled_scans
+                    ):
+                        journal.record(
+                            "scan",
+                            domain=record.domain,
+                            vantage=record.vantage,
+                            success=record.success,
+                            tls_version=record.tls_version,
+                            error=(str(record.error)
+                                   if record.error else None),
+                            wire_bytes=record.wire_bytes,
+                            attempts=record.attempts,
+                            duration=record.duration,
+                        )
+                    if progress is not None:
+                        progress.update(ok=record.success)
+                    if status is not None:
+                        status.advance(ok=record.success)
+
+                with tracer.span("campaign.scan", vantage=vantage, **labels):
+                    records = self.scanners[vantage].scan(
+                        domains, versions=(TLS12,), progress=observe,
+                        memo=memo,
+                    )
+                if progress is not None:
+                    progress.finish()
+                per_vantage[vantage] = records
+                self.attempted[vantage] += len(records)
+                self.successes[vantage] += sum(1 for r in records if r.success)
+            with tracer.span("campaign.union_merge", **labels):
+                chain_keys, observations, certificates = _merge_union(
+                    per_vantage
+                )
+        self.chain_keys |= chain_keys
+        self.certificates |= certificates
+        self.observations += len(observations)
+        return per_vantage, observations
+
+    def finish(self, domains: int) -> dict[str, str]:
+        """Decide degradation and journal the collection summary.
+
+        Sets and returns :attr:`degraded`, each vantage mapped to its
+        reason: its breaker is still open when the sweep ends
+        (``breaker_open``), or it attempted scans and none succeeded
+        (``no_successful_scans``, with or without a breaker).  The union
+        of the remaining vantages is then a partial dataset, and the
+        ``degraded`` flags on the result and the journal's
+        ``collection`` event say so explicitly.  A degradation a
+        resumed journal already holds stands: the scans it was decided
+        on may not be re-run.
+        """
+        degraded = self.degraded
+        for vantage in VANTAGES:
+            breaker = self.breakers[vantage]
+            if vantage in self._journaled_degradations:
+                reason = self._journaled_degradations[vantage]
+            elif breaker is not None and breaker.tripped:
+                reason = "breaker_open"
+            elif self.attempted[vantage] and not self.successes[vantage]:
+                reason = "no_successful_scans"
+            else:
+                continue
+            degraded[vantage] = reason
+            _log.warning("campaign.vantage_degraded",
+                         vantage=vantage, reason=reason)
+            obs.get_metrics().counter(
+                "campaign.vantage_degraded", vantage=vantage
+            ).inc()
+            if (self.journal is not None
+                    and vantage not in self._journaled_degradations):
+                self.journal.record_degradation(vantage, reason)
+        _log.info("campaign.collected", domains=domains,
+                  observations=self.observations,
+                  unique_chains=len(self.chain_keys),
+                  degraded=bool(degraded))
+        if self.journal is not None and not self._collection_journaled:
+            self.journal.record(
+                "collection",
+                domains=domains,
+                observations=self.observations,
+                unique_chains=len(self.chain_keys),
+                unique_certificates=len(self.certificates),
+                degraded=bool(degraded),
+                degraded_vantages=degraded,
+            )
+        return degraded
 
 
 @dataclass
@@ -158,32 +341,31 @@ class Campaign:
     # Collection
     # ------------------------------------------------------------------
 
-    def collect(self, *, vantages: tuple[str, ...] = (VANTAGE_US, VANTAGE_AU),
-                journal: RunJournal | None = None,
+    def collect(self, *, journal: RunJournal | None = None,
                 progress_factory=None,
                 retry_policy: RetryPolicy | None = None,
-                breaker_threshold: int | None = None,
-                breaker_probe_interval: float = 300.0) -> CollectionResult:
+                breaker_threshold: int | None = None) -> CollectionResult:
         """Scan every domain from each vantage and merge (union rule).
+
+        The whole population is one slice of the collection sweep
+        (:class:`_Sweep`), and every record is kept.
 
         Parameters
         ----------
         journal:
             When given, every scan outcome is appended as a ``scan``
+            event, each vantage degradation as one ``degradation``
             event and the merged totals as one ``collection`` event.
-            On a resumed run, (domain, vantage) scans the journal
-            already holds — and a ``collection`` event it already
-            holds — are not re-appended, so per-domain scan history
-            stays one record per observation.  Vantage degradation is
-            recorded as one ``degradation`` event per vantage (same
-            dedup rule).
+            On a resumed run, events the journal already holds are not
+            re-appended, so per-domain scan history stays one record
+            per observation.
         progress_factory:
             ``factory(vantage, total)`` returning an object with
             ``update(ok=...)`` / ``finish()`` (e.g.
             :class:`repro.obs.ProgressLine`) to render live progress.
         retry_policy:
             Backoff policy for transient scan failures; None (default)
-            scans each domain exactly once, the PR-1 behaviour.
+            scans each domain exactly once.
         breaker_threshold:
             When set, each vantage gets a
             :class:`~repro.net.scanner.CircuitBreaker` tripping after
@@ -191,127 +373,25 @@ class Campaign:
             breaker is still open when its sweep ends is marked
             *degraded* rather than merged as if complete.
 
-        The vantage sweeps share one decoded-block memo (see
-        :func:`~repro.net.tls.perform_handshake`), so each distinct
-        certificate served — to any vantage, in any chain — is decoded
-        once per call, and the chains that carry it share the object.
-
         A vantage that finishes its sweep with zero successful scans
         (over a non-empty domain list) is always marked degraded, with
-        or without a breaker: the union of the remaining vantages is a
-        partial dataset, and the ``degraded`` flags on the result and
-        the journal's ``collection`` event say so explicitly.
+        or without a breaker.
         """
-        tracer = obs.get_tracer()
-        network = self._ensure_network()
         domains = [d.domain for d in self.ecosystem.deployments]
-        journaled_scans: set[tuple[str, str]] = set()
-        journaled_degradations: set[str] = set()
-        collection_journaled = False
-        if journal is not None:
-            journaled_scans = {
-                (event.get("domain"), event.get("vantage"))
-                for event in journal.events("scan")
-            }
-            journaled_degradations = {
-                event.get("vantage")
-                for event in journal.events("degradation")
-            }
-            collection_journaled = bool(journal.events("collection"))
-        per_vantage: dict[str, list[ScanRecord]] = {}
-        degraded_vantages: dict[str, str] = {}
-        with phase_scope("collect"), \
-                tracer.span("campaign.collect", domains=len(domains),
-                            vantages=len(vantages)):
-            memo: dict = {}
-            for vantage in vantages:
-                with phase_scope(f"collect.scan.{vantage}"), \
-                        tracer.span("campaign.scan", vantage=vantage):
-                    breaker = (
-                        CircuitBreaker(
-                            network.clock, vantage,
-                            threshold=breaker_threshold,
-                            probe_interval=breaker_probe_interval,
-                        )
-                        if breaker_threshold else None
-                    )
-                    scanner = Scanner(
-                        network, vantage,
-                        retry_policy=retry_policy, breaker=breaker,
-                    )
-                    progress = (
-                        progress_factory(vantage, len(domains))
-                        if progress_factory is not None else None
-                    )
-
-                    def observe(record: ScanRecord,
-                                progress=progress) -> None:
-                        if journal is not None and (
-                            (record.domain, record.vantage)
-                            not in journaled_scans
-                        ):
-                            journal.record(
-                                "scan",
-                                domain=record.domain,
-                                vantage=record.vantage,
-                                success=record.success,
-                                tls_version=record.tls_version,
-                                error=(str(record.error)
-                                       if record.error else None),
-                                wire_bytes=record.wire_bytes,
-                                attempts=record.attempts,
-                                duration=record.duration,
-                            )
-                        if progress is not None:
-                            progress.update(ok=record.success)
-
-                    records = scanner.scan(
-                        domains, versions=(TLS12,), progress=observe,
-                        memo=memo,
-                    )
-                    per_vantage[vantage] = records
-                    if progress is not None:
-                        progress.finish()
-                    reason = self._degradation_reason(records, breaker)
-                    if reason is not None:
-                        degraded_vantages[vantage] = reason
-                        _log.warning("campaign.vantage_degraded",
-                                     vantage=vantage, reason=reason)
-                        obs.get_metrics().counter(
-                            "campaign.vantage_degraded", vantage=vantage
-                        ).inc()
-                        if (journal is not None
-                                and vantage not in journaled_degradations):
-                            journal.record_degradation(vantage, reason)
-
-            with tracer.span("campaign.union_merge"):
-                chain_keys, observations, all_certs = _merge_union(
-                    vantages, per_vantage
-                )
-        _log.info("campaign.collected", domains=len(domains),
-                  observations=len(observations),
-                  unique_chains=len(chain_keys),
-                  degraded=bool(degraded_vantages))
-        if journal is not None and not collection_journaled:
-            journal.record(
-                "collection",
-                domains=len(domains),
-                observations=len(observations),
-                unique_chains=len(chain_keys),
-                unique_certificates=len(all_certs),
-                degraded=bool(degraded_vantages),
-                degraded_vantages=degraded_vantages,
-            )
+        sweep = _Sweep(self._ensure_network(), journal=journal,
+                       retry_policy=retry_policy,
+                       breaker_threshold=breaker_threshold)
+        per_vantage, observations = sweep.collect(
+            domains, progress_factory=progress_factory
+        )
+        degraded = sweep.finish(len(domains))
         return CollectionResult(
             per_vantage=per_vantage,
             observations=observations,
-            reachable_counts={
-                v: sum(1 for r in records if r.success)
-                for v, records in per_vantage.items()
-            },
-            unique_chains=len(chain_keys),
-            unique_certificates=len(all_certs),
-            degraded_vantages=degraded_vantages,
+            reachable_counts={v: sweep.successes[v] for v in VANTAGES},
+            unique_chains=len(sweep.chain_keys),
+            unique_certificates=len(sweep.certificates),
+            degraded_vantages=degraded,
         )
 
     def run_sharded(self, shard_size: int, **kwargs):
@@ -328,16 +408,6 @@ class Campaign:
 
         return run_sharded(self, shard_size, **kwargs)
 
-    @staticmethod
-    def _degradation_reason(records: list[ScanRecord],
-                            breaker: CircuitBreaker | None) -> str | None:
-        """Why a finished vantage sweep counts as degraded, if it does."""
-        if breaker is not None and breaker.tripped:
-            return "breaker_open"
-        if records and not any(r.success for r in records):
-            return "no_successful_scans"
-        return None
-
     def compare_tls_versions(self, *, vantage: str = VANTAGE_US,
                              sample: int | None = None) -> float:
         """Share of domains serving identical chains on TLS 1.2 and 1.3.
@@ -345,21 +415,16 @@ class Campaign:
         The paper measured 98.8%; the ecosystem's version-difference
         rate is calibrated to land there.
         """
-        network = self._ensure_network()
-        scanner = Scanner(network, vantage)
-        domains = [d.domain for d in self.ecosystem.deployments]
-        if sample is not None:
-            domains = domains[:sample]
-        identical = total = 0
-        for domain in domains:
-            tls12 = scanner.scan_domain(domain, versions=(TLS12,))
-            tls13 = scanner.scan_domain(domain, versions=(TLS13,))
-            if not (tls12.success and tls13.success):
-                continue
-            total += 1
-            if _chain_key(tls12.chain) == _chain_key(tls13.chain):
-                identical += 1
-        return 100.0 * identical / total if total else 0.0
+        scanner = Scanner(self._ensure_network(), vantage)
+        domains = [d.domain for d in self.ecosystem.deployments][:sample]
+        both = [
+            (tls12, tls13)
+            for tls12, tls13 in scanner.scan_both_versions(domains).values()
+            if tls12.success and tls13.success
+        ]
+        identical = sum(1 for tls12, tls13 in both
+                        if tls12.chain_key == tls13.chain_key)
+        return 100.0 * identical / len(both) if both else 0.0
 
     # ------------------------------------------------------------------
     # Analysis
@@ -418,16 +483,3 @@ class Campaign:
         _log.info("campaign.analyzed", chains=len(reports),
                   resumed=stats.resumed)
         return aggregate(reports), reports
-
-
-def run_default_campaign(n_domains: int = 5_000, seed: int = 42
-                         ) -> tuple[Campaign, DatasetReport]:
-    """Convenience: generate, analyse, return (campaign, report)."""
-    from repro.webpki.ecosystem import EcosystemConfig
-
-    ecosystem = Ecosystem.generate(
-        EcosystemConfig(n_domains=n_domains, seed=seed)
-    )
-    campaign = Campaign(ecosystem)
-    report, _ = campaign.analyze()
-    return campaign, report

@@ -60,21 +60,22 @@ after it.  The final report is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro import obs
 from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
-from repro.measurement.campaign import Campaign, _merge_union
+from repro.errors import JournalError
+from repro.measurement.campaign import VANTAGES, Campaign, _Sweep
+from repro.measurement.dataset import observation_to_json
 from repro.measurement.parallel import VerdictCache
-from repro.net.scanner import CircuitBreaker, RetryPolicy, Scanner
-from repro.net.tls import TLS12
+from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
 from repro.trust.aia import AIAFetcher
 from repro.trust.rootstore import RootStore
-from repro.webpki.ecosystem import VANTAGE_AU, VANTAGE_US
 
 _log = obs.get_logger("measurement.shards")
 
@@ -164,55 +165,49 @@ def _completed_prefix(bounds, events) -> int:
     return completed
 
 
-def _fold_completed(dataset: DatasetReport, events, completed: int,
-                    bounds, domains, vantages,
-                    attempted: Counter, successes: Counter,
-                    unique_chain_hexes: set, unique_cert_hexes: set
+def _fold_completed(dataset: DatasetReport, events, bounds,
+                    shard_size: int, domains, sweep: _Sweep
                     ) -> list[ShardStats]:
-    """Reconstruct the completed-shard prefix from the ordered journal.
+    """Reconstruct the completed shards, ``bounds``, from the journal.
 
-    Verdict events land in union-observation order and each shard's
-    group ends at its ``shard`` boundary event, so splitting the
-    ordered event list at boundaries recovers exactly the per-shard
-    verdict sequences; folding them in journal order reproduces the
-    live merge byte for byte.  Scan events are folded by domain index
-    (each domain belongs to exactly one shard), rebuilding the
-    per-vantage attempt/success accounting the degradation rule needs.
+    Scan and verdict events fold by the shard their domain belongs to,
+    so boundary events left by a run with another shard size cannot
+    split or truncate a shard.  Verdicts of one shard stand in the
+    journal in union-observation order, so folding each shard's group
+    in shard order reproduces the live merge byte for byte.  The scans
+    rebuild the sweep's per-vantage attempt/success accounting, which
+    the degradation rule needs.
     """
-    domain_index = {domain: i for i, domain in enumerate(domains)}
-    completed_stop = bounds[completed - 1][2] if completed else 0
-    shards: list[ShardStats] = []
-    shard_iter = iter(bounds)
-    current = next(shard_iter)
-    group: list[ChainComplianceReport] = []
+    position = {
+        domain: i
+        for i, domain in enumerate(domains[:bounds[-1][2]])
+    }
+    groups: list[list[ChainComplianceReport]] = [[] for _ in bounds]
     for event in events:
+        at = position.get(event.get("domain"))
+        if at is None:
+            continue
         kind = event.get("type")
-        if kind == "scan":
-            if (event.get("vantage") in vantages
-                    and domain_index.get(event.get("domain"), -1)
-                    < completed_stop):
-                vantage = event["vantage"]
-                attempted[vantage] += 1
-                if event.get("success"):
-                    successes[vantage] += 1
+        if kind == "scan" and event.get("vantage") in VANTAGES:
+            vantage = event["vantage"]
+            sweep.attempted[vantage] += 1
+            if event.get("success"):
+                sweep.successes[vantage] += 1
         elif kind == "verdict":
-            if len(shards) < completed:
-                group.append(
-                    ChainComplianceReport.from_dict(event["report"])
-                )
-                unique_chain_hexes.add(tuple(event["chain_key"]))
-                unique_cert_hexes.update(event["chain_key"])
-        elif kind == "shard" and len(shards) < completed:
-            index, start, stop = current
-            dataset.merge(aggregate(group))
-            shards.append(ShardStats(
-                index=index, start=start, stop=stop,
-                observations=len(group), resumed=True,
-            ))
-            group = []
-            current = next(shard_iter, None)
-            if len(shards) == completed:
-                break
+            groups[at // shard_size].append(
+                ChainComplianceReport.from_dict(event["report"])
+            )
+            chain_key = tuple(bytes.fromhex(fp) for fp in event["chain_key"])
+            sweep.chain_keys.add(chain_key)
+            sweep.certificates.update(chain_key)
+    shards: list[ShardStats] = []
+    for (index, start, stop), group in zip(bounds, groups):
+        dataset.merge(aggregate(group))
+        sweep.observations += len(group)
+        shards.append(ShardStats(
+            index=index, start=start, stop=stop,
+            observations=len(group), resumed=True,
+        ))
     return shards
 
 
@@ -220,154 +215,94 @@ def run_sharded(
     campaign: Campaign,
     shard_size: int,
     *,
-    vantages: tuple[str, ...] = (VANTAGE_US, VANTAGE_AU),
     journal: RunJournal | None = None,
     retry_policy: RetryPolicy | None = None,
     breaker_threshold: int | None = None,
-    breaker_probe_interval: float = 300.0,
     cache=None,
     store: RootStore | None = None,
     fetcher: AIAFetcher | None = None,
     snapshot_writer=None,
     status=None,
+    progress_factory=None,
+    output: str | Path | None = None,
 ) -> ShardedRunResult:
     """Stream the campaign shard by shard with bounded peak memory.
 
     Parameters mirror :meth:`Campaign.collect` /
-    :meth:`Campaign.analyze`.  Each shard analyses through a fresh
+    :meth:`Campaign.analyze`: each shard is one slice of the same
+    collection sweep, and ``progress_factory(vantage, total)`` is
+    called once per vantage per shard, with the shard's domain count.
+    Each shard analyses through a fresh
     :class:`~repro.measurement.parallel.VerdictCache` over ``cache``'s
     persistent ``backing`` store, if any, and adds its hit/miss counts
     to ``cache``: the shard's reports are released with it, while the
     store still lets the shards of a warm run resolve their chains
-    instead of re-analysing them.  Each shard's vantage sweeps share
-    one decoded-block memo, released with the shard too.
+    instead of re-analysing them.
+
+    ``output`` names a JSONL file that receives each shard's union
+    observations before the shard is released; it ends up byte-equal
+    to :func:`~repro.measurement.dataset.save_observations` of
+    ``collect().observations``.  Completed shards of a resumed journal
+    are folded without a re-scan and have no observations to write, so
+    with ``output`` such a journal raises
+    :class:`~repro.errors.JournalError` before anything runs.
 
     ``status`` phases are shard-scoped — ``collect.shard.K`` counting
     scans, ``analyze.shard.K`` counting verdicts — as are the
     ``phase_scope`` resource metrics, so live dashboards and run
-    reports show per-shard progress and cost.
+    reports show per-shard progress and cost.  The collection summary
+    is journaled once the last shard is collected, before its verdicts.
     """
     tracer = obs.get_tracer()
-    network = campaign._ensure_network()
     domains = [d.domain for d in campaign.ecosystem.deployments]
     bounds = shard_bounds(len(domains), shard_size)
     store = store or campaign.ecosystem.registry.union()
     fetcher = (fetcher if fetcher is not None
                else campaign.ecosystem.aia_repo)
-
-    journaled_scans: set[tuple[str, str]] = set()
-    journaled_degradations: set[str] = set()
-    collection_journaled = False
+    sweep = _Sweep(campaign._ensure_network(), journal=journal,
+                   retry_policy=retry_policy,
+                   breaker_threshold=breaker_threshold)
     dataset = DatasetReport()
     shards: list[ShardStats] = []
-    attempted: Counter[str] = Counter()
-    successes: Counter[str] = Counter()
-    unique_chain_hexes: set[tuple[str, ...]] = set()
-    unique_cert_hexes: set[str] = set()
-    total_observations = 0
     completed = 0
     if journal is not None:
-        ordered = journal.events()
-        journaled_scans = {
-            (event.get("domain"), event.get("vantage"))
-            for event in ordered if event.get("type") == "scan"
-        }
-        journaled_degradations = {
-            event.get("vantage")
-            for event in ordered if event.get("type") == "degradation"
-        }
-        collection_journaled = any(
-            event.get("type") == "collection" for event in ordered
-        )
-        completed = _completed_prefix(bounds, ordered)
-        if completed:
-            shards = _fold_completed(
-                dataset, ordered, completed, bounds, domains, vantages,
-                attempted, successes, unique_chain_hexes,
-                unique_cert_hexes,
+        events = journal.events()
+        completed = _completed_prefix(bounds, events)
+    if completed:
+        if output is not None:
+            raise JournalError(
+                f"{journal.path}: holds {completed} completed shard(s), "
+                f"which resume without a re-scan, so {output} would "
+                f"miss their observations; write it from a fresh journal"
             )
-            total_observations = sum(s.observations for s in shards)
-            _log.info("shards.resumed", completed=completed,
-                      observations=total_observations)
+        shards = _fold_completed(dataset, events, bounds[:completed],
+                                 shard_size, domains, sweep)
+        _log.info("shards.resumed", completed=completed,
+                  observations=sweep.observations)
+    if completed == len(bounds):
+        # every shard folded from the journal: the sweep has no slice
+        # left to scan, so it ends here
+        sweep.finish(len(domains))
 
-    # One scanner (token bucket, breaker) per vantage for the whole
-    # run: the sharded sweep is the same continuous per-vantage scan
-    # as the unsharded one, merely chunked, so journaled durations and
-    # breaker behaviour carry across shard boundaries unchanged.
-    breakers: dict[str, CircuitBreaker | None] = {}
-    scanners: dict[str, Scanner] = {}
-    for vantage in vantages:
-        breaker = (
-            CircuitBreaker(
-                network.clock, vantage,
-                threshold=breaker_threshold,
-                probe_interval=breaker_probe_interval,
-            )
-            if breaker_threshold else None
-        )
-        breakers[vantage] = breaker
-        scanners[vantage] = Scanner(
-            network, vantage,
-            retry_policy=retry_policy, breaker=breaker,
-        )
-
-    def run_shard(index: int, start: int, stop: int) -> int:
+    def run_shard(index: int, start: int, stop: int, handle) -> int:
         """Collect, merge, and analyse one shard; returns the union
         observation count.  Everything per-shard — records, chains,
         per-chain reports — lives only in this frame, so it is
         released as soon as the shard's aggregate is merged."""
-        shard_domains = domains[start:stop]
-        with phase_scope(f"collect.shard.{index}"), \
-                tracer.span("campaign.collect.shard", index=index,
-                            domains=len(shard_domains)):
-            if status is not None:
-                status.begin_phase(f"collect.shard.{index}",
-                                   len(shard_domains) * len(vantages))
-            memo: dict = {}
-            per_vantage = {}
-            for vantage in vantages:
-
-                def observe(record) -> None:
-                    if journal is not None and (
-                        (record.domain, record.vantage)
-                        not in journaled_scans
-                    ):
-                        journal.record(
-                            "scan",
-                            domain=record.domain,
-                            vantage=record.vantage,
-                            success=record.success,
-                            tls_version=record.tls_version,
-                            error=(str(record.error)
-                                   if record.error else None),
-                            wire_bytes=record.wire_bytes,
-                            attempts=record.attempts,
-                            duration=record.duration,
-                        )
-                    if status is not None:
-                        status.advance(ok=record.success)
-
-                with tracer.span("campaign.scan", vantage=vantage,
-                                 shard=index):
-                    records = scanners[vantage].scan(
-                        shard_domains, versions=(TLS12,),
-                        progress=observe, memo=memo,
-                    )
-                per_vantage[vantage] = records
-                attempted[vantage] += len(records)
-                successes[vantage] += sum(
-                    1 for r in records if r.success
-                )
-            with tracer.span("campaign.union_merge", shard=index):
-                chain_keys, observations, all_certs = _merge_union(
-                    vantages, per_vantage
-                )
-            unique_chain_hexes.update(
-                tuple(fp.hex() for fp in key) for key in chain_keys
-            )
-            unique_cert_hexes.update(fp.hex() for fp in all_certs)
-            del memo, per_vantage, records, chain_keys, all_certs
-
+        per_vantage, observations = sweep.collect(
+            domains[start:stop], shard=index,
+            progress_factory=progress_factory, status=status,
+        )
+        # the scan records go before analysis; the union holds the
+        # chains the verdicts need
+        del per_vantage
+        if handle is not None:
+            for domain, chain in observations:
+                handle.write(observation_to_json(domain, chain) + "\n")
+        if stop == len(domains):
+            # the last slice ends the sweep: summarise the collection
+            # before this shard's verdicts
+            sweep.finish(len(domains))
         with phase_scope(f"analyze.shard.{index}"), \
                 tracer.span("campaign.analyze.shard", index=index,
                             chains=len(observations)):
@@ -388,12 +323,13 @@ def run_sharded(
                 cache.misses += shard_cache.misses
         return len(observations)
 
-    with phase_scope("run.sharded"), \
+    with (open(output, "w", encoding="utf-8") if output is not None
+          else nullcontext()) as handle, \
+            phase_scope("run.sharded"), \
             tracer.span("campaign.run_sharded", domains=len(domains),
                         shard_size=shard_size, shards=len(bounds)):
         for index, start, stop in bounds[completed:]:
-            count = run_shard(index, start, stop)
-            total_observations += count
+            count = run_shard(index, start, stop, handle)
             shards.append(ShardStats(
                 index=index, start=start, stop=stop,
                 observations=count,
@@ -404,51 +340,14 @@ def run_sharded(
             _log.info("shards.completed", index=index,
                       start=start, stop=stop, observations=count)
 
-        degraded_vantages: dict[str, str] = {}
-        for vantage in vantages:
-            breaker = breakers[vantage]
-            if breaker is not None and breaker.tripped:
-                reason = "breaker_open"
-            elif attempted[vantage] and not successes[vantage]:
-                reason = "no_successful_scans"
-            else:
-                continue
-            degraded_vantages[vantage] = reason
-            _log.warning("campaign.vantage_degraded",
-                         vantage=vantage, reason=reason)
-            obs.get_metrics().counter(
-                "campaign.vantage_degraded", vantage=vantage
-            ).inc()
-            if (journal is not None
-                    and vantage not in journaled_degradations):
-                journal.record_degradation(vantage, reason)
-
-    _log.info("campaign.collected", domains=len(domains),
-              observations=total_observations,
-              unique_chains=len(unique_chain_hexes),
-              degraded=bool(degraded_vantages))
-    if journal is not None and not collection_journaled:
-        journal.record(
-            "collection",
-            domains=len(domains),
-            observations=total_observations,
-            unique_chains=len(unique_chain_hexes),
-            unique_certificates=len(unique_cert_hexes),
-            degraded=bool(degraded_vantages),
-            degraded_vantages=degraded_vantages,
-        )
     return ShardedRunResult(
         report=dataset,
         domains=len(domains),
-        total_observations=total_observations,
-        unique_chains=len(unique_chain_hexes),
-        unique_certificates=len(unique_cert_hexes),
-        reachable_counts={
-            vantage: successes[vantage] for vantage in vantages
-        },
-        attempted_counts={
-            vantage: attempted[vantage] for vantage in vantages
-        },
-        degraded_vantages=degraded_vantages,
+        total_observations=sweep.observations,
+        unique_chains=len(sweep.chain_keys),
+        unique_certificates=len(sweep.certificates),
+        reachable_counts={v: sweep.successes[v] for v in VANTAGES},
+        attempted_counts={v: sweep.attempted[v] for v in VANTAGES},
+        degraded_vantages=sweep.degraded,
         shards=shards,
     )

@@ -235,12 +235,10 @@ class Scanner:
         Where the scanner runs.
     rate_limit:
         Bytes per simulated second; defaults to the paper's 500 KB/s.
-    retries / retry_cooldown:
-        Legacy spelling of a constant-delay, jitter-free
-        :class:`RetryPolicy`; ignored when ``retry_policy`` is given.
     retry_policy:
-        Full backoff control (exponential delay, deterministic jitter,
-        per-scan budget).
+        Backoff for transient failures (exponential delay,
+        deterministic jitter, per-scan budget); None scans each domain
+        exactly once.
     breaker:
         An optional per-vantage :class:`CircuitBreaker`; when open,
         scans return ``ScanErrorKind.SKIPPED`` records without
@@ -253,8 +251,6 @@ class Scanner:
         vantage: str,
         *,
         rate_limit: float = RATE_LIMIT_BYTES_PER_SECOND,
-        retries: int = 0,
-        retry_cooldown: float = 5.0,
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
     ) -> None:
@@ -263,17 +259,7 @@ class Scanner:
         self.bucket = TokenBucket(
             network.clock, rate=rate_limit, burst=rate_limit
         )
-        if retry_policy is None:
-            # The PR-1 behaviour: a fixed cooldown between attempts —
-            # the ethics section's "avoid multiple consecutive scans
-            # on a single server".
-            retry_policy = RetryPolicy(
-                retries=retries, base_delay=retry_cooldown,
-                multiplier=1.0, jitter=0.0,
-            )
-        self.retry_policy = retry_policy
-        self.retries = retry_policy.retries
-        self.retry_cooldown = retry_policy.base_delay
+        self.retry_policy = retry_policy or RetryPolicy()
         self.breaker = breaker
 
     def scan_domain(self, domain: str, *,

@@ -183,9 +183,10 @@ class TestAnalysis:
         assert report.total == len(reports) == 50
 
     def test_run_default_campaign_smoke(self):
-        from repro.measurement import run_default_campaign
-
-        campaign, report = run_default_campaign(n_domains=150, seed=33)
+        campaign = Campaign(Ecosystem.generate(
+            EcosystemConfig(n_domains=150, seed=33)
+        ))
+        report, _ = campaign.analyze()
         assert report.total >= 140
         assert 0 <= report.noncompliance_rate <= 100
 
@@ -194,7 +195,7 @@ class TestFlakyCollection:
     def test_retries_recover_coverage(self):
         """A flaky population scanned with retries reaches near-full
         coverage; without retries it visibly drops."""
-        from repro.net import Scanner
+        from repro.net import RetryPolicy, Scanner
         from repro.webpki import Ecosystem, EcosystemConfig
 
         ecosystem = Ecosystem.generate(
@@ -210,7 +211,9 @@ class TestFlakyCollection:
         flaky_hits = sum(
             r.success for r in impatient.scan(domains)
         )
-        patient = Scanner(network, "us", retries=5, retry_cooldown=1.0)
+        patient = Scanner(network, "us", retry_policy=RetryPolicy(
+            retries=5, base_delay=1.0, multiplier=1.0, jitter=0.0,
+        ))
         patient_hits = sum(
             r.success for r in patient.scan(domains)
         )

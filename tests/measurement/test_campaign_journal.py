@@ -183,7 +183,8 @@ class TestJournaledCollection:
         })
         assert len([e for e in events if e["type"] == "collection"]) == 1
 
-    def test_progress_factory_sees_every_domain(self, campaign):
+    @pytest.mark.parametrize("entry", ["collect", "run_sharded"])
+    def test_progress_factory_sees_every_domain(self, campaign, entry):
         class Recorder:
             def __init__(self, vantage, total):
                 self.vantage = vantage
@@ -204,7 +205,18 @@ class TestJournaledCollection:
             recorders.append(recorder)
             return recorder
 
-        campaign.collect(progress_factory=factory)
-        assert [r.vantage for r in recorders] == ["us", "au"]
+        if entry == "collect":
+            campaign.collect(progress_factory=factory)
+            shards = 1
+        else:
+            # every shard's vantages get their own progress object
+            shards = len(campaign.run_sharded(
+                100, progress_factory=factory
+            ).shards)
+            assert shards > 1
+        assert [r.vantage for r in recorders] == ["us", "au"] * shards
         assert all(r.updates == r.total for r in recorders)
         assert all(r.finished for r in recorders)
+        assert sum(r.total for r in recorders) == (
+            2 * len(campaign.ecosystem.deployments)
+        )

@@ -212,6 +212,28 @@ class TestResume:
         rendered = render_report_text(build_report(manifest, events))
         assert rendered == flat["render"]
 
+    def test_other_shard_size_boundaries_do_not_split_a_shard(
+        self, flat, tmp_path
+    ):
+        """A run interrupted at one shard size and finished at another
+        leaves both sizes' boundary events in the journal; resuming at
+        the second size folds each of its shards whole."""
+        partial = self._truncated(tmp_path, 7, keep_shards=2,
+                                  extra_lines=0)
+        population = flat["population"]
+        campaign = fresh_campaign()
+        with RunJournal.open(partial, campaign.manifest()) as journal:
+            campaign.run_sharded(population, journal=journal)
+        again = fresh_campaign()
+        with RunJournal.open(partial, again.manifest()) as journal:
+            result = again.run_sharded(population, journal=journal)
+            assert journal.events_written == 0
+        assert result.resumed_shards == 1
+        assert fingerprint(result.report) == flat["fingerprint"]
+        reference = flat["collection"]
+        assert result.total_observations == reference.total_observations
+        assert result.unique_chains == reference.unique_chains
+
     def test_completed_run_resumes_without_new_events(self, tmp_path):
         campaign = fresh_campaign()
         path = tmp_path / "done.jsonl"
@@ -285,6 +307,25 @@ class TestDegradedVantage:
         )
         assert collection["degraded"] is True
         assert collection["degraded_vantages"] == {
+            VANTAGE_AU: "breaker_open"
+        }
+
+
+    def test_resumed_run_keeps_journaled_degradation(self, tmp_path):
+        """Completed shards fold without a re-scan, so the breaker that
+        tripped never runs again; the journaled reason stands."""
+        path = tmp_path / "degraded.jsonl"
+        first = self._campaign_with_outage()
+        with RunJournal.open(path, first.manifest()) as journal:
+            done = first.run_sharded(7, journal=journal,
+                                     breaker_threshold=10)
+        again = self._campaign_with_outage()
+        with RunJournal.open(path, again.manifest()) as journal:
+            resumed = again.run_sharded(7, journal=journal,
+                                        breaker_threshold=10)
+            assert journal.events_written == 0
+        assert resumed.resumed_shards == len(resumed.shards)
+        assert resumed.degraded_vantages == done.degraded_vantages == {
             VANTAGE_AU: "breaker_open"
         }
 

@@ -114,7 +114,9 @@ class TestErrorMetrics:
         net, _ = network
         net.make_flaky("c.example", 1.0)  # every attempt fails
         with obs.instrumented() as (registry, _):
-            Scanner(net, "us", retries=3).scan_domain("c.example")
+            Scanner(net, "us", retry_policy=RetryPolicy(
+                retries=3, base_delay=5.0, multiplier=1.0, jitter=0.0,
+            )).scan_domain("c.example")
         obs.disable()
         # four attempts (initial + 3 retries), one failed scan
         assert registry.value("scan.error", vantage="us",
@@ -131,7 +133,9 @@ class TestErrorMetrics:
         net, _ = network
         net.make_flaky("b.example", 0.5)
         with obs.instrumented() as (registry, _):
-            scanner = Scanner(net, "us", retries=2)
+            scanner = Scanner(net, "us", retry_policy=RetryPolicy(
+                retries=2, base_delay=5.0, multiplier=1.0, jitter=0.0,
+            ))
             scanner.scan(
                 ["a.example", "b.example", "ghost.example",
                  "modern.example"] * 5
@@ -226,7 +230,9 @@ class TestFlakinessAndRetries:
     def test_retries_recover_transient_failures(self, network):
         net, _ = network
         net.make_flaky("b.example", 0.5)
-        patient = Scanner(net, "us", retries=6)
+        patient = Scanner(net, "us", retry_policy=RetryPolicy(
+            retries=6, base_delay=5.0, multiplier=1.0, jitter=0.0,
+        ))
         successes = sum(
             patient.scan_domain("b.example").success for _ in range(25)
         )
@@ -236,7 +242,9 @@ class TestFlakinessAndRetries:
     def test_retry_cooldown_advances_clock(self, network):
         net, _ = network
         net.make_flaky("c.example", 1.0)  # always fails -> all retries used
-        scanner = Scanner(net, "us", retries=3, retry_cooldown=10.0)
+        scanner = Scanner(net, "us", retry_policy=RetryPolicy(
+            retries=3, base_delay=10.0, multiplier=1.0, jitter=0.0,
+        ))
         before = net.clock.now()
         record = scanner.scan_domain("c.example")
         assert not record.success
@@ -245,7 +253,9 @@ class TestFlakinessAndRetries:
 
     def test_handshake_failures_not_retried(self, network):
         net, _ = network
-        scanner = Scanner(net, "us", retries=5, retry_cooldown=100.0)
+        scanner = Scanner(net, "us", retry_policy=RetryPolicy(
+            retries=5, base_delay=100.0, multiplier=1.0, jitter=0.0,
+        ))
         before = net.clock.now()
         record = scanner.scan_domain("modern.example", versions=(TLS12,))
         assert record.error == "handshake_failed"
@@ -256,7 +266,9 @@ class TestFlakinessAndRetries:
         # recover and the comparison sees the identical chain pair.
         net, _ = network
         net.make_flaky("a.example", 0.4)
-        scanner = Scanner(net, "us", retries=8)
+        scanner = Scanner(net, "us", retry_policy=RetryPolicy(
+            retries=8, base_delay=5.0, multiplier=1.0, jitter=0.0,
+        ))
         results = scanner.scan_both_versions(["a.example"])
         tls12, tls13 = results["a.example"]
         assert tls12.success and tls13.success
@@ -270,7 +282,9 @@ class TestFlakinessAndRetries:
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            Scanner(net, "us", retries=-1)
+            Scanner(net, "us", retry_policy=RetryPolicy(
+                retries=-1, base_delay=5.0, multiplier=1.0, jitter=0.0,
+            ))
 
     def test_flaky_probability_validated(self, network):
         net, _ = network

@@ -203,6 +203,128 @@ class TestScanNetworkMode:
         assert "campaign.collect" in names and "campaign.analyze" in names
 
 
+class TestScanNetworkOutput:
+    """Every network scan runs shard by shard; ``--output`` appends each
+    shard's union before the shard is released."""
+
+    BASE = ["scan", "--domains", "60", "--seed", "6", "--simulate-network"]
+
+    @pytest.mark.parametrize("shard_size", ["0", "7"])
+    def test_output_matches_collected_observations(self, tmp_path,
+                                                   shard_size, capsys):
+        from repro.measurement import Campaign, save_observations
+        from repro.webpki import Ecosystem, EcosystemConfig
+
+        reference = tmp_path / "reference.jsonl"
+        campaign = Campaign(Ecosystem.generate(
+            EcosystemConfig(n_domains=60, seed=6)
+        ))
+        count = save_observations(reference,
+                                  campaign.collect().observations)
+        corpus = tmp_path / "corpus.jsonl"
+        code = main(self.BASE + ["--shard-size", shard_size,
+                                 "--output", str(corpus)])
+        assert code == 0
+        assert corpus.read_bytes() == reference.read_bytes()
+        out = capsys.readouterr().out
+        assert f"wrote {count:,} observations to {corpus}" in out
+
+    def test_output_refused_when_shards_resume(self, tmp_path, capsys):
+        """Completed shards fold from the journal without a re-scan, so
+        they have no observations to export: refuse, do not write a
+        partial corpus."""
+        journal = tmp_path / "run.jsonl"
+        args = self.BASE + ["--shard-size", "7", "--journal", str(journal)]
+        assert main(args) == 0
+        capsys.readouterr()
+        recorded = journal.read_bytes()
+        corpus = tmp_path / "corpus.jsonl"
+        code = main(args + ["--output", str(corpus)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"repro-chain scan: {journal}: ")
+        assert "completed shard" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not corpus.exists()
+        assert journal.read_bytes() == recorded
+
+
+class TestOutputFileErrors:
+    """An output path in a missing directory gets one line and the
+    command's input-error code before any work, never a traceback."""
+
+    @pytest.mark.parametrize("flag", [
+        "--metrics-out", "--trace-out", "--openmetrics-out",
+        "--report-out", "--output",
+    ])
+    def test_scan_fails_before_generating(self, tmp_path, flag, capsys):
+        bad = tmp_path / "missing" / "out.json"
+        code = main(["scan", "--domains", "60", "--seed", "6",
+                     "--simulate-network", "--journal",
+                     str(tmp_path / "run.jsonl"), flag, str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-chain scan: {bad}: No such file or directory\n"
+        )
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_metrics_out_in_missing_directory(self, tmp_path, capsys):
+        bad = tmp_path / "nonexistent" / "m.json"
+        code = main(["scan", "--domains", "60", "--seed", "6",
+                     "--simulate-network", "--metrics-out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--json-out"])
+    def test_report_exits_two(self, journaled_scan, tmp_path, flag,
+                              capsys):
+        journal, _, _ = journaled_scan
+        bad = tmp_path / "missing" / "report.html"
+        assert main(["report", str(journal), flag, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-chain report: {bad}: No such file or directory\n"
+        )
+
+    def test_diff_runs_exits_three(self, journaled_scan, tmp_path, capsys):
+        """2 means a threshold breach for diff-runs, so its input-error
+        code is 3."""
+        _, _, report = journaled_scan
+        bad = tmp_path / "missing" / "diff.json"
+        code = main(["diff-runs", str(report), str(report),
+                     "--json-out", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-chain diff-runs: {bad}: No such file or directory\n"
+        )
+
+    def test_repair_exits_two(self, broken_chain_file, tmp_path, capsys):
+        bad = tmp_path / "missing" / "fixed.pem"
+        code = main(["repair", str(broken_chain_file),
+                     "--domain", "fixture.example", "-o", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro-chain repair: {bad}: No such file or directory\n"
+        )
+
+    def test_output_naming_a_directory(self, tmp_path, capsys):
+        code = main(["scan", "--domains", "60", "--seed", "6",
+                     "--output", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro-chain scan: {tmp_path}: Is a directory\n"
+        )
+
+
 class TestStats:
     def test_stats_from_file(self, tmp_path, capsys):
         import json
