@@ -35,9 +35,46 @@ is also reachable as ``python -m repro.cli ...``.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from contextlib import contextmanager
 
 from repro.x509 import load_pem_bundle, to_pem_bundle
+
+
+@contextmanager
+def _collector_policy():
+    """The process's cyclic-collector policy for a command that builds
+    a world (ecosystem, network, store index, journal) and then runs a
+    per-chain loop over it.
+
+    Automatic collection is off while the world is built: set-up makes
+    no cyclic garbage, so every pass there would only walk objects
+    that live until exit.  The yielded ``start_hot_loop()`` freezes
+    what set-up built into the permanent generation, which later
+    passes skip, and turns collection back on (if it was on at entry)
+    for the loop, whose per-chain garbage it does collect.  On every
+    exit the heap is unfrozen and the collector left as it was found,
+    so an in-process caller of :func:`main` keeps its own policy.
+    Library code never touches the collector; this is the CLI's choice
+    for its process (docs/PERFORMANCE.md, "The collector policy").
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+
+    def start_hot_loop() -> None:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+    try:
+        yield start_hot_loop
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 def _unwritable(command: str, *paths: str | None) -> bool:
@@ -111,12 +148,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 2
 
     obs.configure()
-    with obs.instrumented() as (registry, tracer):
+    with obs.instrumented() as (registry, tracer), \
+            _collector_policy() as start_hot_loop:
         obs.catalogue.preregister(registry)
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=args.domains, seed=args.seed)
         )
-        campaign = Campaign(ecosystem)
+        campaign = Campaign(
+            ecosystem,
+            network=ecosystem.install() if args.simulate_network else None,
+        )
         verdict_store = None
         if args.cache_dir:
             from repro.errors import StoreError
@@ -189,6 +230,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             retry_policy = RetryPolicy(
                 retries=args.retries, base_delay=args.backoff
             )
+        observations = (None if args.simulate_network
+                        else ecosystem.observations())
+        start_hot_loop()
         try:
             cache = VerdictCache(backing=verdict_store)
             if args.simulate_network:
@@ -233,7 +277,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 print(f"shards: {len(sharded.shards)} × "
                       f"{shard_size:,} domains{resumed_note}")
             else:
-                observations = ecosystem.observations()
                 if status is not None:
                     status.begin_phase("analyze", len(observations))
                 report, _ = campaign.analyze(
@@ -343,9 +386,8 @@ def _format_report(report, destination: str,
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Render a metrics snapshot (from a file or a fresh small run)."""
-    import json
-
     from repro import obs
+    from repro.errors import MetricsError
 
     if args.openmetrics and not args.metrics:
         print("repro-chain stats: --openmetrics requires a metrics "
@@ -353,21 +395,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 2
     if args.metrics:
         try:
-            with open(args.metrics, encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            print(f"repro-chain stats: cannot read {args.metrics}: "
-                  f"{reason}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"repro-chain stats: {args.metrics} is not valid "
-                  f"metrics JSON ({exc})", file=sys.stderr)
-            return 2
-        if not isinstance(snapshot, dict):
-            print(f"repro-chain stats: {args.metrics}: expected a JSON "
-                  f"object of metric families (from 'scan "
-                  f"--metrics-out'), got {type(snapshot).__name__}",
+            snapshot = obs.load_snapshot(args.metrics)
+        except MetricsError as exc:
+            print(f"repro-chain stats: {args.metrics}: {exc}",
                   file=sys.stderr)
             return 2
         if args.openmetrics:
@@ -379,11 +409,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.measurement import Campaign
     from repro.webpki import Ecosystem, EcosystemConfig
 
-    with obs.instrumented() as (registry, tracer):
+    with obs.instrumented() as (registry, tracer), \
+            _collector_policy() as start_hot_loop:
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=args.domains, seed=args.seed)
         )
-        Campaign(ecosystem).run_sharded(len(ecosystem.deployments))
+        campaign = Campaign(ecosystem, network=ecosystem.install())
+        start_hot_loop()
+        campaign.run_sharded(len(ecosystem.deployments))
         print(obs.render_metrics_table(registry.snapshot(), top=args.top))
         print()
         print("== phase timing ==")
@@ -403,25 +436,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Aggregate one run journal into a rendered run report."""
-    import json
-
     from repro import obs
-    from repro.errors import JournalError
+    from repro.errors import JournalError, MetricsError
 
     if _unwritable("report", args.out, args.json_out):
         return 2
     metrics = None
     if args.metrics:
         try:
-            with open(args.metrics, encoding="utf-8") as handle:
-                metrics = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro-chain report: cannot read metrics "
-                  f"{args.metrics}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(metrics, dict):
-            print(f"repro-chain report: {args.metrics}: expected a "
-                  f"JSON object of metric families",
+            metrics = obs.load_snapshot(args.metrics)
+        except MetricsError as exc:
+            print(f"repro-chain report: {args.metrics}: {exc}",
                   file=sys.stderr)
             return 2
     try:
@@ -635,23 +660,25 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.measurement import analyze_observations
     from repro.webpki import Ecosystem, EcosystemConfig
 
-    ecosystem = Ecosystem.generate(
-        EcosystemConfig(n_domains=args.domains, seed=args.seed)
-    )
-    matches = [(domain, chain)
-               for domain, chain in ecosystem.observations()
-               if domain == args.domain]
-    if not matches:
-        print(f"repro-chain explain: {args.domain!r} is not in the "
-              f"generated ecosystem (--domains {args.domains} "
-              f"--seed {args.seed})", file=sys.stderr)
-        return 2
-    store = ecosystem.registry.union()
-    # One pipeline pass: observations serving the identical chain are
-    # analysed once and fanned back out.
-    reports, _ = analyze_observations(
-        matches, store=store, fetcher=ecosystem.aia_repo,
-    )
+    with _collector_policy() as start_hot_loop:
+        ecosystem = Ecosystem.generate(
+            EcosystemConfig(n_domains=args.domains, seed=args.seed)
+        )
+        matches = [(domain, chain)
+                   for domain, chain in ecosystem.observations()
+                   if domain == args.domain]
+        if not matches:
+            print(f"repro-chain explain: {args.domain!r} is not in the "
+                  f"generated ecosystem (--domains {args.domains} "
+                  f"--seed {args.seed})", file=sys.stderr)
+            return 2
+        store = ecosystem.registry.union()
+        start_hot_loop()
+        # One pipeline pass: observations serving the identical chain
+        # are analysed once and fanned back out.
+        reports, _ = analyze_observations(
+            matches, store=store, fetcher=ecosystem.aia_repo,
+        )
     for index, ((domain, chain), report) in enumerate(zip(matches, reports)):
         if index:
             print()
@@ -717,77 +744,80 @@ def _cmd_differential(args: argparse.Namespace) -> int:
     from repro.errors import JournalError
     from repro.webpki import Ecosystem, EcosystemConfig
 
-    ecosystem = Ecosystem.generate(
-        EcosystemConfig(n_domains=args.domains, seed=args.seed)
-    )
-    harness = DifferentialHarness(
-        ecosystem.registry, aia_fetcher=ecosystem.aia_repo
-    )
-    verdict_store = None
-    if args.cache_dir:
-        from repro.errors import StoreError
-        from repro.measurement import VerdictStore
-
-        try:
-            verdict_store = VerdictStore(args.cache_dir)
-        except StoreError as exc:
-            print(f"repro-chain differential: {exc}", file=sys.stderr)
-            return 2
-        loaded = verdict_store.stats()
-        print(f"verdict store: {loaded['outcomes']:,} outcomes loaded "
-              f"from {args.cache_dir}")
-    journal = None
-    if args.journal:
-        try:
-            journal = obs.RunJournal.open(args.journal, {
-                "run": "differential",
-                "config": {
-                    "n_domains": args.domains,
-                    "now": ecosystem.config.now.isoformat(),
-                },
-                "seed": args.seed,
-                "root_store_digest": ecosystem.registry.union().digest(),
-            }, flush_every=args.journal_flush_every)
-        except JournalError as exc:
-            print(f"repro-chain differential: {exc}", file=sys.stderr)
-            return 2
-        resumed = len(journal.events("differential"))
-        if resumed:
-            print(f"journal: {resumed:,} differential outcomes already "
-                  f"recorded in {args.journal}; re-evaluating without "
-                  f"re-appending them")
-    # Stored outcomes must not depend on evaluation order, which a
-    # learning Firefox intermediate cache makes them do: with
-    # --cache-dir the harness evaluates against the cold-cache model.
-    learning = verdict_store is None
-    if not learning:
-        print("cache-dir: persistent outcomes require order-independent "
-              "evaluation; using a cold (non-learning) intermediate "
-              "cache")
-    try:
-        report = harness.run(
-            ecosystem.observations(), at_time=ecosystem.config.now,
-            observe_into_cache=learning, journal=journal,
-            verdict_store=verdict_store,
+    with _collector_policy() as start_hot_loop:
+        ecosystem = Ecosystem.generate(
+            EcosystemConfig(n_domains=args.domains, seed=args.seed)
         )
-    finally:
-        if journal is not None:
-            journal.close()
+        harness = DifferentialHarness(
+            ecosystem.registry, aia_fetcher=ecosystem.aia_repo
+        )
+        verdict_store = None
+        if args.cache_dir:
+            from repro.errors import StoreError
+            from repro.measurement import VerdictStore
+
+            try:
+                verdict_store = VerdictStore(args.cache_dir)
+            except StoreError as exc:
+                print(f"repro-chain differential: {exc}", file=sys.stderr)
+                return 2
+            loaded = verdict_store.stats()
+            print(f"verdict store: {loaded['outcomes']:,} outcomes loaded "
+                  f"from {args.cache_dir}")
+        journal = None
+        if args.journal:
+            try:
+                journal = obs.RunJournal.open(args.journal, {
+                    "run": "differential",
+                    "config": {
+                        "n_domains": args.domains,
+                        "now": ecosystem.config.now.isoformat(),
+                    },
+                    "seed": args.seed,
+                    "root_store_digest": ecosystem.registry.union().digest(),
+                }, flush_every=args.journal_flush_every)
+            except JournalError as exc:
+                print(f"repro-chain differential: {exc}", file=sys.stderr)
+                return 2
+            resumed = len(journal.events("differential"))
+            if resumed:
+                print(f"journal: {resumed:,} differential outcomes already "
+                      f"recorded in {args.journal}; re-evaluating without "
+                      f"re-appending them")
+        # Stored outcomes must not depend on evaluation order, which a
+        # learning Firefox intermediate cache makes them do: with
+        # --cache-dir the harness evaluates against the cold-cache model.
+        learning = verdict_store is None
+        if not learning:
+            print("cache-dir: persistent outcomes require order-independent "
+                  "evaluation; using a cold (non-learning) intermediate "
+                  "cache")
+        observations = ecosystem.observations()
+        start_hot_loop()
+        try:
+            report = harness.run(
+                observations, at_time=ecosystem.config.now,
+                observe_into_cache=learning, journal=journal,
+                verdict_store=verdict_store,
+            )
+        finally:
+            if journal is not None:
+                journal.close()
+            if verdict_store is not None:
+                store_stats = verdict_store.stats()
+                verdict_store.close()
         if verdict_store is not None:
-            store_stats = verdict_store.stats()
-            verdict_store.close()
-    if verdict_store is not None:
-        print(f"verdict store: {store_stats['hits']:,} hits / "
-              f"{store_stats['misses']:,} misses / "
-              f"{store_stats['writes']:,} writes")
-    print(f"chains evaluated : {report.total:,} x 8 clients")
-    print(f"library failures : {report.failure_rate(LIBRARIES):.1f}%")
-    print(f"browser failures : "
-          f"{report.failure_rate(DIFFERENTIAL_BROWSERS):.1f}%")
-    print("attribution:")
-    for tag, count in sorted(report.attribution_counts().items()):
-        print(f"  {tag:28} {count:,}")
-    return 0
+            print(f"verdict store: {store_stats['hits']:,} hits / "
+                  f"{store_stats['misses']:,} misses / "
+                  f"{store_stats['writes']:,} writes")
+        print(f"chains evaluated : {report.total:,} x 8 clients")
+        print(f"library failures : {report.failure_rate(LIBRARIES):.1f}%")
+        print(f"browser failures : "
+              f"{report.failure_rate(DIFFERENTIAL_BROWSERS):.1f}%")
+        print("attribution:")
+        for tag, count in sorted(report.attribution_counts().items()):
+            print(f"  {tag:28} {count:,}")
+        return 0
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:

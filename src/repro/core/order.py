@@ -90,7 +90,7 @@ def analyze_order(chain: list[Certificate],
         defects=frozenset(defects),
         duplicate_roles=frozenset(topo.duplicate_roles()),
         max_duplicate_count=topo.max_duplicate_count,
-        irrelevant_count=len(topo.irrelevant_nodes()),
+        irrelevant_count=topo.irrelevant_count,
         path_count=len(topo.leaf_paths),
         reversed_any=topo.has_reversed_path,
         reversed_all=topo.all_paths_reversed,

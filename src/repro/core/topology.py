@@ -219,8 +219,15 @@ class ChainTopology:
         ]
 
     @property
+    def irrelevant_count(self) -> int:
+        """How many unique certificates :meth:`irrelevant_nodes` lists,
+        counted without building the list: every relevant position is
+        a node."""
+        return len(self.nodes) - len(self.relevant_positions)
+
+    @property
     def has_irrelevant(self) -> bool:
-        return bool(self.irrelevant_nodes())
+        return self.irrelevant_count > 0
 
     # ------------------------------------------------------------------
     # Reversed sequences

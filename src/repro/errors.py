@@ -191,5 +191,15 @@ class StoreError(MeasurementError):
     """
 
 
+class MetricsError(ReproError):
+    """A metrics snapshot file could not be read or is malformed.
+
+    Raised by :func:`repro.obs.metrics.load_snapshot` for an unreadable
+    file, invalid JSON, or a metric family whose shape is not the one
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` writes; the
+    message names the bad family.
+    """
+
+
 class EcosystemError(ReproError):
     """The synthetic ecosystem definition is inconsistent."""

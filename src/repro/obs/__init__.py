@@ -54,6 +54,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullMetricsRegistry,
+    load_snapshot,
 )
 from repro.obs.probe import SamplingProbe, phase_scope, read_rss_bytes
 from repro.obs.render import render_metrics_table
@@ -108,6 +109,7 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "instrumented",
+    "load_snapshot",
     "parse_health_rule",
     "parse_serve_address",
     "phase_scope",

@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import threading
 from collections.abc import Iterable, Mapping
+
+from repro.errors import MetricsError
 
 __all__ = [
     "Counter",
@@ -37,6 +40,7 @@ __all__ = [
     "NullGauge",
     "NullHistogram",
     "NullMetricsRegistry",
+    "load_snapshot",
 ]
 
 #: Default histogram bucket upper bounds: a coarse exponential ladder
@@ -295,6 +299,95 @@ class MetricsRegistry:
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+
+def load_snapshot(path: str) -> dict[str, dict]:
+    """Read a metrics snapshot file (``scan --metrics-out``) and check it.
+
+    The snapshot comes back only when every family has the shape
+    :meth:`MetricsRegistry.snapshot` writes, so the table and
+    OpenMetrics renderers and the run report can read it unchecked.
+    Anything else raises :class:`~repro.errors.MetricsError`: an
+    unreadable file, invalid JSON, or a bad family, which the message
+    names.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+    except OSError as exc:
+        raise MetricsError(f"cannot read ({exc.strerror or exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise MetricsError(f"not valid metrics JSON ({exc})") from exc
+    if not isinstance(snapshot, dict):
+        raise MetricsError(
+            f"expected a JSON object of metric families (from 'scan "
+            f"--metrics-out'), got {type(snapshot).__name__}"
+        )
+    for name, family in snapshot.items():
+        problem = _family_problem(family)
+        if problem is not None:
+            raise MetricsError(f"metric family {name!r}: {problem}")
+    return snapshot
+
+
+def _family_problem(family: object) -> str | None:
+    if not isinstance(family, dict):
+        return f"expected an object, got {type(family).__name__}"
+    kind = family.get("type", "counter")
+    if kind not in ("counter", "gauge", "histogram"):
+        return "'type' must be counter, gauge or histogram"
+    series = family.get("series", [])
+    if not isinstance(series, list):
+        return f"'series' must be a list, got {type(series).__name__}"
+    for index, entry in enumerate(series):
+        problem = _series_problem(kind, entry)
+        if problem is not None:
+            return f"series {index}: {problem}"
+    return None
+
+
+def _series_problem(kind: str, entry: object) -> str | None:
+    if not isinstance(entry, dict):
+        return f"expected an object, got {type(entry).__name__}"
+    labels = entry.get("labels", {})
+    if not (isinstance(labels, dict)
+            and all(isinstance(v, str) for v in labels.values())):
+        return "'labels' must be an object of string values"
+    if kind != "histogram":
+        return _number_problem(entry, "value")
+    for key in ("count", "sum", "min", "max", "mean"):
+        problem = _number_problem(entry, key)
+        if problem is not None:
+            return problem
+    for key in ("buckets", "quantiles"):
+        values = entry.get(key, {})
+        if not isinstance(values, dict):
+            return f"{key!r} must be an object"
+        for label in values:
+            if key == "buckets" and not _is_bound(label):
+                return f"'buckets': bound {label!r} is not a finite number"
+            problem = _number_problem(values, label)
+            if problem is not None:
+                return f"{key!r}: {problem}"
+    return None
+
+
+def _number_problem(entry: dict, key: str) -> str | None:
+    value = entry.get(key, 0)
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return None
+    except (TypeError, OverflowError):  # not a number, or too large
+        pass
+    return f"{key!r} must be a finite number"
+
+
+def _is_bound(label: str) -> bool:
+    """A histogram bucket key: ``"+Inf"`` or a finite number."""
+    try:
+        return label == "+Inf" or math.isfinite(float(label))
+    except ValueError:
+        return False
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,13 @@ import threading
 
 import pytest
 
+from repro.errors import MetricsError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
+    load_snapshot,
 )
 
 
@@ -150,6 +152,33 @@ class TestSnapshot:
         hist = restored["bytes"]["series"][0]
         assert hist["count"] == 1
         assert hist["quantiles"]["p50"] == pytest.approx(123, abs=200)
+
+    def test_load_snapshot_accepts_what_to_json_writes(self, registry,
+                                                       tmp_path):
+        registry.counter("scan.attempts", vantage="us").inc(3)
+        registry.gauge("cache.size").set(7)
+        registry.histogram("bytes").observe(123)
+        registry.histogram("empty")
+        path = tmp_path / "metrics.json"
+        path.write_text(registry.to_json())
+        assert load_snapshot(path) == registry.snapshot()
+
+    @pytest.mark.parametrize("family", [
+        {"type": "summary", "series": []},
+        {"series": [{"labels": {"vantage": 1}, "value": 1}]},
+        {"series": [{"value": True}]},
+        {"type": "histogram", "series": [{"sum": float("inf")}]},
+        {"type": "histogram", "series": [{"count": 10 ** 400}]},
+        {"type": "histogram", "series": [{"buckets": {"nan": 1}}]},
+        {"type": "histogram", "series": [{"buckets": {"1.0": "a"}}]},
+        {"type": "histogram", "series": [{"quantiles": []}]},
+    ])
+    def test_load_snapshot_names_a_malformed_family(self, tmp_path,
+                                                    family):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"ok": {"series": []}, "bad": family}))
+        with pytest.raises(MetricsError, match="^metric family 'bad': "):
+            load_snapshot(path)
 
     def test_len_counts_series(self, registry):
         registry.counter("a", x=1)

@@ -162,6 +162,69 @@ class TestScanAndDifferential:
         assert "attribution" in out
 
 
+class TestCollectorPolicy:
+    """A command that builds a world does so with automatic collection
+    paused, runs its per-chain loop with the collector on over the
+    frozen set-up heap, and leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("loop, argv", [
+        ("repro.measurement.campaign.Campaign.analyze",
+         ["scan", "--domains", "60", "--seed", "6"]),
+        ("repro.measurement.campaign.Campaign.run_sharded",
+         ["scan", "--domains", "60", "--seed", "6", "--simulate-network"]),
+        ("repro.chainbuilder.differential.DifferentialHarness.run",
+         ["differential", "--domains", "60", "--seed", "6"]),
+    ], ids=["scan", "scan-simulate-network", "differential"])
+    def test_hot_loop_runs_collected_over_frozen_heap(
+        self, monkeypatch, capsys, loop, argv
+    ):
+        import gc
+        import importlib
+
+        module_name, class_name, method = loop.rsplit(".", 2)
+        owner = getattr(importlib.import_module(module_name), class_name)
+        original = getattr(owner, method)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, method, spy)
+        assert main(argv) == 0
+        assert seen == [(True, True)]
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["entered-enabled", "entered-disabled"])
+    @pytest.mark.parametrize("corrupt_store", [False, True],
+                             ids=["clean-exit", "set-up-exit-2"])
+    def test_main_leaves_the_collector_as_found(
+        self, tmp_path, capsys, enabled, corrupt_store
+    ):
+        import gc
+
+        store = tmp_path / "store"
+        store.mkdir()
+        if corrupt_store:
+            (store / "meta.json").write_text("{not json")
+        was_enabled = gc.isenabled()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            code = main(["scan", "--domains", "60", "--seed", "6",
+                         "--simulate-network", "--cache-dir", str(store)])
+            state = (gc.isenabled(), gc.get_freeze_count())
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+        assert code == (2 if corrupt_store else 0)
+        assert state == (enabled, 0)
+
+
 class TestScanNetworkMode:
     def test_simulated_network_scan(self, capsys):
         code = main(["scan", "--domains", "120", "--seed", "6",
@@ -711,6 +774,42 @@ class TestReportCommand:
         code = main(["report", str(corrupt)])
         assert code == 2
         assert "corrupt journal" in capsys.readouterr().err
+
+
+class TestMalformedMetricsSnapshot:
+    """A metrics file whose families are not snapshot-shaped is refused
+    with one line and exit 2 by every command that reads one."""
+
+    @pytest.mark.parametrize("payload", [
+        {"x": 5},
+        {"x": {"type": "counter", "series": 5}},
+        {"x": {"type": "counter",
+               "series": [{"labels": 3, "value": "a"}]}},
+    ], ids=["family-not-object", "series-not-list", "bad-series"])
+    @pytest.mark.parametrize("invocation", [
+        "stats", "stats-openmetrics", "report",
+    ])
+    def test_exits_two_with_one_line(self, journaled_scan, tmp_path,
+                                     capsys, payload, invocation):
+        import json
+
+        journal, _, _ = journaled_scan
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(payload))
+        argv = {
+            "stats": ["stats", str(path)],
+            "stats-openmetrics": ["stats", str(path), "--openmetrics"],
+            "report": ["report", str(journal), "--metrics", str(path)],
+        }[invocation]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            f"repro-chain {argv[0]}: {path}: metric family 'x': "
+        )
 
 
 class TestScanReportOut:

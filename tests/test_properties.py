@@ -158,6 +158,10 @@ def test_topology_invariants(chain):
     for position in topology.relevant_positions:
         for parent in topology.parents[position]:
             assert parent in topology.relevant_positions
+    # The counted irrelevant certificates are the listed ones.
+    assert topology.has_irrelevant == bool(topology.irrelevant_nodes())
+    assert (analyze_order(chain).irrelevant_count
+            == len(topology.irrelevant_nodes()))
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
