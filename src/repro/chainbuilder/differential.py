@@ -218,10 +218,9 @@ class DifferentialHarness:
         *,
         clients: tuple[ClientPolicy, ...] = ALL_CLIENTS,
         aia_fetcher: AIAFetcher | None = None,
-        cache_capacity: int = 10_000,
     ) -> None:
         self.clients = clients
-        self.cache = IntermediateCache(capacity=cache_capacity)
+        self.cache = IntermediateCache(capacity=10_000)
         self._builders: dict[str, ChainBuilder] = {}
         for client in clients:
             self._builders[client.name] = ChainBuilder(
@@ -324,20 +323,12 @@ class DifferentialHarness:
                 "intermediate cache: outcomes would depend on "
                 "evaluation history"
             )
-        recorded: set[tuple[str, tuple[str, ...]]] = set()
-        if journal is not None:
-            recorded = {
-                (event.get("domain"), tuple(event.get("chain_key") or ()))
-                for event in journal.events("differential")
-            }
-
         report = DifferentialReport()
         if observe_into_cache:
             for domain, chain in observations:
                 outcome = self.evaluate(domain, chain, at_time=at_time)
                 report.outcomes.append(outcome)
-                self._journal_outcome(journal, recorded, domain, chain,
-                                      outcome)
+                self._journal_outcome(journal, domain, chain, outcome)
                 self.cache.observe_chain(chain)
             return report
 
@@ -353,7 +344,7 @@ class DifferentialHarness:
                 )
                 local[pair] = outcome
             report.outcomes.append(outcome)
-            self._journal_outcome(journal, recorded, domain, chain, outcome)
+            self._journal_outcome(journal, domain, chain, outcome)
         return report
 
     def _stored_or_evaluated(self, domain, chain, at_time, verdict_store,
@@ -381,12 +372,10 @@ class DifferentialHarness:
         return outcome
 
     @staticmethod
-    def _journal_outcome(journal, recorded, domain, chain, outcome) -> None:
-        if journal is None:
-            return
-        chain_key = tuple(c.fingerprint_hex for c in chain)
-        if (domain, chain_key) not in recorded:
-            journal.record("differential", chain_key=list(chain_key),
+    def _journal_outcome(journal, domain, chain, outcome) -> None:
+        if journal is not None:
+            journal.record("differential",
+                           chain_key=[c.fingerprint_hex for c in chain],
                            **outcome.to_event())
 
 

@@ -111,7 +111,7 @@ def _unwritable(command: str, *paths: str | None) -> bool:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.errors import JournalError
+    from repro.errors import JournalError, StoreError
     from repro.measurement import (
         Campaign, TableContext, VerdictCache, render_table_3,
         render_table_5, render_table_7,
@@ -160,7 +160,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
         verdict_store = None
         if args.cache_dir:
-            from repro.errors import StoreError
             from repro.measurement import VerdictStore
 
             try:
@@ -237,18 +236,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             cache = VerdictCache(backing=verdict_store)
             if args.simulate_network:
                 shard_size = args.shard_size or len(ecosystem.deployments)
-                try:
-                    sharded = campaign.run_sharded(
-                        shard_size,
-                        journal=journal, retry_policy=retry_policy,
-                        breaker_threshold=args.breaker_threshold or None,
-                        cache=cache, snapshot_writer=snapshot_writer,
-                        status=status, progress_factory=progress_factory,
-                        output=args.output,
-                    )
-                except JournalError as exc:
-                    print(f"repro-chain scan: {exc}", file=sys.stderr)
-                    return 2
+                sharded = campaign.run_sharded(
+                    shard_size,
+                    journal=journal, retry_policy=retry_policy,
+                    breaker_threshold=args.breaker_threshold or None,
+                    cache=cache, snapshot_writer=snapshot_writer,
+                    status=status, progress_factory=progress_factory,
+                    output=args.output,
+                )
                 report = sharded.report
                 written = sharded.total_observations
                 # reachability from the result, not the metrics
@@ -291,6 +286,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 written = len(observations)
             if status is not None:
                 status.finish()
+        except (JournalError, StoreError) as exc:
+            print(f"repro-chain scan: {exc}", file=sys.stderr)
+            return 2
         finally:
             if journal is not None:
                 journal.close()
@@ -599,8 +597,8 @@ def _print_explanation(domain: str, chain_length: int, report) -> None:
 
 def _explain_from_journal(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core.compliance import ChainComplianceReport
     from repro.errors import JournalError
+    from repro.measurement.parallel import journaled_report
 
     # Validate before reading: a corrupt journal (duplicate summaries,
     # non-monotonic events) would otherwise produce silently wrong
@@ -625,7 +623,12 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
         if not first:
             print()
         first = False
-        report = ChainComplianceReport.from_dict(event["report"])
+        try:
+            report = journaled_report(args.journal, args.domain,
+                                      event["report"])
+        except JournalError as exc:
+            print(f"repro-chain explain: {exc}", file=sys.stderr)
+            return 2
         _print_explanation(args.domain, report.chain_length, report)
         chain_key = event.get("chain_key") or ()
         if chain_key:
@@ -741,7 +744,7 @@ def _cmd_differential(args: argparse.Namespace) -> int:
     from repro.chainbuilder import (
         DIFFERENTIAL_BROWSERS, DifferentialHarness, LIBRARIES,
     )
-    from repro.errors import JournalError
+    from repro.errors import JournalError, StoreError
     from repro.webpki import Ecosystem, EcosystemConfig
 
     with _collector_policy() as start_hot_loop:
@@ -753,7 +756,6 @@ def _cmd_differential(args: argparse.Namespace) -> int:
         )
         verdict_store = None
         if args.cache_dir:
-            from repro.errors import StoreError
             from repro.measurement import VerdictStore
 
             try:
@@ -800,6 +802,9 @@ def _cmd_differential(args: argparse.Namespace) -> int:
                 observe_into_cache=learning, journal=journal,
                 verdict_store=verdict_store,
             )
+        except StoreError as exc:
+            print(f"repro-chain differential: {exc}", file=sys.stderr)
+            return 2
         finally:
             if journal is not None:
                 journal.close()
@@ -825,7 +830,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     from repro.measurement import check_store
 
     check = check_store(args.path)
-    if check.problems and not check.store_id:
+    if not check.is_store:
         for problem in check.problems:
             print(f"repro-chain cache: {args.path}: {problem}",
                   file=sys.stderr)
@@ -852,7 +857,7 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     from repro.measurement import check_store
 
     check = check_store(args.path)
-    if not check.store_id:
+    if not check.is_store:
         for problem in check.problems:
             print(f"repro-chain cache: {args.path}: {problem}",
                   file=sys.stderr)
@@ -862,7 +867,7 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
             print(f"verify: {problem}")
         print(f"verify: {len(check.problems)} problem(s) found "
               f"(reopening the store repairs torn tails and "
-              f"temp leftovers)")
+              f"temp leftovers only)")
         return 1
     print(f"verify: ok ({check.reports:,} reports, "
           f"{check.outcomes:,} outcomes in {check.segments} "

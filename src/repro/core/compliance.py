@@ -26,6 +26,7 @@ from repro.core.leaf import (
 from repro.core.order import OrderAnalysis, analyze_order
 from repro.core.relation import DEFAULT_POLICY, RelationPolicy
 from repro.core.topology import ChainTopology
+from repro.errors import PayloadError
 from repro.obs.evidence import Evidence, evidence_from_dict
 from repro.obs.metrics import NullMetricsRegistry
 from repro.trust.aia import AIAFetcher
@@ -55,6 +56,12 @@ def _json_str(value: str) -> str:
 #: taxonomy verdicts) that appear in every report; bounded so hostile
 #: input cannot grow it without limit.
 _COMMON_JSON: dict[str, str] = {}
+
+#: The report :meth:`ChainComplianceReport.to_json` encoded last, with
+#: its text.  The analysis hands each fresh report to the verdict store
+#: and then to the journal, which would otherwise encode it twice in a
+#: row; reports are immutable, so the text cannot go stale.
+_last_encoded: tuple = (None, "")
 
 
 def _json_common(value: str) -> str:
@@ -224,8 +231,12 @@ class ChainComplianceReport:
         equals the compact ``json`` encoding of ``to_dict()``, so
         journal lines are identical whichever path produced them.
         """
+        global _last_encoded
+        last = _last_encoded
+        if last[0] is self:
+            return last[1]
         leaf, order, comp = self.leaf, self.order, self.completeness
-        return "".join((
+        text = "".join((
             '{"domain":', _json_str(self.domain),
             ',"chain_length":', str(self.chain_length),
             ',"leaf":{"placement":', _json_common(leaf.placement.value),
@@ -252,50 +263,58 @@ class ChainComplianceReport:
             ',"evidence":', _json_evidence(comp.evidence),
             "}}",
         ))
+        _last_encoded = (self, text)
+        return text
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChainComplianceReport":
-        """Inverse of :meth:`to_dict` (used by journal resume)."""
+        """Inverse of :meth:`to_dict` (used by journal resume); raises
+        :class:`~repro.errors.PayloadError` when it does not decode."""
         from repro.core.order import OrderDefect
 
-        leaf = payload["leaf"]
-        order = payload["order"]
-        completeness = payload["completeness"]
+        try:
+            leaf = payload["leaf"]
+            order = payload["order"]
+            completeness = payload["completeness"]
 
-        def _evidence(section: dict) -> tuple[Evidence, ...]:
-            return tuple(
-                evidence_from_dict(e) for e in section.get("evidence", ())
-            )
+            def _evidence(section: dict) -> tuple[Evidence, ...]:
+                return tuple(evidence_from_dict(e)
+                             for e in section.get("evidence", ()))
 
-        return cls(
-            domain=payload["domain"],
-            chain_length=payload["chain_length"],
-            leaf=LeafAnalysis(
-                placement=LeafPlacement(leaf["placement"]),
-                deciding_index=leaf["deciding_index"],
-                evidence=_evidence(leaf),
-            ),
-            order=OrderAnalysis(
-                defects=frozenset(
-                    OrderDefect(d) for d in order["defects"]
+            return cls(
+                domain=payload["domain"],
+                chain_length=payload["chain_length"],
+                leaf=LeafAnalysis(
+                    placement=LeafPlacement(leaf["placement"]),
+                    deciding_index=leaf["deciding_index"],
+                    evidence=_evidence(leaf),
                 ),
-                duplicate_roles=frozenset(order["duplicate_roles"]),
-                max_duplicate_count=order["max_duplicate_count"],
-                irrelevant_count=order["irrelevant_count"],
-                path_count=order["path_count"],
-                reversed_any=order["reversed_any"],
-                reversed_all=order["reversed_all"],
-                path_structures=tuple(order["path_structures"]),
-                compliant=order["compliant"],
-                evidence=_evidence(order),
-            ),
-            completeness=CompletenessAnalysis(
-                category=CompletenessClass(completeness["category"]),
-                missing_count=completeness["missing_count"],
-                aia_outcome=completeness["aia_outcome"],
-                evidence=_evidence(completeness),
-            ),
-        )
+                order=OrderAnalysis(
+                    defects=frozenset(
+                        OrderDefect(d) for d in order["defects"]
+                    ),
+                    duplicate_roles=frozenset(order["duplicate_roles"]),
+                    max_duplicate_count=order["max_duplicate_count"],
+                    irrelevant_count=order["irrelevant_count"],
+                    path_count=order["path_count"],
+                    reversed_any=order["reversed_any"],
+                    reversed_all=order["reversed_all"],
+                    path_structures=tuple(order["path_structures"]),
+                    compliant=order["compliant"],
+                    evidence=_evidence(order),
+                ),
+                completeness=CompletenessAnalysis(
+                    category=CompletenessClass(completeness["category"]),
+                    missing_count=completeness["missing_count"],
+                    aia_outcome=completeness["aia_outcome"],
+                    evidence=_evidence(completeness),
+                ),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise PayloadError(
+                f"report payload does not decode "
+                f"({type(exc).__name__}: {exc})"
+            ) from None
 
 
 def analyze_chain(

@@ -191,6 +191,11 @@ class StoreError(MeasurementError):
     """
 
 
+class PayloadError(ReproError):
+    """A recorded report payload does not decode; journal and store
+    readers re-raise it naming the file and record."""
+
+
 class MetricsError(ReproError):
     """A metrics snapshot file could not be read or is malformed.
 

@@ -33,8 +33,6 @@ from repro.net.simnet import SimulatedNetwork
 from repro.net.tls import TLS12
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
-from repro.trust.aia import AIAFetcher
-from repro.trust.rootstore import RootStore
 from repro.webpki.ecosystem import Ecosystem, VANTAGE_AU, VANTAGE_US
 from repro.x509 import Certificate
 
@@ -128,18 +126,6 @@ class _Sweep:
         self.observations = 0
         #: degraded vantage -> reason, decided by :meth:`finish`
         self.degraded: dict[str, str] = {}
-        events = journal.events() if journal is not None else []
-        self._journaled_scans = {
-            (event.get("domain"), event.get("vantage"))
-            for event in events if event.get("type") == "scan"
-        }
-        self._journaled_degradations = {
-            event.get("vantage"): event.get("reason")
-            for event in events if event.get("type") == "degradation"
-        }
-        self._collection_journaled = any(
-            event.get("type") == "collection" for event in events
-        )
 
     def collect(self, domains: list[str], *, shard: int | None = None,
                 progress_factory=None, status=None
@@ -176,10 +162,7 @@ class _Sweep:
                             if progress_factory is not None else None)
 
                 def observe(record: ScanRecord, progress=progress) -> None:
-                    if journal is not None and (
-                        (record.domain, record.vantage)
-                        not in self._journaled_scans
-                    ):
+                    if journal is not None:
                         journal.record(
                             "scan",
                             domain=record.domain,
@@ -230,10 +213,12 @@ class _Sweep:
         on may not be re-run.
         """
         degraded = self.degraded
+        resumed = (self.journal.degraded_vantages()
+                   if self.journal is not None else {})
         for vantage in VANTAGES:
             breaker = self.breakers[vantage]
-            if vantage in self._journaled_degradations:
-                reason = self._journaled_degradations[vantage]
+            if vantage in resumed:
+                reason = resumed[vantage]
             elif breaker is not None and breaker.tripped:
                 reason = "breaker_open"
             elif self.attempted[vantage] and not self.successes[vantage]:
@@ -246,14 +231,13 @@ class _Sweep:
             obs.get_metrics().counter(
                 "campaign.vantage_degraded", vantage=vantage
             ).inc()
-            if (self.journal is not None
-                    and vantage not in self._journaled_degradations):
+            if self.journal is not None:
                 self.journal.record_degradation(vantage, reason)
         _log.info("campaign.collected", domains=domains,
                   observations=self.observations,
                   unique_chains=len(self.chain_keys),
                   degraded=bool(degraded))
-        if self.journal is not None and not self._collection_journaled:
+        if self.journal is not None:
             self.journal.record(
                 "collection",
                 domains=domains,
@@ -434,8 +418,6 @@ class Campaign:
         self,
         observations: list[tuple[str, list[Certificate]]] | None = None,
         *,
-        store: RootStore | None = None,
-        fetcher: AIAFetcher | None = None,
         journal: RunJournal | None = None,
         snapshot_writer=None,
         cache=None,
@@ -443,9 +425,9 @@ class Campaign:
     ) -> tuple[DatasetReport, list[ChainComplianceReport]]:
         """Run the Section 3.1 compliance analysis over a collection.
 
-        Defaults: the ecosystem's ground-truth observations (skipping
-        the network), the four-program union store, and the ecosystem's
-        AIA repository.  Analysis runs through the deduplicating
+        Observations default to the ecosystem's ground truth (skipping
+        the network); the trust anchors are its four-program union store
+        and its AIA repository.  Analysis runs through the deduplicating
         pipeline, :func:`~repro.measurement.parallel.analyze_observations`.
 
         With a ``journal``, every verdict is appended as it is reached,
@@ -468,13 +450,12 @@ class Campaign:
         """
         if observations is None:
             observations = self.ecosystem.observations()
-        store = store or self.ecosystem.registry.union()
-        fetcher = fetcher if fetcher is not None else self.ecosystem.aia_repo
         with phase_scope("analyze"), \
                 obs.get_tracer().span("campaign.analyze",
                                       chains=len(observations)):
             reports, stats = analyze_observations(
-                observations, store=store, fetcher=fetcher, cache=cache,
+                observations, store=self.ecosystem.registry.union(),
+                fetcher=self.ecosystem.aia_repo, cache=cache,
                 journal=journal, snapshot_writer=snapshot_writer,
                 status=status,
             )

@@ -35,6 +35,7 @@ from repro.core.compliance import (
     rebind_for_domain,
     record_outcome,
 )
+from repro.errors import JournalError, PayloadError
 from repro.obs.journal import RunJournal
 from repro.trust.aia import AIAFetcher
 from repro.trust.rootstore import RootStore
@@ -62,6 +63,17 @@ def chain_key(chain: list[Certificate]) -> ChainKey:
 def chain_key_hex(chain: list[Certificate]) -> tuple[str, ...]:
     """The journal form of a chain identity: fingerprint hexes."""
     return tuple(cert.fingerprint_hex for cert in chain)
+
+
+def journaled_report(journal, domain: str,
+                     payload) -> ChainComplianceReport:
+    """A verdict payload read back from the ``journal`` file, decoded;
+    one that does not decode is a :class:`JournalError` naming it."""
+    try:
+        return ChainComplianceReport.from_dict(payload)
+    except PayloadError as exc:
+        raise JournalError(
+            f"{journal}: verdict for {domain!r}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +211,8 @@ def analyze_observations(
                 hexkey = chain_key_hex(chain)
                 recorded = journal.verdict_for(domain, hexkey)
                 if recorded is not None:
-                    report = ChainComplianceReport.from_dict(recorded)
+                    report = journaled_report(journal.path, domain,
+                                              recorded)
                     resumed += 1
                     run_reports[(domain, key)] = report
                     cache.store_report(key, digest, report)

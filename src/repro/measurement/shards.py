@@ -70,12 +70,10 @@ from repro.core.report import DatasetReport, aggregate
 from repro.errors import JournalError
 from repro.measurement.campaign import VANTAGES, Campaign, _Sweep
 from repro.measurement.dataset import observation_to_json
-from repro.measurement.parallel import VerdictCache
+from repro.measurement.parallel import VerdictCache, journaled_report
 from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
-from repro.trust.aia import AIAFetcher
-from repro.trust.rootstore import RootStore
 
 _log = obs.get_logger("measurement.shards")
 
@@ -143,29 +141,24 @@ class ShardedRunResult:
         return sum(1 for shard in self.shards if shard.resumed)
 
 
-def _completed_prefix(bounds, events) -> int:
+def _completed_prefix(bounds, journal: RunJournal) -> int:
     """How many leading shards the resumed journal already completed.
 
     Only a *contiguous* prefix counts: a ``shard`` event is written
     after its verdicts, so shard k present ⇒ shards 0..k-1 present
-    under normal operation; anything after a gap is re-run (its
-    journaled scans/verdicts dedup, so no double work or double
-    events).
+    under normal operation; anything after a gap is re-run (the
+    journal appends none of its scans, verdicts or shard events
+    again, so no double work or double events).
     """
-    recorded = {
-        (event.get("index"), event.get("start"), event.get("stop"))
-        for event in events
-        if event.get("type") == "shard"
-    }
     completed = 0
     for index, start, stop in bounds:
-        if (index, start, stop) not in recorded:
+        if not journal.holds("shard", index=index, start=start, stop=stop):
             break
         completed += 1
     return completed
 
 
-def _fold_completed(dataset: DatasetReport, events, bounds,
+def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
                     shard_size: int, domains, sweep: _Sweep
                     ) -> list[ShardStats]:
     """Reconstruct the completed shards, ``bounds``, from the journal.
@@ -183,7 +176,7 @@ def _fold_completed(dataset: DatasetReport, events, bounds,
         for i, domain in enumerate(domains[:bounds[-1][2]])
     }
     groups: list[list[ChainComplianceReport]] = [[] for _ in bounds]
-    for event in events:
+    for event in journal.events():
         at = position.get(event.get("domain"))
         if at is None:
             continue
@@ -195,7 +188,8 @@ def _fold_completed(dataset: DatasetReport, events, bounds,
                 sweep.successes[vantage] += 1
         elif kind == "verdict":
             groups[at // shard_size].append(
-                ChainComplianceReport.from_dict(event["report"])
+                journaled_report(journal.path, event["domain"],
+                                 event["report"])
             )
             chain_key = tuple(bytes.fromhex(fp) for fp in event["chain_key"])
             sweep.chain_keys.add(chain_key)
@@ -219,8 +213,6 @@ def run_sharded(
     retry_policy: RetryPolicy | None = None,
     breaker_threshold: int | None = None,
     cache=None,
-    store: RootStore | None = None,
-    fetcher: AIAFetcher | None = None,
     snapshot_writer=None,
     status=None,
     progress_factory=None,
@@ -256,18 +248,13 @@ def run_sharded(
     tracer = obs.get_tracer()
     domains = [d.domain for d in campaign.ecosystem.deployments]
     bounds = shard_bounds(len(domains), shard_size)
-    store = store or campaign.ecosystem.registry.union()
-    fetcher = (fetcher if fetcher is not None
-               else campaign.ecosystem.aia_repo)
     sweep = _Sweep(campaign._ensure_network(), journal=journal,
                    retry_policy=retry_policy,
                    breaker_threshold=breaker_threshold)
     dataset = DatasetReport()
     shards: list[ShardStats] = []
-    completed = 0
-    if journal is not None:
-        events = journal.events()
-        completed = _completed_prefix(bounds, events)
+    completed = (_completed_prefix(bounds, journal)
+                 if journal is not None else 0)
     if completed:
         if output is not None:
             raise JournalError(
@@ -275,7 +262,7 @@ def run_sharded(
                 f"which resume without a re-scan, so {output} would "
                 f"miss their observations; write it from a fresh journal"
             )
-        shards = _fold_completed(dataset, events, bounds[:completed],
+        shards = _fold_completed(dataset, journal, bounds[:completed],
                                  shard_size, domains, sweep)
         _log.info("shards.resumed", completed=completed,
                   observations=sweep.observations)
@@ -313,9 +300,9 @@ def run_sharded(
                 backing=cache.backing if cache is not None else None
             )
             shard_report, _ = campaign.analyze(
-                observations, store=store, fetcher=fetcher,
-                journal=journal, snapshot_writer=snapshot_writer,
-                cache=shard_cache, status=status,
+                observations, journal=journal,
+                snapshot_writer=snapshot_writer, cache=shard_cache,
+                status=status,
             )
             dataset.merge(shard_report)
             if cache is not None:

@@ -35,12 +35,13 @@ idempotent (later records supersede earlier ones).
 
 Opening a store replays every segment into an in-memory index.  A torn
 *final* record (the crash left a partial line) is truncated away and
-counted as a recovery; interior damage raises
-:class:`~repro.errors.StoreError`.  Records written under a different
-:data:`SCHEMA_VERSION` are skipped (counted stale) and dropped by
-:meth:`VerdictStore.compact`.  Report payloads stay as parsed JSON in
-the index and are decoded lazily on first hit, so a warm open is a
-line scan, not a full object materialisation.
+counted as a recovery; other damage raises
+:class:`~repro.errors.StoreError` naming the file, as
+:func:`check_store` (which shares the reader) reports it.  Records
+written under a different :data:`SCHEMA_VERSION` are skipped (counted
+stale) and dropped by :meth:`VerdictStore.compact`.  Payloads stay as
+parsed JSON in the index and are decoded lazily on first hit, so a
+warm open is a line scan, not a full object materialisation.
 
 Concurrency model: all reads and writes go through the opening
 process, its single writer appending every record — there are no
@@ -58,7 +59,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.compliance import ChainComplianceReport
-from repro.errors import StoreError
+from repro.errors import PayloadError, StoreError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -113,16 +114,17 @@ def _encode_key(key_hex: HexKey) -> str:
 
 
 def _encode_report_line(key_hex: HexKey, digest: str,
-                        report_json: str) -> str:
+                        report_json: str) -> bytes:
     # digest and fingerprints are hex, so raw interpolation is safe;
     # the report payload reuses the byte-pinned to_json codec.
     return ('{"kind":"report","schema":%d,"digest":"%s","chain_key":%s,'
-            '"report":%s}'
-            % (SCHEMA_VERSION, digest, _encode_key(key_hex), report_json))
+            '"report":%s}\n'
+            % (SCHEMA_VERSION, digest, _encode_key(key_hex), report_json)
+            ).encode("utf-8")
 
 
 def _encode_outcome_line(domain: str, key_hex: HexKey, digest: str,
-                         chain_length: int, results: dict[str, str]) -> str:
+                         chain_length: int, results: dict[str, str]) -> bytes:
     payload = {
         "kind": "outcome",
         "schema": SCHEMA_VERSION,
@@ -132,19 +134,70 @@ def _encode_outcome_line(domain: str, key_hex: HexKey, digest: str,
         "chain_length": chain_length,
         "results": results,
     }
-    return json.dumps(payload, separators=(",", ":"))
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _scan_segment(data: bytes):
-    """Split one segment into ``(records, torn_at)``.
+def _replace_file(path: Path, chunks) -> None:
+    """Write ``chunks`` (bytes) to a sibling temp file, fsync it and
+    rename it over ``path``: a crash leaves the old file or the new
+    one, plus at most a ``*.tmp`` leftover."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.writelines(chunks)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
-    ``records`` are the parsed JSON objects of every complete,
-    decodable line; ``torn_at`` is the byte offset of a torn final
-    record (missing newline, or a final line that does not decode) or
-    None when the segment is clean.  Damage *before* the final record
-    is not recoverable truncation — the caller raises.
+
+def _segment_files(root: Path, pattern: str = "*" + _SEGMENT_SUFFIX
+                   ) -> list[Path]:
+    """The segments (or, ``pattern="*.tmp"``, compaction leftovers)."""
+    return sorted((root / _SEGMENTS).glob(pattern))
+
+
+def _read_meta(root: Path) -> dict | None:
+    """The store's checked ``meta.json``; None when ``root`` holds no
+    store yet (no ``meta.json`` and no segment).  Raises
+    :class:`StoreError` naming ``meta.json`` when it is unreadable, not
+    a verdict store's, of another store version, or missing beside
+    segments."""
+    try:
+        meta = json.loads((root / _META).read_bytes())
+    except FileNotFoundError:
+        if _segment_files(root):
+            raise StoreError(
+                f"{_META}: missing, but {_SEGMENTS}/ holds "
+                f"{len(_segment_files(root))} segment(s)"
+            ) from None
+        return None
+    except OSError as exc:
+        raise StoreError(f"{_META}: unreadable ({exc})") from None
+    except ValueError as exc:
+        raise StoreError(f"{_META}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("format") != _FORMAT:
+        found = meta.get("format") if isinstance(meta, dict) else meta
+        raise StoreError(f"{_META}: not a verdict store (format {found!r})")
+    if meta.get("store_version") != _STORE_VERSION:
+        raise StoreError(f"{_META}: unsupported store version "
+                         f"{meta.get('store_version')!r}")
+    return meta
+
+
+def _replay_segment(segment: Path, reports: dict, outcomes: dict
+                    ) -> tuple[int, int | None, int, int]:
+    """Index one segment's records into ``reports`` and ``outcomes``.
+
+    Returns ``(size, torn_at, stale, superseded)``: ``torn_at`` is the
+    byte offset of a torn final record (missing newline, or a final
+    line that does not decode), else None; ``stale`` counts records of
+    another schema version or kind, ``superseded`` those that replaced
+    an index entry.  Damage before the final record, and a record
+    missing a field, raise :class:`StoreError` naming the segment.
+    Payloads stay parsed JSON until their first hit (:func:`_decoded`).
     """
-    records: list[dict] = []
+    data = segment.read_bytes()
+    name = f"{_SEGMENTS}/{segment.name}"
+    stale = superseded = 0
     offset = 0
     lines = data.split(b"\n")
     last = len(lines) - 1
@@ -152,21 +205,62 @@ def _scan_segment(data: bytes):
         if index == last:
             # data ending with a newline leaves one empty trailer;
             # anything else is a partial record from a mid-write crash
-            return records, (offset if raw else None)
+            return len(data), (offset if raw else None), stale, superseded
         try:
             record = json.loads(raw)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             if index == last - 1 and not lines[last]:
                 # undecodable *final* complete line: torn tail too
-                return records, offset
+                return len(data), offset, stale, superseded
             raise StoreError(
-                f"corrupt record at byte {offset}: {exc}"
+                f"{name}: corrupt record at byte {offset}: {exc}"
             ) from None
-        records.append(record)
+        try:
+            if record.get("schema") != SCHEMA_VERSION:
+                stale += 1
+            elif record.get("kind") == "report":
+                key = (tuple(record["chain_key"]), record["digest"])
+                superseded += key in reports
+                reports[key] = record["report"]
+            elif record.get("kind") == "outcome":
+                key = (record["domain"], tuple(record["chain_key"]),
+                       record["digest"])
+                superseded += key in outcomes
+                outcomes[key] = {"chain_length": record["chain_length"],
+                                 "results": record["results"]}
+            else:
+                stale += 1  # a kind from a newer writer: skippable
+        except KeyError as exc:
+            raise StoreError(f"{name}: record at byte {offset} is missing "
+                             f"field {exc}") from None
+        except TypeError as exc:
+            raise StoreError(f"{name}: record at byte {offset} has a "
+                             f"malformed key ({exc})") from None
         offset += len(raw) + 1
-    return records, None
+    return len(data), None, stale, superseded
+
+
+def _decoded(kind: str, key: tuple, value, store: Path | None = None):
+    """A stored payload decoded: a report object, or an outcome dict
+    whose ``chain_length`` is an integer and whose ``results`` map
+    client names to labels.  Raises :class:`StoreError` naming the
+    chain (after ``store``, when given) if it does not decode."""
+    try:
+        if kind == "report":
+            return ChainComplianceReport.from_dict(value)
+        results = value["results"]
+        if not (type(value["chain_length"]) is int and type(results) is dict
+                and all(type(label) is str for label in results.values())):
+            raise PayloadError("outcome payload does not decode")
+        return value
+    except PayloadError as exc:
+        where = "" if store is None else f"{store}: "
+        raise StoreError(
+            f"{where}stored {kind} for chain "
+            f"{_encode_key(key[0] if kind == 'report' else key[1])}: {exc}"
+        ) from None
 
 
 @dataclass
@@ -180,6 +274,8 @@ class StoreCheck:
 
     path: str
     ok: bool = True
+    #: False when ``meta.json`` was refused or absent: not a store
+    is_store: bool = False
     store_id: str = ""
     segments: int = 0
     disk_bytes: int = 0
@@ -193,81 +289,58 @@ class StoreCheck:
 def check_store(path) -> StoreCheck:
     """Verify a store directory without opening (and thus repairing) it.
 
-    Reports torn segment tails, leftover compaction temp files, stale
-    (version-mismatched) records, and superseded duplicates.  Torn
-    tails and temp leftovers are listed as problems (``ok`` False)
-    because they mean the last writer did not shut down cleanly; a
-    plain reopen repairs both.
+    Reads it through the opener's functions, so whatever the opener
+    refuses is listed in the words of the refusal; so are torn segment
+    tails and compaction leftovers (the last writer did not shut down
+    cleanly; a plain reopen repairs both) and every stored report or
+    outcome that does not decode.  Stale and superseded records are
+    counted.
     """
     root = Path(path)
     check = StoreCheck(path=str(root))
-    meta_path = root / _META
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except OSError as exc:
+        meta = _read_meta(root)
+        if meta is None:
+            raise StoreError(f"{_META}: missing (not a verdict store)")
+    except StoreError as exc:
         check.ok = False
-        check.problems.append(f"{_META}: unreadable ({exc})")
+        check.problems.append(str(exc))
         return check
-    except ValueError as exc:
-        check.ok = False
-        check.problems.append(f"{_META}: not valid JSON ({exc})")
-        return check
-    if meta.get("format") != _FORMAT:
-        check.ok = False
-        check.problems.append(
-            f"{_META}: not a verdict store (format "
-            f"{meta.get('format')!r})"
-        )
-        return check
+    check.is_store = True
     check.store_id = str(meta.get("store_id", ""))
-    segments_dir = root / _SEGMENTS
-    reports: set[tuple] = set()
-    outcomes: set[tuple] = set()
-    for leftover in sorted(segments_dir.glob("*.tmp")):
-        check.ok = False
+    for leftover in _segment_files(root, "*.tmp"):
         check.problems.append(
             f"{_SEGMENTS}/{leftover.name}: interrupted compaction "
             f"leftover (reopening the store removes it)"
         )
-    for segment in sorted(segments_dir.glob("*" + _SEGMENT_SUFFIX)):
+    index: dict[str, dict] = {"report": {}, "outcome": {}}
+    for segment in _segment_files(root):
         check.segments += 1
-        data = segment.read_bytes()
-        check.disk_bytes += len(data)
         try:
-            records, torn_at = _scan_segment(data)
+            size, torn_at, stale, superseded = _replay_segment(
+                segment, index["report"], index["outcome"]
+            )
         except StoreError as exc:
-            check.ok = False
-            check.problems.append(f"{_SEGMENTS}/{segment.name}: {exc}")
+            check.problems.append(str(exc))
             continue
+        check.disk_bytes += size
+        check.stale_records += stale
+        check.superseded_records += superseded
         if torn_at is not None:
-            check.ok = False
             check.problems.append(
                 f"{_SEGMENTS}/{segment.name}: torn final record at "
-                f"byte {torn_at} ({len(data) - torn_at} trailing "
-                f"bytes; reopening the store truncates it)"
+                f"byte {torn_at} ({size - torn_at} trailing bytes; "
+                f"reopening the store truncates it)"
             )
-        for record in records:
-            if record.get("schema") != SCHEMA_VERSION:
-                check.stale_records += 1
-                continue
-            kind = record.get("kind")
-            if kind == "report":
-                key = (tuple(record.get("chain_key") or ()),
-                       record.get("digest"))
-                bucket = reports
-            elif kind == "outcome":
-                key = (record.get("domain"),
-                       tuple(record.get("chain_key") or ()),
-                       record.get("digest"))
-                bucket = outcomes
-            else:
-                check.stale_records += 1
-                continue
-            if key in bucket:
-                check.superseded_records += 1
-            bucket.add(key)
-    check.reports = len(reports)
-    check.outcomes = len(outcomes)
+    check.reports = len(index["report"])
+    check.outcomes = len(index["outcome"])
+    for kind, entries in index.items():
+        for key, value in entries.items():
+            try:
+                _decoded(kind, key, value)
+            except StoreError as exc:
+                check.problems.append(str(exc))
+    check.ok = not check.problems
     return check
 
 
@@ -276,8 +349,9 @@ class VerdictStore:
 
     Creating the instance opens (or initialises) the store: segments
     are replayed into the in-memory index, torn tails truncated, and
-    interrupted-compaction leftovers removed.  All methods run in the
-    opening process — see the module docstring's concurrency model.
+    interrupted-compaction leftovers removed; other damage is refused
+    as :func:`check_store` reports it.  All methods run in the opening
+    process — see the module docstring's concurrency model.
     """
 
     def __init__(self, path, *,
@@ -303,14 +377,14 @@ class VerdictStore:
         # written by this process)
         self._reports: dict[tuple[HexKey, str], object] = {}
         self._outcomes: dict[tuple[str, HexKey, str], dict] = {}
-        # write-behind queue: records accepted by put_* but not yet
-        # encoded/appended; drained by flush()/close()/stats()/compact()
-        self._pending: list[tuple] = []
         self._segments: list[Path] = []
         self._handle = None
         self._active_bytes = 0
         self._meta: dict = {}
-        self._open()
+        try:
+            self._open()
+        except (OSError, StoreError) as exc:
+            raise StoreError(f"{self.path}: {exc}") from None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -319,47 +393,38 @@ class VerdictStore:
         return self.path / _SEGMENTS
 
     def _open(self) -> None:
+        meta = _read_meta(self.path)
         self._segments_dir.mkdir(parents=True, exist_ok=True)
-        meta_path = self.path / _META
-        if meta_path.exists():
-            try:
-                self._meta = json.loads(meta_path.read_text(
-                    encoding="utf-8"))
-            except ValueError as exc:
-                raise StoreError(
-                    f"{meta_path}: not valid JSON ({exc})") from None
-            if self._meta.get("format") != _FORMAT:
-                raise StoreError(
-                    f"{meta_path}: not a verdict store (format "
-                    f"{self._meta.get('format')!r})"
-                )
-            if self._meta.get("store_version") != _STORE_VERSION:
-                raise StoreError(
-                    f"{meta_path}: unsupported store version "
-                    f"{self._meta.get('store_version')!r}"
-                )
-        else:
-            self._meta = {
+        if meta is None:
+            meta = {
                 "format": _FORMAT,
                 "store_version": _STORE_VERSION,
                 "schema_version": SCHEMA_VERSION,
                 "store_id": os.urandom(8).hex(),
             }
-            tmp = meta_path.with_name(_META + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(self._meta, handle, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, meta_path)
-        for leftover in sorted(self._segments_dir.glob("*.tmp")):
+            _replace_file(self.path / _META, [
+                (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8")
+            ])
+        self._meta = meta
+        for leftover in _segment_files(self.path, "*.tmp"):
             leftover.unlink()
             self.removed_tmp += 1
-        self._segments = sorted(
-            self._segments_dir.glob("*" + _SEGMENT_SUFFIX)
-        )
+        self._segments = _segment_files(self.path)
         for segment in self._segments:
-            self._replay_segment(segment)
+            size, torn_at, stale, superseded = _replay_segment(
+                segment, self._reports, self._outcomes
+            )
+            self.stale_records += stale
+            self.superseded_records += superseded
+            if torn_at is not None:
+                with open(segment, "r+b") as handle:
+                    handle.truncate(torn_at)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                self.recovered_records += 1
+                _log.warning("store.recovered_tail", segment=segment.name,
+                             truncated_at=torn_at,
+                             dropped_bytes=size - torn_at)
         if self.removed_tmp or self.recovered_records:
             obs.get_metrics().counter("store.recovered").inc(
                 self.removed_tmp + self.recovered_records
@@ -369,7 +434,7 @@ class VerdictStore:
                               / f"{1:06d}{_SEGMENT_SUFFIX}"]
         active = self._segments[-1]
         self._handle = open(active, "ab")
-        self._active_bytes = active.stat().st_size if active.exists() else 0
+        self._active_bytes = active.stat().st_size
         _log.info("store.opened", path=str(self.path),
                   segments=len(self._segments),
                   reports=len(self._reports),
@@ -377,57 +442,10 @@ class VerdictStore:
                   recovered=self.recovered_records,
                   stale=self.stale_records)
 
-    def _replay_segment(self, segment: Path) -> None:
-        data = segment.read_bytes()
-        try:
-            records, torn_at = _scan_segment(data)
-        except StoreError as exc:
-            raise StoreError(f"{segment}: {exc}") from None
-        if torn_at is not None:
-            with open(segment, "r+b") as handle:
-                handle.truncate(torn_at)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.recovered_records += 1
-            _log.warning("store.recovered_tail", segment=segment.name,
-                         truncated_at=torn_at,
-                         dropped_bytes=len(data) - torn_at)
-        for record in records:
-            self._index(record)
-
-    def _index(self, record: dict) -> None:
-        if record.get("schema") != SCHEMA_VERSION:
-            self.stale_records += 1
-            return
-        kind = record.get("kind")
-        try:
-            if kind == "report":
-                key = (tuple(record["chain_key"]), record["digest"])
-                if key in self._reports:
-                    self.superseded_records += 1
-                self._reports[key] = record["report"]
-            elif kind == "outcome":
-                key = (record["domain"], tuple(record["chain_key"]),
-                       record["digest"])
-                if key in self._outcomes:
-                    self.superseded_records += 1
-                self._outcomes[key] = {
-                    "chain_length": record["chain_length"],
-                    "results": record["results"],
-                }
-            else:
-                # unknown kinds from a newer writer: skippable, like a
-                # schema mismatch
-                self.stale_records += 1
-        except KeyError as exc:
-            raise StoreError(
-                f"record is missing field {exc}") from None
-
     def close(self) -> None:
         """Flush and seal the active segment; further writes raise."""
         if self._handle is not None:
             self.flush()
-            self._handle.flush()
             os.fsync(self._handle.fileno())
             self._handle.close()
             self._handle = None
@@ -440,45 +458,21 @@ class VerdictStore:
 
     # -- the append path ----------------------------------------------
 
-    def _append(self, line: str) -> None:
+    def _append(self, line: bytes) -> None:
         if self._handle is None:
             raise StoreError(f"{self.path}: store is closed")
-        payload = (line + "\n").encode("utf-8")
-        self._handle.write(payload)
-        self._active_bytes += len(payload)
+        self._handle.write(line)
+        self._active_bytes += len(line)
         if self._active_bytes >= self.segment_bytes:
             self._rotate()
 
     @_timed
     def flush(self) -> None:
-        """Drain the write-behind queue to the active segment.
-
-        ``put_report``/``put_outcome`` only index in memory and queue
-        the record; the encode-and-append cost is paid here, in one
-        batch, off the campaign's hot loop.  Records queued but not yet
-        flushed are lost on a crash — exactly like a torn final record,
-        the affected verdicts are recomputed on the next run; the store
-        itself stays replayable.
-        """
-        if not self._pending:
-            if self._handle is not None:
-                self._handle.flush()
-            return
-        if self._handle is None:
-            raise StoreError(f"{self.path}: store is closed")
-        for entry in self._pending:
-            if entry[0] == "report":
-                _, key_hex, digest, report = entry
-                self._append(_encode_report_line(
-                    key_hex, digest, report.to_json()
-                ))
-            else:
-                _, domain, key_hex, digest, chain_length, results = entry
-                self._append(_encode_outcome_line(
-                    domain, key_hex, digest, chain_length, results
-                ))
-        self._pending.clear()
-        if self._handle is not None:  # _rotate may have swapped handles
+        """Push the lines ``put_*`` appended to the active segment's
+        buffered handle to the OS.  Lines still buffered are lost on a
+        crash — like a torn final record, their verdicts are recomputed
+        on the next run; the store itself stays replayable."""
+        if self._handle is not None:
             self._handle.flush()
 
     def _segment_number(self, segment: Path) -> int:
@@ -502,8 +496,10 @@ class VerdictStore:
     @_timed
     def get_report(self, key_hex: HexKey,
                    digest: str) -> ChainComplianceReport | None:
-        """The stored report for ``(chain, trust anchors)``, if any."""
-        value = self._reports.get((tuple(key_hex), digest))
+        """The stored report for ``(chain, trust anchors)``, if any;
+        :class:`StoreError` names the chain if it does not decode."""
+        key = (tuple(key_hex), digest)
+        value = self._reports.get(key)
         metrics = obs.get_metrics()
         if value is None:
             self.misses += 1
@@ -513,23 +509,21 @@ class VerdictStore:
         metrics.counter("store.hits", kind="report").inc()
         if isinstance(value, ChainComplianceReport):
             return value
-        return ChainComplianceReport.from_dict(value)
+        return _decoded("report", key, value, self.path)
 
     @_timed
     def put_report(self, key_hex: HexKey, digest: str,
                    report: ChainComplianceReport) -> bool:
         """Persist a report; a no-op (False) when already stored.
 
-        The record is queued write-behind: it is readable immediately
-        (in-memory index) but reaches disk at the next
-        :meth:`flush`/:meth:`close`.
+        The record's line goes to the active segment's buffered handle
+        at once; it reaches the OS at the next :meth:`flush` (or when
+        the buffer fills) and disk at :meth:`close` or rotation.
         """
-        if self._handle is None:
-            raise StoreError(f"{self.path}: store is closed")
         key = (tuple(key_hex), digest)
         if key in self._reports:
             return False
-        self._pending.append(("report", key[0], digest, report))
+        self._append(_encode_report_line(key[0], digest, report.to_json()))
         self._reports[key] = report
         self.writes += 1
         obs.get_metrics().counter("store.writes", kind="report").inc()
@@ -544,12 +538,11 @@ class VerdictStore:
 
         The caller owns reconstruction into a
         :class:`~repro.chainbuilder.differential.ChainOutcome`; the
-        store stays ignorant of client machinery.  Treat the returned
-        dict as read-only.
+        store only checks the payload's shape (:func:`_decoded`).
+        Treat the returned dict as read-only.
         """
-        value = self._outcomes.get(
-            (domain, tuple(key_hex), capability_digest)
-        )
+        key = (domain, tuple(key_hex), capability_digest)
+        value = self._outcomes.get(key)
         metrics = obs.get_metrics()
         if value is None:
             self.misses += 1
@@ -557,7 +550,7 @@ class VerdictStore:
             return None
         self.hits += 1
         metrics.counter("store.hits", kind="outcome").inc()
-        return value
+        return _decoded("outcome", key, value, self.path)
 
     @_timed
     def put_outcome(self, domain: str, key_hex: HexKey,
@@ -565,16 +558,15 @@ class VerdictStore:
                     results: dict[str, str]) -> bool:
         """Persist one client-outcome row; no-op when already stored.
 
-        Queued write-behind, like :meth:`put_report`.
+        Appended like :meth:`put_report`.
         """
-        if self._handle is None:
-            raise StoreError(f"{self.path}: store is closed")
         key = (domain, tuple(key_hex), capability_digest)
         if key in self._outcomes:
             return False
         results = dict(results)
-        self._pending.append(("outcome", domain, key[1],
-                              capability_digest, chain_length, results))
+        self._append(_encode_outcome_line(
+            domain, key[1], capability_digest, chain_length, results
+        ))
         self._outcomes[key] = {
             "chain_length": chain_length, "results": results,
         }
@@ -595,35 +587,25 @@ class VerdictStore:
         """
         if self._handle is None:
             raise StoreError(f"{self.path}: store is closed")
-        # queued records are in the in-memory maps, which compaction
-        # rewrites wholesale — the queue would only duplicate them
-        self._pending.clear()
         before = len(self._segments)
         dropped = self.stale_records + self.superseded_records
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
-        self._handle = None
+        self.close()
         nxt = self._segment_number(self._segments[-1]) + 1
         target = self._segments_dir / f"{nxt:06d}{_SEGMENT_SUFFIX}"
-        tmp = self._segments_dir / (target.name + ".tmp")
-        with open(tmp, "wb") as handle:
+
+        def lines():
             for (key_hex, digest), value in self._reports.items():
                 if isinstance(value, ChainComplianceReport):
                     payload = value.to_json()
                 else:
                     payload = json.dumps(value, separators=(",", ":"))
-                line = _encode_report_line(key_hex, digest, payload)
-                handle.write((line + "\n").encode("utf-8"))
+                yield _encode_report_line(key_hex, digest, payload)
             for (domain, key_hex, digest), value in self._outcomes.items():
-                line = _encode_outcome_line(
-                    domain, key_hex, digest,
-                    value["chain_length"], value["results"],
-                )
-                handle.write((line + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+                yield _encode_outcome_line(domain, key_hex, digest,
+                                           value["chain_length"],
+                                           value["results"])
+
+        _replace_file(target, lines())
         for segment in self._segments:
             segment.unlink()
         self._segments = [target]
@@ -658,8 +640,7 @@ class VerdictStore:
 
     def stats(self) -> dict:
         """Counts for logs, the CLI stats line, and benches."""
-        if self._handle is not None:
-            self.flush()  # segment/disk figures must include the queue
+        self.flush()  # disk figures must include the buffered lines
         disk = sum(
             segment.stat().st_size
             for segment in self._segments if segment.exists()

@@ -12,10 +12,11 @@ newline-delimited JSON appended in order, the only damage a crash can
 inflict is a truncated final line, and :func:`read_journal` silently
 drops it.  Resuming is then: reload the journal, verify the manifest
 matches the run you are about to repeat (same config, same seed, same
-trust anchors), index the verdicts already recorded, and skip that
-work.  ``repro.measurement.campaign`` threads this through
-``Campaign.analyze`` so an interrupted campaign finishes with final
-tables byte-identical to an uninterrupted one.
+trust anchors), index what is already recorded, and skip that work:
+the journal alone decides what a resumed run must not append again
+(:data:`_EVENT_IDENTITY`).  ``repro.measurement.campaign`` threads
+this through ``Campaign.analyze`` so an interrupted campaign finishes
+with final tables byte-identical to an uninterrupted one.
 
 Appends are buffered: ``flush_every`` controls how many records may
 accumulate in the userspace buffer before a ``flush()`` pushes them to
@@ -59,6 +60,19 @@ JOURNAL_VERSION = 1
 
 #: Manifest fields that must match for a journal to be resumable.
 _IDENTITY_FIELDS = ("config", "seed", "root_store_digest")
+
+#: What makes two events "the same record", per type: the fields that
+#: identify it (one ``collection`` per run).  A resumed journal does not
+#: append an event whose identity it holds (verdicts: ask
+#: :meth:`RunJournal.verdict_for`), and the validator reports duplicates.
+_EVENT_IDENTITY: dict[str, tuple[str, ...]] = {
+    "scan": ("domain", "vantage"),
+    "degradation": ("vantage",),
+    "collection": (),
+    "verdict": ("domain", "chain_key"),
+    "differential": ("domain", "chain_key"),
+    "shard": ("index", "start", "stop"),
+}
 
 #: One reused compact encoder for the append hot path: skipping the
 #: per-call ``json.dumps`` argument plumbing and the circular-reference
@@ -110,55 +124,98 @@ def manifest_identity(manifest: dict[str, Any]) -> dict[str, Any]:
     return {key: manifest.get(key) for key in _IDENTITY_FIELDS}
 
 
-def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read ``(manifest, events)`` from a journal file.
+def _event_identity(event: dict[str, Any]) -> str | None:
+    """The event's :data:`_EVENT_IDENTITY` as one JSON string (so any
+    field value hashes, and a list and a tuple key alike), or None."""
+    names = _EVENT_IDENTITY.get(event["type"])
+    if names is None:
+        return None
+    return _encode_record([event["type"], *map(event.get, names)])
 
-    Tolerates a truncated final line (the crash case) by dropping it.
-    Raises :class:`JournalError` if the file is empty, its first line is
-    not a manifest, or an *interior* line is malformed — interior damage
-    means the file is not an append-only journal and resuming from it
-    would silently drop verdicts.
-    """
-    path = Path(path)
+
+def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
+    """Raise one :class:`JournalError` naming the first few problems."""
+    if problems:
+        shown = "; ".join(problems[:3])
+        if len(problems) > 3:
+            shown += f"; and {len(problems) - 3} more problem(s)"
+        raise JournalError(f"{Path(path)}: corrupt journal: {shown}")
+
+
+def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
+    """``(manifest, events, clean_end)`` of one journal file, where
+    ``clean_end`` ends the last complete line: what follows is a torn
+    tail from a crash, which the events leave out."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise JournalError(f"cannot read journal {path}: {exc}") from exc
-    lines = raw.split("\n")
-    # A well-formed journal ends with "\n", so the final split element
-    # is empty; anything else is a partial record from a crash.
-    truncated_tail = lines.pop() if lines else ""
+    clean_end = data.rfind(b"\n") + 1
+    try:
+        lines = data[:clean_end].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise JournalError(f"{path}: not a UTF-8 journal ({exc})") from None
+    del data
+    lines.pop()  # the empty string after the final newline
     records: list[dict[str, Any]] = []
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise JournalError(
                 f"{path}:{number}: malformed journal line: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "type" not in record:
+            ) from None
+        if not (isinstance(record, dict)
+                and type(record.get("type")) is str):
             raise JournalError(
                 f"{path}:{number}: journal records must be objects "
                 f"with a 'type'"
             )
+        if record["type"] == "verdict" and not (
+            "domain" in record and "report" in record
+        ):
+            _refuse_corrupt(path, [
+                f"line {number}: verdict event missing domain/report"
+            ])
         records.append(record)
-    del truncated_tail  # crash mid-write: the partial record never happened
     if not records:
         raise JournalError(f"{path}: empty journal (no manifest line)")
     manifest = records[0]
-    if manifest.get("type") != "manifest":
+    if manifest["type"] != "manifest":
         raise JournalError(
             f"{path}: first journal line must be the manifest, "
-            f"got type {manifest.get('type')!r}"
+            f"got type {manifest['type']!r}"
         )
     if manifest.get("journal_version") != JOURNAL_VERSION:
         raise JournalError(
             f"{path}: unsupported journal version "
             f"{manifest.get('journal_version')!r}"
         )
-    return manifest, records[1:]
+    return manifest, records[1:], clean_end
+
+
+def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
+    """Read ``(manifest, events)`` from a journal file.
+
+    Tolerates a truncated final line (the crash case) by dropping it.
+    Raises :class:`JournalError` if the file is empty, its first line is
+    not a manifest, a verdict lacks its domain or report, or an
+    *interior* line is malformed — interior damage means the file is
+    not an append-only journal and resuming from it would silently drop
+    verdicts.
+    """
+    return _read(Path(path))[:2]
+
+
+#: The validator's message for a second event of one identity, by type.
+_DUPLICATE = {
+    "collection": "second collection summary (one-summary invariant)",
+    "scan": "duplicate scan event for {domain!r} from vantage {vantage!r}",
+    "degradation": "duplicate degradation event for vantage {vantage!r}",
+    "verdict": "duplicate verdict for {domain!r} (chain already recorded)",
+}
 
 
 def _event_problems(events: list[dict[str, Any]]) -> list[str]:
@@ -175,62 +232,29 @@ def _event_problems(events: list[dict[str, Any]]) -> list[str]:
       ``degradation``) never appear after the ``collection`` summary
       that closes the phase;
     * *no duplicates* — each (domain, vantage) scan and each
-      (domain, chain_key) verdict is recorded at most once.
+      (domain, chain_key) verdict is recorded at most once, where
+      "the same record" is :data:`_EVENT_IDENTITY`.
     """
     problems: list[str] = []
-    summaries = 0
-    seen_scans: set[tuple[Any, Any]] = set()
-    seen_verdicts: set[tuple[Any, tuple]] = set()
-    seen_degradations: set[Any] = set()
+    summarised = False
+    seen: set[str] = set()
     for number, event in enumerate(events, start=2):  # line 1: manifest
-        kind = event.get("type")
-        if kind == "collection":
-            summaries += 1
-            if summaries > 1:
-                problems.append(
-                    f"line {number}: second collection summary "
-                    f"(one-summary invariant)"
-                )
-        elif kind == "scan":
-            if summaries:
-                problems.append(
-                    f"line {number}: scan event after the collection "
-                    f"summary (sequence not monotonic)"
-                )
-            key = (event.get("domain"), event.get("vantage"))
-            if key in seen_scans:
-                problems.append(
-                    f"line {number}: duplicate scan event for "
-                    f"{key[0]!r} from vantage {key[1]!r}"
-                )
-            seen_scans.add(key)
-        elif kind == "degradation":
-            if summaries:
-                problems.append(
-                    f"line {number}: degradation event after the "
-                    f"collection summary (sequence not monotonic)"
-                )
-            vantage = event.get("vantage")
-            if vantage in seen_degradations:
-                problems.append(
-                    f"line {number}: duplicate degradation event for "
-                    f"vantage {vantage!r}"
-                )
-            seen_degradations.add(vantage)
-        elif kind == "verdict":
-            if "domain" not in event or "report" not in event:
-                problems.append(
-                    f"line {number}: verdict event missing "
-                    f"domain/report"
-                )
-                continue
-            key = (event["domain"], tuple(event.get("chain_key", ())))
-            if key in seen_verdicts:
-                problems.append(
-                    f"line {number}: duplicate verdict for "
-                    f"{key[0]!r} (chain already recorded)"
-                )
-            seen_verdicts.add(key)
+        kind = event["type"]
+        if summarised and kind in ("scan", "degradation"):
+            problems.append(
+                f"line {number}: {kind} event after the collection "
+                f"summary (sequence not monotonic)"
+            )
+        summarised = summarised or kind == "collection"
+        duplicate = _DUPLICATE.get(kind)
+        if duplicate is None:
+            continue
+        identity = _event_identity(event)
+        if identity in seen:
+            problems.append(f"line {number}: " + duplicate.format(
+                domain=event.get("domain"), vantage=event.get("vantage")
+            ))
+        seen.add(identity)
     return problems
 
 
@@ -247,13 +271,7 @@ def validate_journal(path: str | Path) -> tuple[dict[str, Any],
     second read.
     """
     manifest, events = read_journal(path)
-    problems = _event_problems(events)
-    if problems:
-        shown = "; ".join(problems[:3])
-        more = len(problems) - 3
-        if more > 0:
-            shown += f"; and {more} more problem(s)"
-        raise JournalError(f"{Path(path)}: corrupt journal: {shown}")
+    _refuse_corrupt(path, _event_problems(events))
     return manifest, events
 
 
@@ -292,6 +310,8 @@ class RunJournal:
         self.flush_every = flush_every
         self.resumed_events: list[dict[str, Any]] = []
         self._verdicts: dict[tuple[str, tuple[str, ...]], dict[str, Any]] = {}
+        #: identities of the resumed non-verdict events (fresh: empty)
+        self._resumed: set[str] = set()
         self._events_written = 0
         self._pending = 0
         self._handle: io.TextIOBase | None = None
@@ -327,7 +347,7 @@ class RunJournal:
         if not path.exists() or path.stat().st_size == 0:
             return cls.create(path, manifest, fsync=fsync,
                               flush_every=flush_every)
-        recorded, events = read_journal(path)
+        recorded, events, clean_end = _read(path)
         stamped = cls._stamp(manifest)
         ours, theirs = manifest_identity(stamped), manifest_identity(recorded)
         if ours != theirs:
@@ -338,10 +358,21 @@ class RunJournal:
         journal = cls(path, recorded, fsync=fsync, flush_every=flush_every)
         journal.resumed_events = events
         for event in events:
-            if event.get("type") == "verdict":
-                journal._index_verdict(event)
-        # Re-open in append mode, discarding any truncated tail first.
-        journal._rewrite_clean(recorded, events)
+            if event["type"] == "verdict":
+                key = (event["domain"], tuple(event.get("chain_key") or ()))
+                journal._verdicts[key] = event["report"]
+                continue
+            identity = _event_identity(event)
+            if identity is not None:
+                journal._resumed.add(identity)
+        if clean_end < path.stat().st_size:
+            # cut a torn final line off in place: resumed lines keep
+            # their bytes
+            with open(path, "r+b") as handle:
+                handle.truncate(clean_end)
+                handle.flush()
+                os.fsync(handle.fileno())
+        journal._handle = open(path, "a", encoding="utf-8")
         return journal
 
     @staticmethod
@@ -349,25 +380,6 @@ class RunJournal:
         stamped = {"type": "manifest", "journal_version": JOURNAL_VERSION}
         stamped.update(manifest)
         return stamped
-
-    def _rewrite_clean(self, manifest: dict[str, Any],
-                       events: list[dict[str, Any]]) -> None:
-        """Drop a truncated tail by rewriting the parsed records.
-
-        Atomic: written to a sibling temp file and ``os.replace``d in,
-        so a crash *during resume* still leaves a valid journal.
-        """
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for record in (manifest, *events):
-                # parsed dicts preserve document key order, so this
-                # round-trips the surviving lines byte-identically
-                handle.write(_encode_record(record))
-                handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._handle = open(self.path, "a", encoding="utf-8")
 
     # -- writing -------------------------------------------------------
 
@@ -406,18 +418,28 @@ class RunJournal:
         self._pending = 0
 
     def record(self, event_type: str, **fields: Any) -> None:
-        """Append one event; ``type`` is reserved for ``event_type``."""
+        """Append one event — unless the resumed journal holds its
+        identity; ``type`` is reserved for ``event_type``."""
         record = {"type": event_type}
         record.update(fields)
+        if self._resumed and _event_identity(record) in self._resumed:
+            return
         self._append(record)
+
+    def holds(self, event_type: str, **fields: Any) -> bool:
+        """True when the resumed journal holds an event of this
+        identity — one :meth:`record` would not append again."""
+        return bool(self._resumed) and _event_identity(
+            {"type": event_type, **fields}
+        ) in self._resumed
 
     def record_degradation(self, vantage: str, reason: str,
                            **fields: Any) -> None:
         """Append one ``degradation`` event: a vantage that could not
         deliver a full sweep (circuit breaker still open at the end,
-        or zero successful scans).  The campaign dedupes these on
-        resume the same way it dedupes scans, so each vantage is
-        recorded at most once per run."""
+        or zero successful scans).  Like every event, it is not
+        appended again when the resumed journal holds one for this
+        vantage, so each vantage is recorded at most once per run."""
         self.record("degradation", vantage=vantage, reason=reason, **fields)
 
     def degraded_vantages(self) -> dict[str, str]:
@@ -449,10 +471,6 @@ class RunJournal:
         else:
             # lazily parsed by verdict_for; the line *is* the payload
             self._verdicts[key] = encoded
-
-    def _index_verdict(self, event: dict[str, Any]) -> None:
-        key = (event["domain"], tuple(event.get("chain_key", ())))
-        self._verdicts[key] = event["report"]
 
     # -- resume reads --------------------------------------------------
 
@@ -504,13 +522,7 @@ class RunJournal:
             raise JournalError(
                 f"{self.path}: manifest is missing its type/version stamp"
             )
-        problems = _event_problems(self.resumed_events)
-        if problems:
-            shown = "; ".join(problems[:3])
-            more = len(problems) - 3
-            if more > 0:
-                shown += f"; and {more} more problem(s)"
-            raise JournalError(f"{self.path}: corrupt journal: {shown}")
+        _refuse_corrupt(self.path, _event_problems(self.resumed_events))
 
     # -- lifecycle -----------------------------------------------------
 

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.errors import JournalError, PayloadError
+
 __all__ = [
     "REPORT_VERSION",
     "DomainVerdict",
@@ -354,9 +356,10 @@ class RunReport:
 # Building
 # ----------------------------------------------------------------------
 
-def _verdict_summary(payload: dict[str, Any]) -> tuple[bool,
-                                                       tuple[str, ...]]:
-    """(compliant, violated rule IDs) from one journal verdict payload.
+def _verdict_summary(payload: dict[str, Any]) -> tuple[
+        bool, tuple[str, ...], list[tuple[str, str]]]:
+    """(compliant, violated rule IDs, cited (rule ID, verdict) pairs)
+    from one journal verdict payload.
 
     Derived from the evidence records the journal already carries
     rather than re-running analysis: a chain is compliant iff no
@@ -365,15 +368,15 @@ def _verdict_summary(payload: dict[str, Any]) -> tuple[bool,
     ``ChainComplianceReport.compliant`` encodes, without importing
     :mod:`repro.core` into the journal-consuming layer.
     """
-    violations: list[str] = []
-    for section in ("leaf", "order", "completeness"):
-        for record in payload.get(section, {}).get("evidence", ()):
-            if record.get("verdict") == "violation":
-                violations.append(str(record.get("rule_id")))
+    cited = [(str(record.get("rule_id")), str(record.get("verdict")))
+             for section in ("leaf", "order", "completeness")
+             for record in payload.get(section, {}).get("evidence", ())]
+    violations = sorted({rule for rule, verdict in cited
+                         if verdict == "violation"})
     compliant = not violations and bool(
         payload.get("order", {}).get("compliant", True)
     )
-    return compliant, tuple(sorted(set(violations)))
+    return compliant, tuple(violations), cited
 
 
 def build_report(manifest: dict[str, Any],
@@ -438,9 +441,15 @@ def build_report(manifest: dict[str, Any],
                     event.get("reason", "unknown")
                 )
         elif kind == "verdict":
-            payload = event.get("report") or {}
             domain = str(event.get("domain"))
-            compliant, rules = _verdict_summary(payload)
+            try:
+                compliant, rules, cited = _verdict_summary(
+                    event.get("report") or {}
+                )
+            except (AttributeError, TypeError) as exc:
+                raise PayloadError(
+                    f"verdict for {domain!r}: report payload does not "
+                    f"decode ({type(exc).__name__}: {exc})") from None
             report.verdict_total += 1
             if compliant:
                 report.verdict_compliant += 1
@@ -457,14 +466,9 @@ def build_report(manifest: dict[str, Any],
                     rules=tuple(sorted({*previous.rules, *rules})),
                     chains=previous.chains + 1,
                 )
-            for section in ("leaf", "order", "completeness"):
-                for record in payload.get(section, {}).get(
-                    "evidence", ()
-                ):
-                    key = (str(record.get("rule_id")),
-                           str(record.get("verdict")))
-                    rule_domains.setdefault(key, set()).add(domain)
-                    rule_evidence[key] = rule_evidence.get(key, 0) + 1
+            for key in cited:
+                rule_domains.setdefault(key, set()).add(domain)
+                rule_evidence[key] = rule_evidence.get(key, 0) + 1
         elif kind == "differential":
             domain = str(event.get("domain"))
             results = event.get("results") or {}
@@ -511,12 +515,16 @@ def build_report(manifest: dict[str, Any],
 def report_from_journal(path: str | Path, *,
                         metrics: dict[str, Any] | None = None,
                         top_slowest: int = 10) -> RunReport:
-    """Validate + read a journal file and build its report."""
+    """Validate + read a journal file and build its report (a verdict
+    that does not decode is a :class:`JournalError` naming both)."""
     from repro.obs.journal import validate_journal
 
     manifest, events = validate_journal(path)
-    return build_report(manifest, events, metrics=metrics,
-                        top_slowest=top_slowest)
+    try:
+        return build_report(manifest, events, metrics=metrics,
+                            top_slowest=top_slowest)
+    except PayloadError as exc:
+        raise JournalError(f"{Path(path)}: {exc}") from None
 
 
 def flatten_metrics(snapshot: dict[str, Any]) -> dict[str, float]:

@@ -237,16 +237,14 @@ class Ecosystem:
     # Network projection
     # ------------------------------------------------------------------
 
-    def install(self, *, network_seed: int | None = None) -> SimulatedNetwork:
+    def install(self) -> SimulatedNetwork:
         """Project the ecosystem onto a fresh simulated network.
 
         Installs one TLS server per reachable deployment (with
         per-vantage reachability and per-version chains), plus one HTTP
         host per AIA base serving every published certificate.
         """
-        network = SimulatedNetwork(
-            seed=self.config.seed if network_seed is None else network_seed
-        )
+        network = SimulatedNetwork(seed=self.config.seed)
         network.add_vantage(VANTAGE_US, base_rtt=0.04)
         network.add_vantage(VANTAGE_AU, base_rtt=0.12)
 

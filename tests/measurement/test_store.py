@@ -145,6 +145,70 @@ class TestRotationAndCompaction:
         assert check.ok and check.stale_records == 0
 
 
+def _segment_lines(path):
+    return (path / "segments" / "000001.seg").read_bytes().splitlines(
+        keepends=True)
+
+
+def _rewrite_first_record(path, change):
+    lines = _segment_lines(path)
+    record = json.loads(lines[0])
+    change(record)
+    lines[0] = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+    (path / "segments" / "000001.seg").write_bytes(b"".join(lines))
+
+
+def _set_store_version(path, version):
+    meta = json.loads((path / "meta.json").read_text())
+    meta["store_version"] = version
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+def _damage_interior(path):
+    lines = _segment_lines(path)
+    lines[1] = b"XXXX corrupt XXXX\n"
+    (path / "segments" / "000001.seg").write_bytes(b"".join(lines))
+
+
+def _append(path, text):
+    with open(path / "segments" / "000001.seg", "a") as handle:
+        handle.write(text)
+
+
+#: damage -> (how to inflict it, what opening does, the check's reason)
+DAMAGED_STORES = {
+    "record-without-chain-key": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.pop("chain_key")),
+        "refused",
+        "segments/000001.seg: record at byte 0 is missing field "
+        "'chain_key'",
+    ),
+    "store-version-2": (
+        lambda path: _set_store_version(path, 2),
+        "refused", "meta.json: unsupported store version 2",
+    ),
+    "meta-deleted": (
+        lambda path: (path / "meta.json").unlink(),
+        "refused", "meta.json: missing, but segments/ holds 1 segment(s)",
+    ),
+    "interior-damage": (
+        _damage_interior,
+        "refused", "segments/000001.seg: corrupt record at byte ",
+    ),
+    "torn-tail": (
+        lambda path: _append(path, '{"kind":"report","schema":1,"di'),
+        "repaired", "segments/000001.seg: torn final record at byte ",
+    ),
+    "compaction-leftover": (
+        lambda path: (path / "segments" / "000002.seg.tmp").write_text(
+            "interrupted compaction\n"),
+        "repaired", "segments/000002.seg.tmp: interrupted compaction "
+        "leftover",
+    ),
+}
+
+
 class TestCrashSafety:
     def populate(self, path, ecosystem, union, count=4):
         with VerdictStore(path) as store:
@@ -217,6 +281,27 @@ class TestCrashSafety:
     def test_check_store_on_a_non_store(self, tmp_path):
         check = check_store(tmp_path / "missing")
         assert not check.ok and not check.store_id
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_STORES))
+    def test_open_and_verify_agree(self, damage, ecosystem, union, tmp_path):
+        """``check_store`` lists exactly what opening refuses, in the words
+        of the refusal; what opening repairs it lists, and after the
+        repair the store checks clean."""
+        path = tmp_path / "vs"
+        self.populate(path, ecosystem, union)
+        inflict, opening, reason = DAMAGED_STORES[damage]
+        inflict(path)
+        check = check_store(path)
+        assert not check.ok
+        assert len(check.problems) == 1, check.problems
+        assert check.problems[0].startswith(reason), check.problems
+        if opening == "refused":
+            with pytest.raises(StoreError) as refusal:
+                VerdictStore(path)
+            assert str(refusal.value) == f"{path}: {check.problems[0]}"
+        else:
+            VerdictStore(path).close()
+            assert check_store(path).ok
 
 
 class TestVerdictCacheBacking:

@@ -111,6 +111,25 @@ class TestCrashSafety:
         _, events = read_journal(path)
         assert [e["type"] for e in events] == ["verdict", "scan"]
 
+    def test_resume_keeps_the_bytes_on_disk(self, tmp_path):
+        """Resuming cuts a torn tail off in place and appends after the
+        lines already written, as they are — even a line this package
+        would have encoded differently."""
+        path = tmp_path / "run.jsonl"
+        fresh(tmp_path).close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"type": "scan", "domain": "a.example",
+                                     "vantage": "us"}) + "\n")
+        kept = path.read_bytes()
+        assert b'"type": "scan"' in kept  # spaced, not the compact form
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"type":"scan","dom')
+        with RunJournal.open(path, MANIFEST) as resumed:
+            resumed.record("scan", domain="b.example", vantage="us")
+        assert path.read_bytes() == kept + (
+            b'{"type":"scan","domain":"b.example","vantage":"us"}\n'
+        )
+
     def test_resumed_events_accessor(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
@@ -129,6 +148,61 @@ class TestCrashSafety:
         empty.write_text("")
         RunJournal.open(empty, MANIFEST).close()
         assert read_journal(empty)[0]["seed"] == 7
+
+
+class TestResumedIdentities:
+    """A resumed journal appends no event it already holds."""
+
+    def test_record_skips_resumed_identities(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with fresh(tmp_path) as journal:
+            journal.record("scan", domain="a.example", vantage="us",
+                           success=True)
+            journal.record("degradation", vantage="au",
+                           reason="breaker_open")
+            journal.record("collection", domains=1)
+            journal.record("differential", chain_key=["aa"],
+                           domain="a.example", results={})
+            journal.record("shard", index=0, start=0, stop=1,
+                           observations=1)
+        before = path.read_bytes()
+        with RunJournal.open(path, MANIFEST) as resumed:
+            # the same identities with other payloads: nothing appended
+            resumed.record("scan", domain="a.example", vantage="us",
+                           success=False)
+            resumed.record("degradation", vantage="au",
+                           reason="no_successful_scans")
+            resumed.record("collection", domains=2)
+            resumed.record("differential", chain_key=("aa",),
+                           domain="a.example", results={"openssl": "ok"})
+            resumed.record("shard", index=0, start=0, stop=1,
+                           observations=9)
+            assert resumed.events_written == 0
+            assert resumed.holds("shard", index=0, start=0, stop=1)
+            assert not resumed.holds("shard", index=1, start=1, stop=2)
+            # new identities are appended
+            resumed.record("scan", domain="a.example", vantage="au",
+                           success=True)
+            resumed.record("shard", index=1, start=1, stop=2,
+                           observations=0)
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert [json.loads(line)
+                for line in after[len(before):].splitlines()] == [
+            {"type": "scan", "domain": "a.example", "vantage": "au",
+             "success": True},
+            {"type": "shard", "index": 1, "start": 1, "stop": 2,
+             "observations": 0},
+        ]
+
+    def test_fresh_journal_appends_every_event(self, tmp_path):
+        with fresh(tmp_path) as journal:
+            journal.record("scan", domain="a.example", vantage="us")
+            journal.record("scan", domain="a.example", vantage="us")
+            assert not journal.holds("scan", domain="a.example",
+                                     vantage="us")
+        _, events = read_journal(tmp_path / "run.jsonl")
+        assert len(events) == 2
 
 
 class TestRejection:

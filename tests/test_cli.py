@@ -1227,3 +1227,92 @@ class TestDifferentialCacheDir:
             return text[text.index("chains evaluated"):]
 
         assert stats(warm) == stats(cold)
+
+
+def _rewrite_line(path, lines, at, payload) -> None:
+    import json
+
+    lines[at] = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+
+
+class TestUndecodableStoredPayload:
+    """A stored payload that does not decode: ``cache verify`` lists it
+    and exits 1, and the run that hits it stops with one line naming
+    the store and the chain (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("command,kind,field", [
+        ("scan", "report", "report"),
+        ("differential", "outcome", "results"),
+    ])
+    def test_verify_lists_it_and_the_run_stops(self, command, kind, field,
+                                               tmp_path, capsys):
+        import json
+
+        store = tmp_path / "vs"
+        argv = [command, "--domains", "30", "--seed", "833",
+                "--cache-dir", str(store)]
+        assert main(argv) == 0
+        segment = store / "segments" / "000001.seg"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[at])
+        record[field] = 5
+        _rewrite_line(segment, lines, at, record)
+        chain = json.dumps(record["chain_key"], separators=(",", ":"))
+        capsys.readouterr()
+        assert main(["cache", "verify", str(store)]) == 1
+        assert (f"verify: stored {kind} for chain {chain}: "
+                in capsys.readouterr().out)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro-chain {command}: {store}: stored {kind} for chain "
+            f"{chain}: "), err
+        assert err.count("\n") == 1, err
+
+
+class TestUndecodableJournalVerdict:
+    """A journal verdict that does not decode, or lacks its domain:
+    every command reading it prints one line and exits with its
+    input-error code (3 for ``diff-runs``)."""
+
+    @pytest.fixture(scope="class")
+    def journal(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("verdicts") / "run.jsonl"
+        assert main(["scan", "--domains", "30", "--seed", "833",
+                     "--journal", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("damage", ["report-does-not-decode",
+                                        "verdict-without-domain"])
+    @pytest.mark.parametrize("command", ["scan", "explain", "report",
+                                         "diff-runs"])
+    def test_one_line_and_input_error_code(self, journal, damage, command,
+                                           tmp_path, capsys):
+        import json
+
+        lines = journal.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(b'{"type":"verdict"'))
+        event = json.loads(lines[at])
+        domain = event["domain"]
+        if damage == "report-does-not-decode":
+            event["report"] = {"leaf": 3}
+        else:
+            del event["domain"]
+        path = tmp_path / "run.jsonl"
+        _rewrite_line(path, lines, at, event)
+        argv = {
+            "scan": ["scan", "--domains", "30", "--seed", "833",
+                     "--journal", str(path)],
+            "explain": ["explain", domain, "--journal", str(path)],
+            "report": ["report", str(path)],
+            "diff-runs": ["diff-runs", str(path), str(path)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == (3 if command == "diff-runs" else 2)
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-chain {command}: "), err
+        assert err.count("\n") == 1, err
