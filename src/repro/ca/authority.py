@@ -15,14 +15,21 @@ from datetime import datetime, timedelta
 
 from repro.errors import IssuanceError
 from repro.x509 import (
+    AuthorityInformationAccess,
+    AuthorityKeyIdentifier,
+    BasicConstraints,
     Certificate,
     CertificateBuilder,
     ExtendedKeyUsage,
+    Extension,
     KeyPair,
     KeyUsage,
     Name,
+    SubjectAlternativeName,
+    SubjectKeyIdentifier,
     Validity,
     generate_keypair,
+    sign_certificate,
 )
 
 _SERIALS = itertools.count(0x1000)
@@ -53,6 +60,18 @@ def serial_context(start: int = 0x1000):
         yield
     finally:
         _SERIALS = previous
+
+
+def _encoded(extension: Extension) -> tuple[Extension, bytes]:
+    """An extension paired with its encoding, as signing takes it."""
+    return extension, extension.encode()
+
+
+#: The extensions every leaf carries, whichever CA issues it: one shared
+#: instance each, encoded once.
+_LEAF_BASIC_CONSTRAINTS = _encoded(BasicConstraints(ca=False))
+_LEAF_KEY_USAGE = _encoded(KeyUsage.for_tls_server())
+_LEAF_EXTENDED_KEY_USAGE = _encoded(ExtendedKeyUsage.server_auth())
 
 
 class CertificateAuthority:
@@ -91,11 +110,24 @@ class CertificateAuthority:
         self.name = name
         self.keypair = keypair or generate_keypair(key_backend, seed=key_seed)
         self.aia_base = aia_base
+        #: The URI at which this CA's certificate is published, if any.
+        self.aia_uri: str | None = None
+        if aia_base is not None:
+            slug = (name.common_name or "ca").lower().replace(" ", "-")
+            self.aia_uri = f"{aia_base}/{slug}.crt"
         if certificate is None:
             if validity is None:
                 raise IssuanceError("a generated root needs an explicit validity")
             certificate = self._self_sign(validity, path_length)
         self.certificate = certificate
+        # The AKID and AIA every leaf of this CA carries, each with its
+        # encoding (no AIA when the CA publishes no certificate).
+        self._leaf_akid = _encoded(
+            AuthorityKeyIdentifier(self.keypair.public_key.key_id))
+        self._leaf_aia = (
+            _encoded(AuthorityInformationAccess.ca_issuers(self.aia_uri))
+            if self.aia_uri is not None else None
+        )
 
     # ------------------------------------------------------------------
 
@@ -117,14 +149,6 @@ class CertificateAuthority:
     def is_root(self) -> bool:
         """True iff this CA's certificate is self-signed."""
         return self.certificate.is_self_signed
-
-    @property
-    def aia_uri(self) -> str | None:
-        """The URI at which this CA's certificate is published, if any."""
-        if self.aia_base is None:
-            return None
-        slug = (self.name.common_name or "ca").lower().replace(" ", "-")
-        return f"{self.aia_base}/{slug}.crt"
 
     # ------------------------------------------------------------------
     # Issuance
@@ -196,31 +220,35 @@ class CertificateAuthority:
         """Issue an end-entity (server) certificate for ``domain``.
 
         ``aia_uri`` overrides the default caIssuers URI — the failure
-        injection hook for dead or wrong AIA endpoints.
+        injection hook for dead or wrong AIA endpoints.  The leaf is the
+        one :class:`CertificateBuilder` would sign from the same fields
+        (basicConstraints, SAN, keyUsage, EKU, then the optional SKID,
+        AKID and AIA); only its own fields are built and encoded here,
+        the CA's AKID and AIA once per CA.
         """
         leaf_key = generate_keypair(key_backend, seed=key_seed)
         validity = self._resolve_validity(validity, days, not_before)
-        builder = (
-            CertificateBuilder()
-            .subject_name(Name.build(common_name=common_name or domain))
-            .issuer_name(self.name)
-            .serial_number(next_serial())
-            .validity(validity)
-            .public_key(leaf_key.public_key)
-            .end_entity()
-            .san_domains(*(san_domains or (domain,)))
-            .key_usage(KeyUsage.for_tls_server())
-            .extended_key_usage(ExtendedKeyUsage.server_auth())
-        )
+        public_key = leaf_key.public_key
+        extensions = [
+            _LEAF_BASIC_CONSTRAINTS,
+            _encoded(SubjectAlternativeName.for_domains(
+                *(san_domains or (domain,)))),
+            _LEAF_KEY_USAGE,
+            _LEAF_EXTENDED_KEY_USAGE,
+        ]
         if include_skid:
-            builder.skid_from_key()
+            extensions.append(_encoded(SubjectKeyIdentifier(public_key.key_id)))
         if include_akid:
-            builder.akid(self.keypair.public_key.key_id)
+            extensions.append(self._leaf_akid)
         if aia_uri is not None:
-            builder.aia_ca_issuers(aia_uri)
-        elif include_aia and self.aia_uri is not None:
-            builder.aia_ca_issuers(self.aia_uri)
-        return builder.sign(self.keypair)
+            extensions.append(
+                _encoded(AuthorityInformationAccess.ca_issuers(aia_uri)))
+        elif include_aia and self._leaf_aia is not None:
+            extensions.append(self._leaf_aia)
+        return sign_certificate(
+            self.keypair, Name.build(common_name=common_name or domain),
+            self.name, next_serial(), validity, public_key, extensions,
+        )
 
     def cross_sign(
         self,

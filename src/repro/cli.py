@@ -510,8 +510,13 @@ def _cmd_diff_runs(args: argparse.Namespace) -> int:
     for path in (args.before, args.after):
         try:
             loaded.append(_load_run_report(path))
-        except (OSError, JournalError, ValueError) as exc:
-            print(f"repro-chain diff-runs: {path}: {exc}",
+        except JournalError as exc:
+            # the journal reader's messages start with the path
+            print(f"repro-chain diff-runs: {exc}", file=sys.stderr)
+            return 3
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"repro-chain diff-runs: {path}: {reason}",
                   file=sys.stderr)
             return 3
     before, after = loaded
@@ -1146,7 +1151,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``repro-chain scan | head``): Python's
+        # documented SIGPIPE idiom — point stdout at devnull so the
+        # exit-time flush cannot raise again, and exit 1 quietly
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -67,11 +67,6 @@ from repro.obs.report import (
     render_report_text,
     report_from_journal,
 )
-from repro.obs.server import (
-    RunStatus,
-    TelemetryServer,
-    parse_serve_address,
-)
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -125,6 +120,20 @@ __all__ = [
     "to_openmetrics",
     "validate_journal",
 ]
+
+#: Names served by :mod:`repro.obs.server`, which imports ``http.server``:
+#: loaded on first use, so a command that serves no telemetry never
+#: imports it.
+_SERVER_NAMES = frozenset({"RunStatus", "TelemetryServer", "parse_serve_address"})
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from repro.obs import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _metrics: MetricsRegistry | NullMetricsRegistry = NULL_REGISTRY
 _tracer: Tracer | NullTracer = NULL_TRACER

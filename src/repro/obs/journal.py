@@ -142,6 +142,20 @@ def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
         raise JournalError(f"{Path(path)}: corrupt journal: {shown}")
 
 
+def _is_chain_key(value: Any) -> bool:
+    """True for a verdict's ``chain_key``: a list of hex strings, the
+    fingerprints of the chain it judged, which resume and the shard fold
+    turn back into bytes."""
+    if type(value) is not list:
+        return False
+    try:
+        for fingerprint in value:
+            bytes.fromhex(fingerprint)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
     """``(manifest, events, clean_end)`` of one journal file, where
     ``clean_end`` ends the last complete line: what follows is a torn
@@ -149,7 +163,9 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
+        raise JournalError(
+            f"{path}: cannot read journal: {exc.strerror or exc}"
+        ) from exc
     clean_end = data.rfind(b"\n") + 1
     try:
         lines = data[:clean_end].decode("utf-8").split("\n")
@@ -173,12 +189,16 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
                 f"{path}:{number}: journal records must be objects "
                 f"with a 'type'"
             )
-        if record["type"] == "verdict" and not (
-            "domain" in record and "report" in record
-        ):
-            _refuse_corrupt(path, [
-                f"line {number}: verdict event missing domain/report"
-            ])
+        if record["type"] == "verdict":
+            if not ("domain" in record and "report" in record):
+                _refuse_corrupt(path, [
+                    f"line {number}: verdict event missing domain/report"
+                ])
+            if not _is_chain_key(record.get("chain_key")):
+                _refuse_corrupt(path, [
+                    f"line {number}: verdict chain_key is not a list of "
+                    f"fingerprint hex strings"
+                ])
         records.append(record)
     if not records:
         raise JournalError(f"{path}: empty journal (no manifest line)")
@@ -201,7 +221,8 @@ def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]
 
     Tolerates a truncated final line (the crash case) by dropping it.
     Raises :class:`JournalError` if the file is empty, its first line is
-    not a manifest, a verdict lacks its domain or report, or an
+    not a manifest, a verdict lacks its domain or report or has a
+    ``chain_key`` that is not a list of hex strings, or an
     *interior* line is malformed — interior damage means the file is
     not an append-only journal and resuming from it would silently drop
     verdicts.
@@ -359,7 +380,7 @@ class RunJournal:
         journal.resumed_events = events
         for event in events:
             if event["type"] == "verdict":
-                key = (event["domain"], tuple(event.get("chain_key") or ()))
+                key = (event["domain"], tuple(event["chain_key"]))
                 journal._verdicts[key] = event["report"]
                 continue
             identity = _event_identity(event)

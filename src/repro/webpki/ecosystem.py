@@ -12,6 +12,7 @@ fast analysis runs.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -29,6 +30,7 @@ from repro.errors import EcosystemError
 from repro.net.http import install_http_server, publish_certificate
 from repro.net.simnet import SimulatedNetwork
 from repro.net.tls import TLS12, TLS13, TLSServerConfig, install_tls_server
+from repro.obs import phase_scope
 from repro.trust.aia import StaticAIARepository
 from repro.trust.rootstore import RootStoreRegistry, STORE_NAMES
 from repro.webpki.deployment import (
@@ -99,7 +101,7 @@ class Ecosystem:
     def generate(cls, config: EcosystemConfig | None = None) -> "Ecosystem":
         from repro.ca.authority import serial_context
 
-        with serial_context(0x1000):
+        with phase_scope("generate"), serial_context(0x1000):
             return cls._generate(config)
 
     @classmethod
@@ -122,13 +124,13 @@ class Ecosystem:
         )
 
         tranco = TrancoList(size=config.n_domains, seed=config.seed)
-        names = [i.name for i in instances]
-        weights = [i.weight for i in instances]
+        # what rng.choices(weights=...) would accumulate on every call
+        cum_weights = list(itertools.accumulate(i.weight for i in instances))
         by_name = {i.name: i for i in instances}
 
         deployments: list[DomainDeployment] = []
         for entry in tranco:
-            instance = by_name[rng.choices(names, weights=weights, k=1)[0]]
+            instance = rng.choices(instances, cum_weights=cum_weights)[0]
             if entry.name.endswith(".gov.tw") and rng.random() < 0.5:
                 instance = by_name["taiwan-ca"]
             plan = sample_defect_plan(

@@ -11,6 +11,7 @@ exactly as Table 10's zero Azure duplicate-leaf count shows.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -171,6 +172,21 @@ DEFECT_SERVER_WEIGHTS: dict[str, dict[str, float]] = {
 }
 
 
+def _cumulative(weights: dict[str, float]) -> tuple[list[str], list[float]]:
+    """The names and the cumulative weights rng.choices(weights=...)
+    would accumulate on every call."""
+    return list(weights), list(itertools.accumulate(weights.values()))
+
+
+_BASE_SERVER_CHOICES = _cumulative(
+    {server.name: server.base_share for server in ALL_SERVERS}
+)
+_SERVER_CHOICES = {
+    defect: _cumulative(weights)
+    for defect, weights in DEFECT_SERVER_WEIGHTS.items()
+}
+
+
 def assign_server(rng: random.Random, defect: str | None) -> HTTPServerProfile:
     """Sample the HTTP server for a deployment.
 
@@ -178,15 +194,8 @@ def assign_server(rng: random.Random, defect: str | None) -> HTTPServerProfile:
     (the paper's causal reading: certain interfaces produce certain
     defects); ``None`` uses the base market shares.
     """
-    if defect is None:
-        weights = {s.name: s.base_share for s in ALL_SERVERS}
-    else:
-        weights = DEFECT_SERVER_WEIGHTS.get(
-            defect, {s.name: s.base_share for s in ALL_SERVERS}
-        )
-    names = list(weights)
-    chosen = rng.choices(names, weights=[weights[n] for n in names], k=1)[0]
-    return server_by_name(chosen)
+    names, cum_weights = _SERVER_CHOICES.get(defect, _BASE_SERVER_CHOICES)
+    return server_by_name(rng.choices(names, cum_weights=cum_weights)[0])
 
 
 def table4_rows() -> list[dict[str, str]]:

@@ -9,6 +9,7 @@ CDNs and automation more), which the ecosystem generator exploits via
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -19,6 +20,10 @@ _TLDS = (
     ("edu", 1), ("info", 2), ("xyz", 2), ("app", 2), ("dev", 1), ("cn", 2),
     ("nl", 1), ("it", 1),
 )
+
+_TLD_NAMES = tuple(tld for tld, _ in _TLDS)
+#: what rng.choices(weights=...) would accumulate on every call
+_TLD_CUM_WEIGHTS = list(itertools.accumulate(weight for _, weight in _TLDS))
 
 _WORDS = (
     "alpha", "nova", "cloud", "shop", "media", "data", "blue", "green",
@@ -72,8 +77,7 @@ class TrancoList:
 
     @staticmethod
     def _mint_name(rng: random.Random, rank: int) -> str:
-        tlds, weights = zip(*_TLDS)
-        tld = rng.choices(tlds, weights=weights, k=1)[0]
+        tld = rng.choices(_TLD_NAMES, cum_weights=_TLD_CUM_WEIGHTS)[0]
         word_a = rng.choice(_WORDS)
         word_b = rng.choice(_WORDS)
         style = rng.random()

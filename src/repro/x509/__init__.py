@@ -6,7 +6,7 @@ here so callers can write ``from repro.x509 import Certificate, Name``.
 """
 
 from repro.x509.builder import CertificateBuilder
-from repro.x509.certificate import Certificate
+from repro.x509.certificate import Certificate, sign_certificate
 from repro.x509.encoding import (
     from_pem,
     load_pem_bundle,
@@ -92,6 +92,7 @@ __all__ = [
     "from_pem",
     "generate_keypair",
     "load_pem_bundle",
+    "sign_certificate",
     "to_pem",
     "to_pem_bundle",
     "utc",

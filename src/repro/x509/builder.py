@@ -10,13 +10,12 @@ from __future__ import annotations
 from datetime import datetime
 
 from repro.errors import BuilderError
-from repro.x509.certificate import Certificate
+from repro.x509.certificate import Certificate, sign_certificate
 from repro.x509.extensions import (
     AuthorityInformationAccess,
     AuthorityKeyIdentifier,
     BasicConstraints,
     Extension,
-    ExtensionSet,
     ExtendedKeyUsage,
     KeyUsage,
     SubjectAlternativeName,
@@ -133,31 +132,8 @@ class CertificateBuilder:
         ]
         if missing:
             raise BuilderError(f"cannot sign: missing fields {missing}")
-        unsigned = Certificate(
-            subject=self._subject,
-            issuer=self._issuer,
-            serial_number=self._serial,
-            validity=self._validity,
-            public_key=self._public_key,
-            extensions=ExtensionSet(tuple(self._extensions)),
-            signature_algorithm=issuer_keypair.signature_algorithm,
+        return sign_certificate(
+            issuer_keypair, self._subject, self._issuer, self._serial,
+            self._validity, self._public_key,
+            [(extension, extension.encode()) for extension in self._extensions],
         )
-        tbs = unsigned.tbs_bytes
-        signed = Certificate(
-            subject=unsigned.subject,
-            issuer=unsigned.issuer,
-            serial_number=unsigned.serial_number,
-            validity=unsigned.validity,
-            public_key=unsigned.public_key,
-            extensions=unsigned.extensions,
-            signature_algorithm=unsigned.signature_algorithm,
-            signature=issuer_keypair.sign(tbs),
-        )
-        # The TBS encoding leaves out both signature fields, so the bytes
-        # just signed are the signed certificate's own: set them where
-        # the ``tbs_bytes`` cached_property keeps its value.  Not via
-        # ``__dict__``: reading it makes CPython build a per-instance
-        # dict that the cyclic collector tracks (one more full
-        # collection while generating 10k domains).
-        object.__setattr__(signed, "tbs_bytes", tbs)
-        return signed

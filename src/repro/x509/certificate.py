@@ -10,12 +10,13 @@ paper's sense iff their fingerprints match.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from repro.x509.extensions import ExtensionSet, classify_name_form
-from repro.x509.keys import PublicKey
+from repro.x509.extensions import Extension, ExtensionSet, classify_name_form
+from repro.x509.keys import KeyPair, PublicKey
 from repro.x509.name import Name
 from repro.x509.oid import ObjectIdentifier
 from repro.x509.validity import Validity
@@ -52,22 +53,12 @@ class Certificate:
     @cached_property
     def tbs_bytes(self) -> bytes:
         """Canonical to-be-signed encoding (stable across processes)."""
-        parts = [
-            b"v%d" % self.version,
-            str(self.serial_number).encode(),
+        return encode_tbs(
+            self.version, self.serial_number,
             self.subject.rfc4514_string().encode(),
             self.issuer.rfc4514_string().encode(),
-            self.validity.not_before.isoformat().encode(),
-            self.validity.not_after.isoformat().encode(),
-            self.public_key.scheme.encode(),
-            self.public_key.key_bytes,
-            self.extensions.encode(),
-        ]
-        out = []
-        for part in parts:
-            out.append(len(part).to_bytes(4, "big"))
-            out.append(part)
-        return b"".join(out)
+            self.validity, self.public_key, self.extensions.encode(),
+        )
 
     @cached_property
     def fingerprint(self) -> bytes:
@@ -220,3 +211,78 @@ class Certificate:
             f"<- {self.issuer.rfc4514_string() or '<empty>'} "
             f"(serial={self.serial_number}, {self.validity!r})"
         )
+
+
+# ---------------------------------------------------------------------------
+# Encoding and signing
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4096)
+def _isoformat(moment: datetime) -> bytes:
+    """``moment.isoformat()``, encoded.  A world's leaves share a few
+    hundred validity bounds, and a cache hit costs a tenth of formatting
+    an aware datetime.  Equal moments format alike: :class:`Validity`
+    keeps every bound in UTC."""
+    return moment.isoformat().encode()
+
+
+def encode_tbs(version: int, serial_number: int, subject: bytes,
+               issuer: bytes, validity: Validity, public_key: PublicKey,
+               extensions: bytes) -> bytes:
+    """The canonical TBS encoding: every field length-prefixed, in order.
+
+    ``subject`` and ``issuer`` are the DNs' RFC 4514 text, encoded, and
+    ``extensions`` is the :meth:`ExtensionSet.encode` block.  Both
+    :attr:`Certificate.tbs_bytes` and :func:`sign_certificate` encode
+    through here, so a signed certificate's TBS bytes are the ones its
+    decoded copy recomputes.
+    """
+    out = bytearray()
+    for part in (
+        b"v%d" % version,
+        str(serial_number).encode(),
+        subject,
+        issuer,
+        _isoformat(validity.not_before),
+        _isoformat(validity.not_after),
+        public_key.scheme.encode(),
+        public_key.key_bytes,
+        extensions,
+    ):
+        out += len(part).to_bytes(4, "big")
+        out += part
+    return bytes(out)
+
+
+def sign_certificate(
+    keypair: KeyPair,
+    subject: Name,
+    issuer: Name,
+    serial_number: int,
+    validity: Validity,
+    public_key: PublicKey,
+    extensions: Sequence[tuple[Extension, bytes]],
+) -> Certificate:
+    """Sign one certificate; every certificate this library issues,
+    through :class:`CertificateBuilder` or :meth:`issue_leaf
+    <repro.ca.CertificateAuthority.issue_leaf>`, is signed here.
+
+    ``extensions`` pairs each extension, in certificate order, with its
+    :meth:`Extension.encode` bytes, so a CA encodes what its leaves
+    share once.  The TBS bytes are set on the one :class:`Certificate`
+    built, where the ``tbs_bytes`` cached_property keeps its value, and
+    not via ``__dict__``: reading that makes CPython build a
+    per-instance dict that the cyclic collector tracks.
+    """
+    tbs = encode_tbs(
+        3, serial_number, subject.rfc4514_string().encode(),
+        issuer.rfc4514_string().encode(), validity, public_key,
+        b"\n".join([encoding for _, encoding in extensions]),
+    )
+    certificate = Certificate(
+        subject, issuer, serial_number, validity, public_key,
+        ExtensionSet(tuple([extension for extension, _ in extensions])),
+        keypair.signature_algorithm, keypair.sign(tbs),
+    )
+    object.__setattr__(certificate, "tbs_bytes", tbs)
+    return certificate

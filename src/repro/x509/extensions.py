@@ -19,6 +19,9 @@ from repro.x509.oid import AccessMethodOID, EKUOID, ExtensionOID, ObjectIdentifi
 class Extension(ABC):
     """Base class for modelled extensions."""
 
+    # no instance dict: the slotted subclasses hold their fields only
+    __slots__ = ()
+
     oid: ObjectIdentifier
     critical: bool = False
 

@@ -34,11 +34,12 @@ _KEY_ID_LENGTH = 20  # bytes, mirroring RFC 5280 §4.2.1.2 method (1)
 
 
 def _blake2(*parts: bytes) -> bytes:
-    digest = hashlib.blake2b(digest_size=32)
+    """BLAKE2b-256 over the length-prefixed parts, hashed as one buffer."""
+    buffer = bytearray()
     for part in parts:
-        digest.update(len(part).to_bytes(4, "big"))
-        digest.update(part)
-    return digest.digest()
+        buffer += len(part).to_bytes(4, "big")
+        buffer += part
+    return hashlib.blake2b(buffer, digest_size=32).digest()
 
 
 @dataclass(frozen=True, slots=True)

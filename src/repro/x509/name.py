@@ -82,6 +82,20 @@ class RelativeDistinguishedName:
         return "+".join(attr.rfc4514_string() for attr in self.attributes)
 
 
+#: :meth:`Name.build` keywords, in the RDN order they build.
+_BUILD_ORDER = (
+    ("country", NameOID.COUNTRY_NAME),
+    ("state", NameOID.STATE_OR_PROVINCE),
+    ("locality", NameOID.LOCALITY_NAME),
+    ("organization", NameOID.ORGANIZATION_NAME),
+    ("organizational_unit", NameOID.ORGANIZATIONAL_UNIT),
+    ("common_name", NameOID.COMMON_NAME),
+    ("serial_number", NameOID.SERIAL_NUMBER),
+    ("email", NameOID.EMAIL_ADDRESS),
+)
+_BUILD_KEYS = frozenset(key for key, _ in _BUILD_ORDER)
+
+
 class Name:
     """An ordered DN built from RDNs, with RFC 5280-style comparison.
 
@@ -90,13 +104,15 @@ class Name:
     matching what OpenSSL/NSS do when they link subject to issuer.
     """
 
-    __slots__ = ("_rdns", "_folded")
+    __slots__ = ("_rdns", "_folded", "_text")
 
     def __init__(self, rdns: Iterable[RelativeDistinguishedName]) -> None:
         self._rdns: tuple[RelativeDistinguishedName, ...] = tuple(rdns)
         self._folded: tuple[frozenset[tuple[str, str]], ...] = tuple(
             rdn.folded() for rdn in self._rdns
         )
+        #: the RFC 4514 text, rendered on first use
+        self._text: str | None = None
 
     @classmethod
     def build(cls, **attributes: str) -> "Name":
@@ -107,24 +123,13 @@ class Name:
         ``serial_number``, ``email``.  Each becomes a single-attribute RDN
         in a stable canonical order (C, ST, L, O, OU, CN, ...).
         """
-        mapping = [
-            ("country", NameOID.COUNTRY_NAME),
-            ("state", NameOID.STATE_OR_PROVINCE),
-            ("locality", NameOID.LOCALITY_NAME),
-            ("organization", NameOID.ORGANIZATION_NAME),
-            ("organizational_unit", NameOID.ORGANIZATIONAL_UNIT),
-            ("common_name", NameOID.COMMON_NAME),
-            ("serial_number", NameOID.SERIAL_NUMBER),
-            ("email", NameOID.EMAIL_ADDRESS),
-        ]
-        known = {key for key, _ in mapping}
-        unknown = set(attributes) - known
+        unknown = attributes.keys() - _BUILD_KEYS
         if unknown:
             raise TypeError(f"unknown name attributes: {sorted(unknown)}")
         rdns = [
             RelativeDistinguishedName((NameAttribute(oid, attributes[key]),))
-            for key, oid in mapping
-            if key in attributes and attributes[key] is not None
+            for key, oid in _BUILD_ORDER
+            if attributes.get(key) is not None
         ]
         return cls(rdns)
 
@@ -154,7 +159,12 @@ class Name:
 
     def rfc4514_string(self) -> str:
         """Render the DN as an RFC 4514 string (most-significant first)."""
-        return ",".join(rdn.rfc4514_string() for rdn in self._rdns)
+        text = self._text
+        if text is None:
+            text = self._text = ",".join(
+                rdn.rfc4514_string() for rdn in self._rdns
+            )
+        return text
 
     def get_attributes(self, oid: ObjectIdentifier) -> list[str]:
         """All attribute values of the given type, in RDN order."""

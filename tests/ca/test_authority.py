@@ -147,3 +147,79 @@ class TestCrossSign:
 def test_serials_are_unique():
     serials = {next_serial() for _ in range(1000)}
     assert len(serials) == 1000
+
+
+class TestIssueLeafParity:
+    """``issue_leaf`` signs from per-CA encoded extensions instead of
+    running the builder; every leaf must still be the certificate the
+    builder signs from the same fields, down to its TBS bytes and
+    fingerprint."""
+
+    LEAF_VALIDITY = Validity(utc(2024, 1, 1), utc(2024, 4, 1))
+
+    @staticmethod
+    def _built_like_issue_leaf(ca, domain, serial, *, san_domains,
+                               common_name, include_akid, include_skid,
+                               include_aia, aia_uri):
+        from repro.x509 import (
+            CertificateBuilder,
+            ExtendedKeyUsage,
+            KeyUsage,
+            generate_keypair,
+        )
+
+        key = generate_keypair("simulated", seed=b"parity/leaf")
+        builder = (
+            CertificateBuilder()
+            .subject_name(Name.build(common_name=common_name or domain))
+            .issuer_name(ca.name)
+            .serial_number(serial)
+            .validity(TestIssueLeafParity.LEAF_VALIDITY)
+            .public_key(key.public_key)
+            .end_entity()
+            .san_domains(*(san_domains or (domain,)))
+            .key_usage(KeyUsage.for_tls_server())
+            .extended_key_usage(ExtendedKeyUsage.server_auth())
+        )
+        if include_skid:
+            builder.skid_from_key()
+        if include_akid:
+            builder.akid(ca.keypair.public_key.key_id)
+        if aia_uri is not None:
+            builder.aia_ca_issuers(aia_uri)
+        elif include_aia and ca.aia_base is not None:
+            slug = ca.name.common_name.lower().replace(" ", "-")
+            builder.aia_ca_issuers(f"{ca.aia_base}/{slug}.crt")
+        return builder.sign(ca.keypair)
+
+    @pytest.mark.parametrize("aia_base", [None, "http://aia.parity.example"])
+    @pytest.mark.parametrize("include_skid", [True, False])
+    @pytest.mark.parametrize("include_akid", [True, False])
+    @pytest.mark.parametrize("include_aia", [True, False])
+    @pytest.mark.parametrize("aia_uri", [None, "http://dead.example/x.crt"])
+    @pytest.mark.parametrize("san_domains", [None, ("a.example", "b.example")])
+    @pytest.mark.parametrize("common_name", [None, "Parity Appliance"])
+    def test_issue_leaf_equals_the_builder(self, aia_base, include_skid,
+                                           include_akid, include_aia,
+                                           aia_uri, san_domains,
+                                           common_name):
+        from repro.x509 import from_pem
+
+        ca = _root("Parity Org", aia_base=aia_base)
+        options = dict(san_domains=san_domains, common_name=common_name,
+                       include_akid=include_akid,
+                       include_skid=include_skid, include_aia=include_aia,
+                       aia_uri=aia_uri)
+        leaf = ca.issue_leaf("parity.example", validity=self.LEAF_VALIDITY,
+                             key_seed=b"parity/leaf", **options)
+        expected = self._built_like_issue_leaf(
+            ca, "parity.example", leaf.serial_number, **options)
+        for field in ("subject", "issuer", "serial_number", "validity",
+                      "public_key", "signature_algorithm", "signature",
+                      "version"):
+            assert getattr(leaf, field) == getattr(expected, field), field
+        assert list(leaf.extensions) == list(expected.extensions)
+        assert leaf.tbs_bytes == expected.tbs_bytes
+        assert leaf.fingerprint == expected.fingerprint
+        assert leaf.pem == expected.pem
+        assert from_pem(leaf.pem).tbs_bytes == leaf.tbs_bytes

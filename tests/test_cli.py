@@ -733,6 +733,21 @@ class TestReportCommand:
         assert "Phase resources" in out
         assert "collect" in out and "analyze" in out
 
+    def test_scan_metrics_carry_the_generate_phase(self, journaled_scan,
+                                                   capsys):
+        import json
+
+        _, metrics, _ = journaled_scan
+        series = json.loads(metrics.read_text())["phase.wall_seconds"]
+        generate = [s for s in series["series"]
+                    if s["labels"] == {"phase": "generate"}]
+        assert len(generate) == 1
+        assert generate[0]["count"] == 1 and generate[0]["sum"] > 0
+        code = main(["report", str(journaled_scan[0]),
+                     "--metrics", str(metrics)])
+        assert code == 0
+        assert "generate" in capsys.readouterr().out
+
     def test_report_formats(self, journaled_scan, tmp_path, capsys):
         journal, _, _ = journaled_scan
         html = tmp_path / "report.html"
@@ -764,6 +779,14 @@ class TestReportCommand:
         code = main(["report", str(tmp_path / "absent.jsonl")])
         assert code == 2
         assert "report" in capsys.readouterr().err
+
+    def test_missing_journal_is_named_once(self, tmp_path, capsys):
+        absent = tmp_path / "absent.jsonl"
+        assert main(["report", str(absent)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro-chain report: {absent}: cannot read journal: "
+            f"No such file or directory\n"
+        )
 
     def test_corrupt_journal_exits_two(self, journaled_scan, tmp_path,
                                        capsys):
@@ -1274,9 +1297,10 @@ class TestUndecodableStoredPayload:
 
 
 class TestUndecodableJournalVerdict:
-    """A journal verdict that does not decode, or lacks its domain:
-    every command reading it prints one line and exits with its
-    input-error code (3 for ``diff-runs``)."""
+    """A journal verdict that does not decode, lacks its domain or has
+    no usable chain key: every command reading it prints one line,
+    naming the journal once, and exits with its input-error code (3 for
+    ``diff-runs``)."""
 
     @pytest.fixture(scope="class")
     def journal(self, tmp_path_factory):
@@ -1285,12 +1309,10 @@ class TestUndecodableJournalVerdict:
                      "--journal", str(path)]) == 0
         return path
 
-    @pytest.mark.parametrize("damage", ["report-does-not-decode",
-                                        "verdict-without-domain"])
-    @pytest.mark.parametrize("command", ["scan", "explain", "report",
-                                         "diff-runs"])
-    def test_one_line_and_input_error_code(self, journal, damage, command,
-                                           tmp_path, capsys):
+    @staticmethod
+    def _damage_first_verdict(journal, path, mutate):
+        """Copy ``journal`` to ``path`` with ``mutate`` applied to its
+        first verdict event; returns that line's index and domain."""
         import json
 
         lines = journal.read_bytes().splitlines(keepends=True)
@@ -1298,12 +1320,26 @@ class TestUndecodableJournalVerdict:
                   if line.startswith(b'{"type":"verdict"'))
         event = json.loads(lines[at])
         domain = event["domain"]
-        if damage == "report-does-not-decode":
-            event["report"] = {"leaf": 3}
-        else:
-            del event["domain"]
-        path = tmp_path / "run.jsonl"
+        mutate(event)
         _rewrite_line(path, lines, at, event)
+        return at, domain
+
+    @pytest.mark.parametrize("damage", ["report-does-not-decode",
+                                        "verdict-without-domain",
+                                        "chain-key-not-a-list"])
+    @pytest.mark.parametrize("command", ["scan", "explain", "report",
+                                         "diff-runs"])
+    def test_one_line_and_input_error_code(self, journal, damage, command,
+                                           tmp_path, capsys):
+        mutate = {
+            "report-does-not-decode":
+                lambda event: event.update(report={"leaf": 3}),
+            "verdict-without-domain": lambda event: event.pop("domain"),
+            "chain-key-not-a-list":
+                lambda event: event.update(chain_key=5),
+        }[damage]
+        path = tmp_path / "run.jsonl"
+        _, domain = self._damage_first_verdict(journal, path, mutate)
         argv = {
             "scan": ["scan", "--domains", "30", "--seed", "833",
                      "--journal", str(path)],
@@ -1316,3 +1352,86 @@ class TestUndecodableJournalVerdict:
         err = capsys.readouterr().err
         assert err.startswith(f"repro-chain {command}: "), err
         assert err.count("\n") == 1, err
+        assert err.count(str(path)) == 1, err
+
+    @pytest.mark.parametrize("chain_key", [5, ["not hex"], [7]],
+                             ids=["int", "not-hex", "not-str"])
+    def test_scan_refuses_a_malformed_chain_key(self, journal, chain_key,
+                                                tmp_path, capsys):
+        """Resume and the shard fold both turn ``chain_key`` back into
+        fingerprints; the journal reader refuses what they cannot."""
+        path = tmp_path / "run.jsonl"
+        at, _ = self._damage_first_verdict(
+            journal, path, lambda event: event.update(chain_key=chain_key))
+        capsys.readouterr()
+        for network in ([], ["--simulate-network"]):
+            assert main(["scan", "--domains", "30", "--seed", "833",
+                         *network, "--journal", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"repro-chain scan: {path}: corrupt journal: line "
+                f"{at + 1}: verdict chain_key is not a list of "
+                f"fingerprint hex strings\n"
+            )
+
+    def test_diff_runs_names_a_missing_input_once(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["diff-runs", str(missing), str(missing)]) == 3
+        assert capsys.readouterr().err == (
+            f"repro-chain diff-runs: {missing}: No such file or directory\n"
+        )
+
+
+class TestProcessLevel:
+    """Behaviour only a separate interpreter shows."""
+
+    @staticmethod
+    def _env():
+        import os
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        return {**os.environ, "PYTHONPATH": src}
+
+    def test_scan_imports_no_http_server(self):
+        """The telemetry server (and ``http.server``) loads only when a
+        command serves telemetry; ``repro.obs`` still resolves it."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.obs, repro.errors, repro.measurement,"
+            " repro.webpki\n"
+            "assert 'http.server' not in sys.modules\n"
+            "from repro import obs\n"
+            "assert obs.TelemetryServer.__module__ == 'repro.obs.server'\n"
+            "assert callable(obs.parse_serve_address) and obs.RunStatus\n"
+            "assert 'http.server' in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=self._env(), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        """``repro-chain scan | head`` with the reader gone: exit 1 and
+        nothing on stderr, not a ``BrokenPipeError`` traceback."""
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "scan", "--domains", "30",
+             "--seed", "833"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=self._env(), cwd=tmp_path,
+        )
+        proc.stdout.close()  # the reader closes before the first line
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        finally:
+            proc.kill()
+            proc.wait()
+        assert err == b"", err.decode()

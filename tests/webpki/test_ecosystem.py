@@ -91,6 +91,39 @@ class TestDeterminism:
         fps_b = [c.fingerprint for _, chain in b.observations() for c in chain]
         assert fps_a == fps_b
 
+    def test_world_keeps_every_fingerprint(self, monkeypatch):
+        """Every certificate the 2,000-domain seed-833 world signs, in
+        signing order, hashes to the digest recorded before generation
+        was last optimised (``baselines/world-fingerprints.json``):
+        journals, store segments and reports key on these fingerprints."""
+        import hashlib
+        import json
+        from pathlib import Path
+
+        from repro.x509 import Certificate
+
+        baseline = json.loads(
+            (Path(__file__).resolve().parents[2] / "baselines"
+             / "world-fingerprints.json").read_text()
+        )
+        signed = []
+        init = Certificate.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.signature:
+                signed.append(self)
+
+        monkeypatch.setattr(Certificate, "__init__", recording_init)
+        Ecosystem.generate(EcosystemConfig(n_domains=baseline["domains"],
+                                           seed=baseline["seed"]))
+        monkeypatch.undo()
+        digest = hashlib.sha256()
+        for cert in signed:
+            digest.update(cert.fingerprint)
+        assert len(signed) == baseline["certificates"]
+        assert digest.hexdigest() == baseline["sha256"]
+
     def test_different_seed_different_world(self):
         a = Ecosystem.generate(EcosystemConfig(n_domains=120, seed=5))
         b = Ecosystem.generate(EcosystemConfig(n_domains=120, seed=6))

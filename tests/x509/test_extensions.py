@@ -98,6 +98,20 @@ class TestKeyUsage:
         assert not KeyUsage.for_tls_server().key_cert_sign
 
 
+def test_extensions_carry_no_instance_dict():
+    for extension in (
+        KeyUsage.for_ca(),
+        SubjectAlternativeName.for_domains("a.example"),
+        SubjectKeyIdentifier(b"k" * 20),
+        AuthorityKeyIdentifier(b"k" * 20),
+        AuthorityInformationAccess.ca_issuers("http://aia.example/ca.crt"),
+        BasicConstraints(ca=False),
+        ExtendedKeyUsage.server_auth(),
+        OpaqueExtension(ExtensionOID.CERTIFICATE_POLICIES, b"x"),
+    ):
+        assert not hasattr(extension, "__dict__"), type(extension).__name__
+
+
 class TestExtendedKeyUsage:
     def test_server_auth_preset(self):
         assert ExtendedKeyUsage.server_auth().allows_server_auth()
