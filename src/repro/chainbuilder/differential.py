@@ -21,9 +21,10 @@ from repro.chainbuilder.clients import (
     DIFFERENTIAL_BROWSERS,
     LIBRARIES,
 )
-from repro.chainbuilder.engine import ChainBuilder, ClientVerdict
+from repro.chainbuilder.engine import ChainBuilder, ChainFacts, ClientVerdict
 from repro.chainbuilder.policy import ClientPolicy
 from repro.obs.evidence import Evidence
+from repro.obs.probe import phase_scope
 from repro.trust.aia import AIAFetcher
 from repro.trust.cache import IntermediateCache
 from repro.trust.rootstore import RootStoreRegistry
@@ -269,10 +270,11 @@ class DifferentialHarness:
 
     def evaluate(self, domain: str, chain: list[Certificate], *,
                  at_time: datetime) -> ChainOutcome:
-        """One observation through every client."""
+        """One observation through every client, over one fact table."""
+        facts = ChainFacts(chain)
         verdicts = {
             name: builder.build_and_validate(
-                chain, domain=domain, at_time=at_time
+                chain, domain=domain, at_time=at_time, facts=facts
             )
             for name, builder in self._builders.items()
         }
@@ -316,6 +318,10 @@ class DifferentialHarness:
         every chain Firefox saw before it, so evaluation must stay
         strictly sequential and un-reused to mean anything — a
         persistent store under a learning cache is rejected outright.
+
+        The run is one ``differential`` phase (``phase.*`` metrics).
+        :meth:`evaluate`, which the fuzzer and the figure helpers call
+        once per chain, records none.
         """
         if verdict_store is not None and observe_into_cache:
             raise ValueError(
@@ -324,27 +330,28 @@ class DifferentialHarness:
                 "evaluation history"
             )
         report = DifferentialReport()
-        if observe_into_cache:
+        with phase_scope("differential"):
+            if observe_into_cache:
+                for domain, chain in observations:
+                    outcome = self.evaluate(domain, chain, at_time=at_time)
+                    report.outcomes.append(outcome)
+                    self._journal_outcome(journal, domain, chain, outcome)
+                    self.cache.observe_chain(chain)
+                return report
+
+            capability = (self.capability_digest()
+                          if verdict_store is not None else None)
+            local: dict[tuple[str, tuple[bytes, ...]], ChainOutcome] = {}
             for domain, chain in observations:
-                outcome = self.evaluate(domain, chain, at_time=at_time)
+                pair = (domain, tuple(c.fingerprint for c in chain))
+                outcome = local.get(pair)
+                if outcome is None:
+                    outcome = self._stored_or_evaluated(
+                        domain, chain, at_time, verdict_store, capability
+                    )
+                    local[pair] = outcome
                 report.outcomes.append(outcome)
                 self._journal_outcome(journal, domain, chain, outcome)
-                self.cache.observe_chain(chain)
-            return report
-
-        capability = (self.capability_digest()
-                      if verdict_store is not None else None)
-        local: dict[tuple[str, tuple[bytes, ...]], ChainOutcome] = {}
-        for domain, chain in observations:
-            pair = (domain, tuple(c.fingerprint for c in chain))
-            outcome = local.get(pair)
-            if outcome is None:
-                outcome = self._stored_or_evaluated(
-                    domain, chain, at_time, verdict_store, capability
-                )
-                local[pair] = outcome
-            report.outcomes.append(outcome)
-            self._journal_outcome(journal, domain, chain, outcome)
         return report
 
     def _stored_or_evaluated(self, domain, chain, at_time, verdict_store,

@@ -8,6 +8,11 @@ policy's priority rules, and terminates when it reaches a trusted
 anchor.  Backtracking-capable policies explore alternatives on failure;
 the rest commit to their first choice, exactly the deficiency the
 paper's I-3 case documents.
+
+What does not depend on the client (which presented certificates and
+which anchors issued a certificate, and how a path fares in every
+validation check but trust anchoring) lives in one :class:`ChainFacts`
+table per chain, which every builder over that chain reads.
 """
 
 from __future__ import annotations
@@ -22,8 +27,13 @@ from repro.chainbuilder.policy import (
     SearchScope,
     ValidityPriority,
 )
-from repro.chainbuilder.verify import ValidationResult, validate_path
-from repro.core.relation import DEFAULT_POLICY, issued
+from repro.chainbuilder.verify import (
+    ValidationResult,
+    anchor_verdict,
+    validate_unanchored,
+)
+from repro.core.relation import DEFAULT_POLICY, issued, issuer_positions
+from repro.errors import AIAFetchError
 from repro.trust.aia import AIAFetcher
 from repro.trust.cache import IntermediateCache
 from repro.trust.revocation import RevocationRegistry, RevocationStatus
@@ -110,6 +120,81 @@ class ClientVerdict:
         return self.validation.error
 
 
+class ChainFacts:
+    """What every client's construction over one presented list reads.
+
+    Which presented certificates issued a certificate, which anchors of
+    a root program did, and how a path fares in every validation check
+    but trust anchoring do not depend on the client asking.  The
+    differential harness builds one table per chain and hands it to all
+    eight builders; each builder applies only its own policy to what
+    the table returns (search scope, the used-set filter, partial
+    validation, priority, backtracking and limits).  Entries are filled
+    on first use.  Nothing is cached on the certificates themselves.
+
+    The Firefox cache lookup and AIA fetches stay with each builder:
+    they have per-call side effects (LRU recency, hit/miss and fetch
+    counters, fault plans) that every client's construction must still
+    cause.
+    """
+
+    __slots__ = ("presented", "_presented_issuers", "_store_issuers",
+                 "_validations")
+
+    def __init__(self, presented: list[Certificate]) -> None:
+        self.presented = presented
+        self._presented_issuers: dict[bytes, tuple[PathStep, ...]] = {}
+        self._store_issuers: dict[tuple[RootStore, bytes],
+                                  tuple[PathStep, ...]] = {}
+        self._validations: dict[tuple, ValidationResult] = {}
+
+    def presented_issuers(self, subject: Certificate) -> tuple[PathStep, ...]:
+        """The presented certificates that issued ``subject``, as steps
+        in list order (:func:`~repro.core.relation.issuer_positions`:
+        a copy of the subject never counts, and the name/KID
+        pre-filter spares the signature check)."""
+        fingerprint = subject.fingerprint
+        steps = self._presented_issuers.get(fingerprint)
+        if steps is None:
+            presented = self.presented
+            steps = self._presented_issuers[fingerprint] = tuple(
+                PathStep(presented[index], SOURCE_PRESENTED, index)
+                for index in issuer_positions(subject, presented)
+            )
+        return steps
+
+    def store_issuers(self, store: RootStore,
+                      subject: Certificate) -> tuple[PathStep, ...]:
+        """``store``'s anchors that plausibly issued ``subject``."""
+        key = (store, subject.fingerprint)
+        steps = self._store_issuers.get(key)
+        if steps is None:
+            steps = self._store_issuers[key] = tuple(
+                PathStep(anchor, SOURCE_STORE, None)
+                for anchor in store.find_issuers_of(subject)
+            )
+        return steps
+
+    def validation(self, path: list[Certificate], store: RootStore, *,
+                   at_time: datetime, domain: str | None,
+                   revocation: RevocationRegistry | None,
+                   ) -> ValidationResult:
+        """:func:`~repro.chainbuilder.verify.validate_path`'s verdict.
+
+        Every check but trust anchoring runs once per distinct path,
+        domain, time and revocation registry; only the anchoring reads
+        ``store``.
+        """
+        key = (tuple([cert.fingerprint for cert in path]), revocation,
+               domain, at_time)
+        unanchored = self._validations.get(key)
+        if unanchored is None:
+            unanchored = self._validations[key] = validate_unanchored(
+                path, at_time=at_time, domain=domain, revocation=revocation,
+            )
+        return anchor_verdict(unanchored, path, store)
+
+
 class ChainBuilder:
     """A TLS client model: policy + trust environment.
 
@@ -151,10 +236,20 @@ class ChainBuilder:
     # Public API
     # ------------------------------------------------------------------
 
-    def build(self, presented: list[Certificate], *,
-              at_time: datetime) -> BuildResult:
-        """Construct a certification path from ``presented``."""
-        result = self._build(presented, at_time=at_time)
+    def build(self, presented: list[Certificate], *, at_time: datetime,
+              facts: ChainFacts | None = None) -> BuildResult:
+        """Construct a certification path from ``presented``.
+
+        ``facts`` is the table of ``presented`` shared with other
+        builders over the same list; without one the build makes its
+        own.
+        """
+        if facts is None:
+            facts = ChainFacts(presented)
+        elif facts.presented is not presented:
+            raise ValueError("the fact table was built for another "
+                             "presented list")
+        result = self._build(facts, at_time=at_time)
         metrics = obs.get_metrics()
         metrics.counter("chainbuilder.builds",
                         client=self.policy.name,
@@ -167,8 +262,9 @@ class ChainBuilder:
         metrics.counter("chainbuilder.backtracks").inc(stats.backtracks)
         return result
 
-    def _build(self, presented: list[Certificate], *,
+    def _build(self, facts: ChainFacts, *,
                at_time: datetime) -> BuildResult:
+        presented = facts.presented
         ctx = _BuildContext()
         if not presented:
             return BuildResult(False, [], "empty_input", ctx.stats)
@@ -193,7 +289,7 @@ class ChainBuilder:
             return BuildResult(False, [step], "untrusted_root", ctx.stats)
 
         root_step = PathStep(leaf, SOURCE_PRESENTED, 0)
-        outcome = self._extend([root_step], presented, at_time, ctx)
+        outcome = self._extend([root_step], facts, at_time, ctx)
         if outcome is not None:
             return outcome
         # No anchored path: return the deepest failure recorded.
@@ -208,14 +304,21 @@ class ChainBuilder:
         *,
         domain: str | None,
         at_time: datetime,
+        facts: ChainFacts | None = None,
     ) -> ClientVerdict:
-        """Full Figure 1 pipeline: construct, then validate."""
-        build = self.build(presented, at_time=at_time)
-        if not build.path:
+        """Full Figure 1 pipeline: construct, then validate.
+
+        ``facts`` is as for :meth:`build`; validation reads it too.
+        """
+        if facts is None:
+            facts = ChainFacts(presented)
+        build = self.build(presented, at_time=at_time, facts=facts)
+        path = build.path
+        if not path:
             validation = ValidationResult(False, build.error or "empty_path")
         else:
-            validation = validate_path(
-                build.path, self.store, at_time=at_time, domain=domain,
+            validation = facts.validation(
+                path, self.store, at_time=at_time, domain=domain,
                 revocation=self.revocation,
             )
         return ClientVerdict(build, validation)
@@ -227,7 +330,7 @@ class ChainBuilder:
     def _extend(
         self,
         steps: list[PathStep],
-        presented: list[Certificate],
+        facts: ChainFacts,
         at_time: datetime,
         ctx: "_BuildContext",
     ) -> BuildResult | None:
@@ -239,7 +342,7 @@ class ChainBuilder:
             return None
 
         candidates = self._candidates_for(
-            current, presented, steps, at_time, ctx.stats
+            current, facts, steps, at_time, ctx.stats
         )
         if not candidates:
             ctx.record_failure(steps, "no_issuer_found")
@@ -259,7 +362,7 @@ class ChainBuilder:
                     return BuildResult(True, new_steps, None, ctx.stats)
                 ctx.record_failure(new_steps, "untrusted_root")
                 continue
-            result = self._extend(new_steps, presented, at_time, ctx)
+            result = self._extend(new_steps, facts, at_time, ctx)
             if result is not None:
                 return result
         return None
@@ -267,7 +370,7 @@ class ChainBuilder:
     def _candidates_for(
         self,
         current: PathStep,
-        presented: list[Certificate],
+        facts: ChainFacts,
         steps: list[PathStep],
         at_time: datetime,
         stats: BuildStats,
@@ -275,7 +378,6 @@ class ChainBuilder:
         """Collect, filter and priority-order issuer candidates."""
         subject = current.certificate
         used = {step.certificate.fingerprint for step in steps}
-        found: list[PathStep] = []
 
         # (a) the presented list, within the policy's search scope
         start = 0
@@ -284,12 +386,11 @@ class ChainBuilder:
             and current.position is not None
         ):
             start = current.position + 1
-        for index in range(start, len(presented)):
-            candidate = presented[index]
-            if candidate.fingerprint in used:
-                continue
-            if issued(candidate, subject, DEFAULT_POLICY):
-                found.append(PathStep(candidate, SOURCE_PRESENTED, index))
+        found = [
+            step for step in facts.presented_issuers(subject)
+            if step.position >= start
+            and step.certificate.fingerprint not in used
+        ]
 
         # (b) the intermediate cache (Firefox)
         if self.policy.use_intermediate_cache and self.cache is not None:
@@ -302,11 +403,12 @@ class ChainBuilder:
                     found.append(PathStep(candidate, SOURCE_CACHE, None))
 
         # (c) the root store
-        for anchor in self.store.find_issuers_of(subject):
+        for step in facts.store_issuers(self.store, subject):
+            anchor = step.certificate
             if anchor.fingerprint not in used and not any(
                 s.certificate.fingerprint == anchor.fingerprint for s in found
             ):
-                found.append(PathStep(anchor, SOURCE_STORE, None))
+                found.append(step)
 
         # (d) AIA, only when nothing local turned up
         if not found and self.policy.aia_fetching and self.aia_fetcher is not None:
@@ -314,7 +416,7 @@ class ChainBuilder:
                 stats.aia_fetches += 1
                 try:
                     fetched = self.aia_fetcher.fetch(uri)
-                except Exception:  # AIAFetchError; any failure means "no cert"
+                except AIAFetchError:
                     continue
                 if (
                     fetched.fingerprint not in used

@@ -14,9 +14,10 @@ from datetime import datetime
 
 from repro.chainbuilder.engine import (
     BuildResult,
+    BuildStats,
     ChainBuilder,
+    ChainFacts,
     PathStep,
-    SOURCE_PRESENTED,
 )
 from repro.x509 import Certificate
 
@@ -90,11 +91,11 @@ def explain_build(
 
     The explanation re-derives candidates along the path the builder
     actually walked (the best-effort path on failure), using the same
-    collection and ranking code, so it cannot drift from the engine.
+    collection and ranking code over the build's own fact table, so it
+    cannot drift from the engine.
     """
-    from repro.chainbuilder.engine import BuildStats
-
-    result = builder.build(presented, at_time=at_time)
+    facts = ChainFacts(presented)
+    result = builder.build(presented, at_time=at_time, facts=facts)
     hops: list[HopExplanation] = []
     prefix: list[PathStep] = []
     for index, step in enumerate(result.steps):
@@ -102,7 +103,7 @@ def explain_build(
         if step.certificate.is_self_signed or step.source == "store":
             break  # terminals never consult a candidate slate
         candidates = builder._candidates_for(  # noqa: SLF001 - same package
-            step, presented, prefix, at_time, BuildStats()
+            step, facts, prefix, at_time, BuildStats()
         )
         next_fingerprint = (
             result.steps[index + 1].certificate.fingerprint

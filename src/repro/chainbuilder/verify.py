@@ -76,30 +76,57 @@ def validate_path(
     """
     if not path:
         return ValidationResult(False, "empty_path")
+    result = validate_unanchored(
+        path, at_time=at_time, domain=domain, revocation=revocation,
+        revocation_hard_fail=revocation_hard_fail,
+    )
+    return anchor_verdict(result, path, store) if check_trust else result
 
-    # 1. Signature linkage: every cert must be signed by its successor,
-    #    and a self-signed terminal by itself.
-    for index, cert in enumerate(path):
-        signer = path[index + 1] if index + 1 < len(path) else cert
-        if not cert.verify_signature(signer.public_key):
-            if index + 1 < len(path):
-                return ValidationResult(False, "bad_signature", index)
-            # Non-self-signed terminal: linkage ends in the air.
-            if check_trust:
-                return ValidationResult(False, "unknown_issuer", index)
 
-    # 2. Trust anchoring: the terminal's key must be in the store.
-    if check_trust:
-        terminal = path[-1]
-        if not (store.contains_key_of(terminal) or terminal in store):
-            return ValidationResult(False, "unknown_issuer", len(path) - 1)
+def anchor_verdict(unanchored: ValidationResult, path: list[Certificate],
+                   store: RootStore) -> ValidationResult:
+    """:func:`validate_path`'s verdict from :func:`validate_unanchored`'s.
 
-    # 3. Validity windows.
+    Trust anchoring is the only check that reads the store.  It ranks
+    after a broken link below the terminal and before every other
+    check: a terminal that does not sign itself (the linkage ends in
+    the air), or whose key ``store`` does not hold, is an unknown
+    issuer.
+    """
+    if unanchored.error == "bad_signature":
+        return unanchored
+    terminal = path[-1]
+    if not (
+        terminal.verify_signature(terminal.public_key)
+        and (store.contains_key_of(terminal) or terminal in store)
+    ):
+        return ValidationResult(False, "unknown_issuer", len(path) - 1)
+    return unanchored
+
+
+def validate_unanchored(
+    path: list[Certificate],
+    *,
+    at_time: datetime,
+    domain: str | None = None,
+    revocation: RevocationRegistry | None = None,
+    revocation_hard_fail: bool = False,
+) -> ValidationResult:
+    """Every check of :func:`validate_path` but trust anchoring, over a
+    non-empty ``path``; it reads no root store, so one result serves
+    every store the path is anchored against."""
+    # 1. Signature linkage: every cert must be signed by its successor
+    #    (the terminal's own signature is part of anchoring).
+    for index in range(len(path) - 1):
+        if not path[index].verify_signature(path[index + 1].public_key):
+            return ValidationResult(False, "bad_signature", index)
+
+    # 2. Validity windows.
     for index, cert in enumerate(path):
         if not cert.is_valid_at(at_time):
             return ValidationResult(False, "date_invalid", index)
 
-    # 4. Intermediate constraints (every cert above the leaf).
+    # 3. Intermediate constraints (every cert above the leaf).
     for index, cert in enumerate(path[1:], start=1):
         if not cert.is_ca:
             return ValidationResult(False, "not_a_ca", index)
@@ -114,7 +141,7 @@ def validate_path(
             if len(below) > constraint:
                 return ValidationResult(False, "path_length_exceeded", index)
 
-    # 5. Revocation (trust anchors are exempt by convention).
+    # 4. Revocation (trust anchors are exempt by convention).
     if revocation is not None:
         for index, cert in enumerate(path):
             if index == len(path) - 1 and cert.is_self_signed:
@@ -126,7 +153,7 @@ def validate_path(
                     and revocation_hard_fail):
                 return ValidationResult(False, "revocation_unknown", index)
 
-    # 6. Hostname.
+    # 5. Hostname.
     if domain is not None and not path[0].matches_domain(domain):
         return ValidationResult(False, "domain_mismatch", 0)
 

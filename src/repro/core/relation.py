@@ -132,9 +132,9 @@ def _structural_match(issuer: Certificate, subject: Certificate,
     return not checked_any
 
 
-def find_issuers(subject: Certificate, candidates: list[Certificate],
-                 policy: RelationPolicy = DEFAULT_POLICY) -> list[Certificate]:
-    """All candidates that certify ``subject``, in candidate order.
+def issuer_positions(subject: Certificate, candidates: list[Certificate],
+                     policy: RelationPolicy = DEFAULT_POLICY) -> list[int]:
+    """Indexes of the candidates that certify ``subject``, in order.
 
     A certificate never counts as its own issuer here: self-signed
     certificates terminate chains rather than extend them.  Candidates
@@ -142,11 +142,19 @@ def find_issuers(subject: Certificate, candidates: list[Certificate],
     without evaluating the signature — the result is identical to
     running :func:`issued` over every candidate.
     """
+    fingerprint = subject.fingerprint
     return [
-        candidate
-        for candidate in candidates
-        if candidate is not subject
-        and candidate.fingerprint != subject.fingerprint
+        index
+        for index, candidate in enumerate(candidates)
+        if candidate.fingerprint != fingerprint
         and _structural_match(candidate, subject, policy)
         and issued(candidate, subject, policy)
     ]
+
+
+def find_issuers(subject: Certificate, candidates: list[Certificate],
+                 policy: RelationPolicy = DEFAULT_POLICY) -> list[Certificate]:
+    """All candidates that certify ``subject``, in candidate order
+    (see :func:`issuer_positions`)."""
+    return [candidates[index]
+            for index in issuer_positions(subject, candidates, policy)]

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from repro.chainbuilder.clients import ALL_CLIENTS
-from repro.chainbuilder.differential import DifferentialHarness
 from repro.core.topology import ChainTopology
 from repro.webpki.ecosystem import Ecosystem
 from repro.x509 import Certificate, Validity, utc
@@ -72,6 +70,8 @@ def figure_1_trace(ecosystem: Ecosystem, domain: str,
     Returns the constructed path structure and the validation verdict
     for one domain under one client model.
     """
+    from repro.chainbuilder import DifferentialHarness
+
     deployment = ecosystem.deployment_by_domain(domain)
     harness = DifferentialHarness(
         ecosystem.registry, aia_fetcher=ecosystem.aia_repo
@@ -121,6 +121,8 @@ def figure_case_outcomes(ecosystem: Ecosystem, case: str,
                          *, at_time: datetime | None = None
                          ) -> dict[str, object]:
     """Figures 3 & 4: the case chain plus every client's verdict."""
+    from repro.chainbuilder import ALL_CLIENTS, DifferentialHarness
+
     deployment = ecosystem.case_studies()[case]
     harness = DifferentialHarness(
         ecosystem.registry, aia_fetcher=ecosystem.aia_repo
@@ -128,18 +130,13 @@ def figure_case_outcomes(ecosystem: Ecosystem, case: str,
     moment = at_time or ecosystem.config.now
     outcome = harness.evaluate(deployment.domain, deployment.chain,
                                at_time=moment)
-    structures = {
-        client.name: harness._builders[client.name]  # noqa: SLF001
-        .build(deployment.chain, at_time=moment)
-        .structure
-        for client in ALL_CLIENTS
-    }
     return {
         "domain": deployment.domain,
         "list_length": len(deployment.chain),
         "sketch": topology_sketch(deployment.domain, deployment.chain),
         "results": {c.name: outcome.result_of(c.name) for c in ALL_CLIENTS},
-        "structures": structures,
+        "structures": {c.name: outcome.verdicts[c.name].build.structure
+                       for c in ALL_CLIENTS},
     }
 
 

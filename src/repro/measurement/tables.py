@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.chainbuilder.capabilities import run_capability_matrix
-from repro.chainbuilder.clients import ALL_CLIENTS
 from repro.core.completeness import CompletenessClass, analyze_completeness
 from repro.core.compliance import ChainComplianceReport
 from repro.core.leaf import LeafPlacement
@@ -310,12 +308,17 @@ def render_table_8(ctx: TableContext) -> str:
 # Table 9 — client capability matrix (live harness)
 # ---------------------------------------------------------------------------
 
+# The client models load only here: a scan renders no Table 9, so it
+# does not pay for importing the path builder.
+
 def table_9() -> dict[str, dict[str, str]]:
+    from repro.chainbuilder import ALL_CLIENTS, run_capability_matrix
+
     return run_capability_matrix(ALL_CLIENTS)
 
 
 def render_table_9(matrix: dict[str, dict[str, str]] | None = None) -> str:
-    from repro.chainbuilder.clients import client_by_name
+    from repro.chainbuilder import ALL_CLIENTS, client_by_name
 
     matrix = matrix or table_9()
     # Preserve Table 9's column order for known clients; extras (e.g.

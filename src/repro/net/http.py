@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from repro.errors import AIAFetchError, HTTPError, HostUnreachableError, NetworkError
+from repro.errors import AIAFetchError, HTTPError, NetworkError
 from repro.net.simnet import SimulatedNetwork
 from repro.x509 import Certificate, from_pem
 
@@ -87,14 +87,19 @@ class HTTPAIAFetcher:
         self.fetches = 0
 
     def fetch(self, uri: str) -> Certificate:
+        """The certificate at ``uri``; every failure is an
+        :class:`AIAFetchError`.  A 404 is ``not_found``; any other
+        network failure (unreachable host, refused port, reset
+        connection, other HTTP status) is ``unreachable``, which
+        :class:`~repro.trust.aia.RetryingAIAFetcher` retries."""
         self.fetches += 1
         try:
             body = http_get(self.network, self.vantage, uri)
-        except HostUnreachableError as exc:
-            raise AIAFetchError(str(exc), uri, "unreachable") from exc
         except HTTPError as exc:
             reason = "not_found" if exc.status == 404 else "unreachable"
             raise AIAFetchError(str(exc), uri, reason) from exc
+        except NetworkError as exc:
+            raise AIAFetchError(str(exc), uri, "unreachable") from exc
         try:
             return from_pem(body.decode())
         except Exception as exc:

@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from repro import obs
 from repro.ca import build_hierarchy, malform
 from repro.chainbuilder import (
     ALL_CLIENTS,
     DIFFERENTIAL_BROWSERS,
+    ChainFuzzer,
     DifferentialHarness,
     LIBRARIES,
     attribute_library_discrepancy,
@@ -187,3 +190,116 @@ class TestPinnedOutcomes:
             digest.update(b"\n")
         assert report.total == 312
         assert digest.hexdigest() == self.PINNED
+
+
+@pytest.fixture(scope="module")
+def reference_world():
+    """The 300-domain seed-833 ecosystem the pinned digests cover."""
+    return Ecosystem.generate(EcosystemConfig(n_domains=300, seed=833))
+
+
+def _harness(ecosystem):
+    return DifferentialHarness(ecosystem.registry,
+                               aia_fetcher=ecosystem.aia_repo)
+
+
+class TestPinnedBuilds:
+    #: SHA-256 over what every client built and validated for the 312
+    #: outcomes of the 300-domain seed-833 ecosystem in the CLI's
+    #: learning mode: per outcome and client in order, the anchored
+    #: flag, the error, each step's fingerprint, source and position,
+    #: the four BuildStats counters and the ValidationResult fields.
+    #: Recorded before the clients shared one fact table per chain.
+    #: A client that walks another path changes it even when its
+    #: result label (which ``TestPinnedOutcomes`` pins) stays.
+    PINNED = "4330bff63affddc30df152f784841b3db8d18144b5829177063444394c471ce3"
+
+    def test_cli_mode_builds_are_pinned(self, reference_world):
+        report = _harness(reference_world).run(
+            reference_world.observations(),
+            at_time=reference_world.config.now, observe_into_cache=True,
+        )
+        digest = hashlib.sha256()
+        for outcome in report.outcomes:
+            for name, verdict in outcome.verdicts.items():
+                build, validation = verdict.build, verdict.validation
+                stats = build.stats
+                record = [
+                    name, build.anchored, build.error,
+                    [[step.certificate.fingerprint_hex, step.source,
+                      step.position] for step in build.steps],
+                    [stats.candidates_considered, stats.backtracks,
+                     stats.aia_fetches, stats.cache_lookups],
+                    [validation.ok, validation.error,
+                     validation.failing_index],
+                ]
+                digest.update(json.dumps(record,
+                                         separators=(",", ":")).encode())
+                digest.update(b"\n")
+        assert report.total == 312
+        assert digest.hexdigest() == self.PINNED
+
+    def test_shared_table_equals_each_client_alone(self, reference_world):
+        """Every client reads the harness's one table per chain; each
+        must build and validate exactly what it builds with a table of
+        its own, on the world's chains and on fuzzed mutants of them
+        (disordered, duplicated, truncated, with strangers inserted)."""
+        now = reference_world.config.now
+        shared = _harness(reference_world)
+        alone = _harness(reference_world)
+        observations = reference_world.observations()
+        fuzzer = ChainFuzzer(shared, observations, rng=random.Random(22))
+        mutants = []
+        for _ in range(400):
+            domain, base = fuzzer.rng.choice(observations)
+            mutant, _applied = fuzzer.mutate(base, fuzzer.rng.randint(1, 3))
+            mutants.append((domain, mutant))
+        builders = alone._builders  # noqa: SLF001 - each client alone
+        for domain, chain in [*observations, *mutants]:
+            outcome = shared.evaluate(domain, chain, at_time=now)
+            for name, builder in builders.items():
+                verdict = builder.build_and_validate(
+                    chain, domain=domain, at_time=now)
+                assert verdict == outcome.verdicts[name], (domain, name)
+            # both Firefox caches learn the same chains in the same order
+            shared.cache.observe_chain(chain)
+            alone.cache.observe_chain(chain)
+
+
+    def test_shared_table_keeps_each_root_program(self):
+        """A root that only two programs trust: the table's store
+        issuers are per program, so the other clients still fail."""
+        h = build_hierarchy("DiffPrograms", depth=1,
+                            key_seed_prefix="diff-programs")
+        registry = RootStoreRegistry()
+        registry.add_to(h.root.certificate, ("microsoft", "apple"))
+        leaf = h.issue_leaf("programs.example",
+                            not_before=utc(2024, 1, 1), days=365)
+        chain = h.chain_for(leaf)
+        shared = DifferentialHarness(registry)
+        alone = DifferentialHarness(registry)
+        outcome = shared.evaluate("programs.example", chain, at_time=NOW)
+        for name, builder in alone._builders.items():  # noqa: SLF001
+            assert builder.build_and_validate(
+                chain, domain="programs.example", at_time=NOW,
+            ) == outcome.verdicts[name], name
+        results = outcome.subset_results(ALL_CLIENTS)
+        assert {name for name, result in results.items()
+                if result == "ok"} == {"cryptoapi", "edge", "safari"}
+
+
+class TestDifferentialPhase:
+    def test_run_is_one_differential_phase(self, reference_world):
+        harness = _harness(reference_world)
+        now = reference_world.config.now
+        observations = reference_world.observations()
+        with obs.instrumented() as (metrics, _tracer):
+            harness.run(observations, at_time=now,
+                        observe_into_cache=True)
+            # a single evaluation (fuzzer, figure helpers) is no phase
+            harness.evaluate(*observations[0], at_time=now)
+        series = metrics.snapshot()["phase.wall_seconds"]["series"]
+        phases = [s for s in series
+                  if s["labels"] == {"phase": "differential"}]
+        assert len(phases) == 1
+        assert phases[0]["count"] == 1 and phases[0]["sum"] > 0

@@ -5,6 +5,7 @@ import pytest
 from repro.ca import build_hierarchy, malform
 from repro.chainbuilder import (
     ChainBuilder,
+    ChainFacts,
     ClientPolicy,
     KIDPriority,
     SearchScope,
@@ -64,6 +65,13 @@ class TestHappyPath:
     def test_empty_input(self, world):
         result = _builder(world).build([], at_time=NOW)
         assert result.error == "empty_input"
+
+    def test_fact_table_of_another_list_is_refused(self, world):
+        h, leaf, _, _ = world
+        chain = h.chain_for(leaf)
+        with pytest.raises(ValueError, match="another presented list"):
+            _builder(world).build(list(chain), at_time=NOW,
+                                  facts=ChainFacts(chain))
 
     def test_lone_candidates_are_not_ranked(self, world, monkeypatch):
         h, leaf, _, _ = world

@@ -75,6 +75,22 @@ class TestAIAEdges:
         assert result.error == "no_issuer_found"
         assert result.stats.aia_fetches == 1
 
+    def test_fetcher_bug_propagates_out_of_the_build(self, world):
+        # only AIAFetchError means "no certificate at this URI"; any
+        # other exception is a fault in the fetcher, not a verdict
+        class BrokenFetcher:
+            def fetch(self, uri):
+                raise RuntimeError("fetcher bug")
+
+        h, _leaf, store = world
+        leaf = h.issuing_ca.issue_leaf(
+            "brokenaia.example", not_before=utc(2024, 1, 1), days=365,
+        )
+        builder = ChainBuilder(AIA_POLICY, store,
+                               aia_fetcher=BrokenFetcher())
+        with pytest.raises(RuntimeError, match="fetcher bug"):
+            builder.build([leaf], at_time=NOW)
+
     def test_local_candidates_suppress_aia(self, world):
         h, leaf, store = world
         repo = StaticAIARepository()

@@ -1415,6 +1415,26 @@ class TestProcessLevel:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
+    def test_scan_imports_no_path_builder(self):
+        """The client path builder loads only for the commands and
+        tables that run it (Table 9, the figure cases, `differential`),
+        not for every scan."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.obs, repro.measurement, repro.webpki\n"
+            "assert 'repro.chainbuilder' not in sys.modules\n"
+            "from repro.measurement import render_table_9\n"
+            "assert 'OpenSSL' in render_table_9({'openssl': {'x': 'y'}})\n"
+            "assert 'repro.chainbuilder' in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=self._env(), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
     def test_closed_stdout_exits_quietly(self, tmp_path):
         """``repro-chain scan | head`` with the reader gone: exit 1 and
         nothing on stderr, not a ``BrokenPipeError`` traceback."""
