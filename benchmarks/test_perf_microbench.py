@@ -205,157 +205,6 @@ def test_perf_journal_overhead_snapshot(ecosystem, tmp_path):
     print(f"\n{json.dumps(snapshot, indent=2)}")
 
 
-def test_perf_pipeline_snapshot(ecosystem, tmp_path):
-    """Dedup pipeline vs the plain sequential loop; writes
-    BENCH_pipeline.json.
-
-    The workload is the *per-vantage scan stream* — every successful
-    (domain, chain) observation from both vantages, before the union
-    merge — because that is the stream the chain-dedup verdict cache
-    exists for: most domains serve the identical chain to both
-    vantages, so roughly half the stream is cache-fanout rather than
-    fresh analysis.  Three numbers are recorded: sequential vs pipeline
-    chains/second (speedup), the verdict-cache hit rate, and the
-    journal overhead of the pipeline under the batched flush policy.
-    CI fails if the cache is ever bypassed (hit rate 0) on this
-    reference stream.
-    """
-    from repro.core.report import aggregate
-    from repro.measurement import VerdictCache, analyze_observations
-    from repro.obs import RunJournal
-    from repro.webpki.ecosystem import VANTAGE_AU, VANTAGE_US
-
-    per_vantage_cap = 2_000
-    stream = []
-    for vantage in (VANTAGE_US, VANTAGE_AU):
-        stream.extend(
-            ecosystem.vantage_observations(vantage)[:per_vantage_cap]
-        )
-    union = ecosystem.registry.union()
-    manifest = {"run": "bench", "config": {}, "seed": 0,
-                "root_store_digest": union.digest()}
-
-    def sequential():
-        start = time.perf_counter()
-        reports = [
-            analyze_chain(domain, chain, union, ecosystem.aia_repo)
-            for domain, chain in stream
-        ]
-        return time.perf_counter() - start, reports
-
-    def pipelined(journal=None):
-        start = time.perf_counter()
-        reports, stats = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo,
-            cache=VerdictCache(), journal=journal,
-        )
-        return time.perf_counter() - start, reports, stats
-
-    def journaled_round(index: int) -> float:
-        path = tmp_path / f"pipeline-{index}.jsonl"
-        with RunJournal.create(path, manifest,
-                               flush_every=64) as journal:
-            return pipelined(journal)[0]
-
-    sequential()  # warm every cache before timing
-    # Best-of-N with alternating order inside each round: CPU-speed
-    # drift on shared runners otherwise dominates the comparison (see
-    # test_perf_journal_overhead_snapshot).
-    rounds = 5
-    baseline = pipe_seconds = None
-    seq_reports = pipe_reports = stats = None
-    for index in range(rounds):
-        if index % 2 == 0:
-            b, s_reports = sequential()
-            p, p_reports, p_stats = pipelined()
-        else:
-            p, p_reports, p_stats = pipelined()
-            b, s_reports = sequential()
-        if baseline is None or b < baseline:
-            baseline, seq_reports = b, s_reports
-        if pipe_seconds is None or p < pipe_seconds:
-            pipe_seconds, pipe_reports, stats = p, p_reports, p_stats
-
-    # the pipeline must be a pure optimisation: identical dataset report
-    seq_json = json.dumps(aggregate(seq_reports).to_dict(),
-                          sort_keys=True)
-    pipe_json = json.dumps(aggregate(pipe_reports).to_dict(),
-                           sort_keys=True)
-    assert pipe_json == seq_json
-
-    # Journal cost, measured directly with a short append-only pass
-    # over exactly the events a journaled pipeline run writes: one
-    # verdict per first-occurrence (domain, chain) pair, in stream
-    # order.
-    events = []
-    seen = set()
-    for (domain, chain), report in zip(stream, pipe_reports):
-        key = tuple(c.fingerprint_hex for c in chain)
-        if (domain, key) in seen:
-            continue
-        seen.add((domain, key))
-        events.append((domain, key, report))
-
-    def append_round(index: int) -> float:
-        path = tmp_path / f"pipeline-{index}.jsonl"
-        with RunJournal.create(path, manifest,
-                               flush_every=64) as journal:
-            record = journal.record_verdict
-            start = time.perf_counter()
-            for domain, key, report in events:
-                record(domain, key, report)
-            elapsed = time.perf_counter() - start
-        return elapsed
-
-    journal_cost = min(append_round(index) for index in range(rounds))
-
-    # byte-parity pin: a real journaled pipeline run must write exactly
-    # the lines the direct pass appended
-    real_path = tmp_path / "pipeline-real.jsonl"
-    with RunJournal.create(real_path, manifest,
-                           flush_every=64) as journal:
-        pipelined(journal)
-    assert real_path.read_bytes() == (
-        tmp_path / f"pipeline-{rounds - 1}.jsonl"
-    ).read_bytes()
-
-    journaled = pipe_seconds + journal_cost
-    journal_overhead_pct = 100.0 * journal_cost / pipe_seconds
-    journal_overhead_vs_sequential_pct = 100.0 * journal_cost / baseline
-    speedup = baseline / pipe_seconds
-
-    snapshot = {
-        "bench": "pipeline",
-        "observations": len(stream),
-        "unique_chains": stats.unique_chains,
-        "cache_hit_rate": round(stats.hit_rate, 4),
-        "cpu_count": os.cpu_count(),
-        "sequential_seconds": round(baseline, 6),
-        "pipeline_seconds": round(pipe_seconds, 6),
-        "speedup": round(speedup, 2),
-        "sequential_chains_per_second": round(len(stream) / baseline, 1),
-        "pipeline_chains_per_second": round(len(stream) / pipe_seconds,
-                                            1),
-        "flush_every": 64,
-        "journaled_seconds": round(journaled, 6),
-        "journal_overhead_pct": round(journal_overhead_pct, 2),
-        "journal_overhead_vs_sequential_pct": round(
-            journal_overhead_vs_sequential_pct, 2
-        ),
-        "journal_bytes": real_path.stat().st_size,
-    }
-    # the cache-bypass guard: a hit rate of 0 on the per-vantage stream
-    # means dedup silently stopped working
-    assert stats.hit_rate > 0.0
-    assert speedup > 1.0
-    out_path = pathlib.Path(__file__).resolve().parent.parent / (
-        "BENCH_pipeline.json"
-    )
-    out_path.write_text(json.dumps(snapshot, indent=2) + "\n",
-                        encoding="utf-8")
-    print(f"\n{json.dumps(snapshot, indent=2)}")
-
-
 def test_perf_robustness_snapshot(tmp_path):
     """Resilience-machinery overhead on a fault-free campaign; writes
     BENCH_robustness.json and gates the overhead at <5%.

@@ -113,8 +113,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.errors import JournalError, StoreError
     from repro.measurement import (
-        Campaign, TableContext, VerdictCache, render_table_3,
-        render_table_5, render_table_7,
+        Campaign, TableContext, render_table_3, render_table_5,
+        render_table_7,
     )
     from repro.webpki import Ecosystem, EcosystemConfig
 
@@ -233,14 +233,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                         else ecosystem.observations())
         start_hot_loop()
         try:
-            cache = VerdictCache(backing=verdict_store)
             if args.simulate_network:
                 shard_size = args.shard_size or len(ecosystem.deployments)
                 sharded = campaign.run_sharded(
                     shard_size,
                     journal=journal, retry_policy=retry_policy,
                     breaker_threshold=args.breaker_threshold or None,
-                    cache=cache, snapshot_writer=snapshot_writer,
+                    verdict_store=verdict_store,
+                    snapshot_writer=snapshot_writer,
                     status=status, progress_factory=progress_factory,
                     output=args.output,
                 )
@@ -276,8 +276,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     status.begin_phase("analyze", len(observations))
                 report, _ = campaign.analyze(
                     observations, journal=journal,
-                    snapshot_writer=snapshot_writer, cache=cache,
-                    status=status,
+                    snapshot_writer=snapshot_writer,
+                    verdict_store=verdict_store, status=status,
                 )
                 if args.output:
                     from repro.measurement import save_observations
@@ -301,9 +301,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"verdict store: {store_stats['hits']:,} hits / "
                   f"{store_stats['misses']:,} misses / "
                   f"{store_stats['writes']:,} writes")
-        print(f"verdict cache: {cache.hits:,} hits / "
-              f"{cache.misses:,} misses "
-              f"({100.0 * cache.hit_rate:.1f}% hit rate)")
+        # every observation the run did not resume was either served
+        # by the store (a hit) or analysed (a miss)
+        hits = int(registry.total("campaign.cache_hits"))
+        misses = int(registry.total("campaign.chains_analyzed")
+                     - registry.total("campaign.chains_resumed")) - hits
+        rate = 100.0 * hits / (hits + misses) if hits + misses else 0.0
+        print(f"verdict cache: {hits:,} hits / {misses:,} misses "
+              f"({rate:.1f}% hit rate)")
         print(f"chains: {report.total:,}  "
               f"non-compliant: {report.noncompliant:,} "
               f"({report.noncompliance_rate:.2f}%)")

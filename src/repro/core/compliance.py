@@ -351,8 +351,8 @@ def rebind_for_domain(report: ChainComplianceReport, domain: str,
     (chain, store, fetcher) — so a report computed for one observation
     of a byte-identical chain transfers to any other observation by
     recomputing the leaf classification alone.  This is what lets the
-    analyse pipeline's verdict cache key on the chain fingerprints
-    rather than on (domain, chain).
+    verdict store key reports on the chain fingerprints rather than on
+    (domain, chain).
     """
     if report.domain == domain:
         return report
@@ -369,9 +369,9 @@ def record_outcome(report: ChainComplianceReport) -> None:
     A handful of no-op calls when instrumentation is disabled; with a
     live registry these counters reproduce the paper's headline
     breakdowns directly from a campaign run.  :func:`analyze_chain`
-    calls this once per analysis; cache-hit fan-out in the analyse
-    pipeline calls it once per resolved observation so the counters
-    match a run that analysed every observation from scratch.
+    calls this once per analysis; the analyse pipeline calls it once
+    per observation the verdict store served, so the counters match a
+    run that analysed every observation from scratch.
     """
     metrics = obs.get_metrics()
     if isinstance(metrics, NullMetricsRegistry):

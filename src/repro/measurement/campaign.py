@@ -420,14 +420,14 @@ class Campaign:
         *,
         journal: RunJournal | None = None,
         snapshot_writer=None,
-        cache=None,
+        verdict_store=None,
         status=None,
     ) -> tuple[DatasetReport, list[ChainComplianceReport]]:
         """Run the Section 3.1 compliance analysis over a collection.
 
         Observations default to the ecosystem's ground truth (skipping
         the network); the trust anchors are its four-program union store
-        and its AIA repository.  Analysis runs through the deduplicating
+        and its AIA repository.  Analysis runs through the one-pass
         pipeline, :func:`~repro.measurement.parallel.analyze_observations`.
 
         With a ``journal``, every verdict is appended as it is reached,
@@ -437,13 +437,12 @@ class Campaign:
         uninterrupted run byte for byte.  ``snapshot_writer`` (a
         :class:`repro.obs.SnapshotWriter`) is ticked once per chain.
 
-        ``cache`` (a :class:`~repro.measurement.parallel.VerdictCache`)
-        carries per-chain reports across calls and counts its hits and
-        misses; give it a ``backing``
-        :class:`~repro.measurement.store.VerdictStore` to persist
-        reports across runs, so a warm re-run produces byte-identical
-        output at a fraction of the analyse cost.  Without one, each
-        call dedups within its own observations.
+        ``verdict_store`` (a
+        :class:`~repro.measurement.store.VerdictStore`, or None) serves
+        the reports it holds and persists every fresh one, across calls
+        and runs, so a warm re-run produces byte-identical output at a
+        fraction of the analyse cost.  Without one, every observation
+        that is not resumed is analysed.
 
         ``status`` (a :class:`~repro.obs.server.RunStatus`) advances
         once per observation; it is read-side telemetry only.
@@ -455,7 +454,8 @@ class Campaign:
                                       chains=len(observations)):
             reports, stats = analyze_observations(
                 observations, store=self.ecosystem.registry.union(),
-                fetcher=self.ecosystem.aia_repo, cache=cache,
+                fetcher=self.ecosystem.aia_repo,
+                verdict_store=verdict_store,
                 journal=journal, snapshot_writer=snapshot_writer,
                 status=status,
             )

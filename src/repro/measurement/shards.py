@@ -70,7 +70,7 @@ from repro.core.report import DatasetReport, aggregate
 from repro.errors import JournalError
 from repro.measurement.campaign import VANTAGES, Campaign, _Sweep
 from repro.measurement.dataset import observation_to_json
-from repro.measurement.parallel import VerdictCache, journaled_report
+from repro.measurement.parallel import journaled_report
 from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
 from repro.obs.probe import phase_scope
@@ -212,7 +212,7 @@ def run_sharded(
     journal: RunJournal | None = None,
     retry_policy: RetryPolicy | None = None,
     breaker_threshold: int | None = None,
-    cache=None,
+    verdict_store=None,
     snapshot_writer=None,
     status=None,
     progress_factory=None,
@@ -224,12 +224,11 @@ def run_sharded(
     :meth:`Campaign.analyze`: each shard is one slice of the same
     collection sweep, and ``progress_factory(vantage, total)`` is
     called once per vantage per shard, with the shard's domain count.
-    Each shard analyses through a fresh
-    :class:`~repro.measurement.parallel.VerdictCache` over ``cache``'s
-    persistent ``backing`` store, if any, and adds its hit/miss counts
-    to ``cache``: the shard's reports are released with it, while the
-    store still lets the shards of a warm run resolve their chains
-    instead of re-analysing them.
+    Every shard analyses through ``verdict_store`` (a
+    :class:`~repro.measurement.store.VerdictStore`, or None): the
+    shard's reports are released with it, while the store still lets
+    the shards of a warm run resolve their chains instead of
+    re-analysing them.
 
     ``output`` names a JSONL file that receives each shard's union
     observations before the shard is released; it ends up byte-equal
@@ -296,18 +295,12 @@ def run_sharded(
             if status is not None:
                 status.begin_phase(f"analyze.shard.{index}",
                                    len(observations))
-            shard_cache = VerdictCache(
-                backing=cache.backing if cache is not None else None
-            )
             shard_report, _ = campaign.analyze(
                 observations, journal=journal,
-                snapshot_writer=snapshot_writer, cache=shard_cache,
-                status=status,
+                snapshot_writer=snapshot_writer,
+                verdict_store=verdict_store, status=status,
             )
             dataset.merge(shard_report)
-            if cache is not None:
-                cache.hits += shard_cache.hits
-                cache.misses += shard_cache.misses
         return len(observations)
 
     with (open(output, "w", encoding="utf-8") if output is not None

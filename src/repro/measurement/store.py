@@ -1,10 +1,9 @@
 """Persistent content-addressed verdict store for warm-start campaigns.
 
 A longitudinal re-scan is dominated by chains that have not changed
-since the last run, yet the in-process
-:class:`~repro.measurement.parallel.VerdictCache` dies with the
-process, so every ``scan`` invocation re-pays the full analyse cost.
-:class:`VerdictStore` is the on-disk half of that cache: a crash-safe,
+since the last run, yet an analysis result held in process dies with
+it, so every ``scan`` invocation would re-pay the full analyse cost.
+:class:`VerdictStore` keeps the verdicts across runs: a crash-safe,
 append-only store that persists
 
 * compliance reports, content-addressed on
@@ -33,15 +32,19 @@ it into place before unlinking the old segments — a crash at any point
 leaves either the old segments or old + compacted, and replay is
 idempotent (later records supersede earlier ones).
 
-Opening a store replays every segment into an in-memory index.  A torn
+Opening a store replays every segment into an in-memory index,
+decoding each record as it indexes the line: a report becomes its
+:class:`~repro.core.compliance.ChainComplianceReport`, an outcome a
+checked ``{"chain_length", "results"}`` dict, so the index holds one
+value type per record kind and a hit is a dictionary lookup.  A torn
 *final* record (the crash left a partial line) is truncated away and
-counted as a recovery; other damage raises
-:class:`~repro.errors.StoreError` naming the file, as
-:func:`check_store` (which shares the reader) reports it.  Records
-written under a different :data:`SCHEMA_VERSION` are skipped (counted
-stale) and dropped by :meth:`VerdictStore.compact`.  Payloads stay as
-parsed JSON in the index and are decoded lazily on first hit, so a
-warm open is a line scan, not a full object materialisation.
+counted as a recovery; other damage, and a live record that does not
+decode, raises :class:`~repro.errors.StoreError` naming the file or
+the chain, as :func:`check_store` (which shares the reader) reports
+it.  Records written under a different :data:`SCHEMA_VERSION` are
+skipped (counted stale) and dropped by :meth:`VerdictStore.compact`.
+Only live records count: a stale record, or one a later record
+supersedes, is never refused for its payload.
 
 Concurrency model: all reads and writes go through the opening
 process, its single writer appending every record — there are no
@@ -183,17 +186,20 @@ def _read_meta(root: Path) -> dict | None:
     return meta
 
 
-def _replay_segment(segment: Path, reports: dict, outcomes: dict
-                    ) -> tuple[int, int | None, int, int]:
-    """Index one segment's records into ``reports`` and ``outcomes``.
+def _replay_segment(segment: Path, reports: dict, outcomes: dict,
+                    undecodable: dict) -> tuple[int, int | None, int, int]:
+    """Index one segment's records, decoded, into ``reports`` and
+    ``outcomes``.
 
-    Returns ``(size, torn_at, stale, superseded)``: ``torn_at`` is the
-    byte offset of a torn final record (missing newline, or a final
-    line that does not decode), else None; ``stale`` counts records of
-    another schema version or kind, ``superseded`` those that replaced
-    an index entry.  Damage before the final record, and a record
-    missing a field, raise :class:`StoreError` naming the segment.
-    Payloads stay parsed JSON until their first hit (:func:`_decoded`).
+    A record whose payload does not decode leaves the index and puts
+    its refusal in ``undecodable`` under ``(kind, key)``, until a later
+    record of that key replaces it.  Returns ``(size, torn_at, stale,
+    superseded)``: ``torn_at`` is the byte offset of a torn final
+    record (missing newline, or a final line that does not parse),
+    else None; ``stale`` counts records of another schema version or
+    kind, ``superseded`` those that replaced an earlier record.  Damage
+    before the final record, and a record missing a field, raise
+    :class:`StoreError` naming the segment.
     """
     data = segment.read_bytes()
     name = f"{_SEGMENTS}/{segment.name}"
@@ -212,7 +218,7 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict
                 raise ValueError("record is not an object")
         except (ValueError, RecursionError) as exc:
             if index == last - 1 and not lines[last]:
-                # undecodable *final* complete line: torn tail too
+                # unparseable *final* complete line: torn tail too
                 return len(data), offset, stale, superseded
             raise StoreError(
                 f"{name}: corrupt record at byte {offset}: {exc}"
@@ -222,14 +228,15 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict
                 stale += 1
             elif record.get("kind") == "report":
                 key = (tuple(record["chain_key"]), record["digest"])
-                superseded += key in reports
-                reports[key] = record["report"]
+                superseded += _index("report", key, record["report"],
+                                     reports, undecodable)
             elif record.get("kind") == "outcome":
                 key = (record["domain"], tuple(record["chain_key"]),
                        record["digest"])
-                superseded += key in outcomes
-                outcomes[key] = {"chain_length": record["chain_length"],
-                                 "results": record["results"]}
+                superseded += _index("outcome", key,
+                                     {"chain_length": record["chain_length"],
+                                      "results": record["results"]},
+                                     outcomes, undecodable)
             else:
                 stale += 1  # a kind from a newer writer: skippable
         except KeyError as exc:
@@ -242,25 +249,34 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict
     return len(data), None, stale, superseded
 
 
-def _decoded(kind: str, key: tuple, value, store: Path | None = None):
-    """A stored payload decoded: a report object, or an outcome dict
-    whose ``chain_length`` is an integer and whose ``results`` map
-    client names to labels.  Raises :class:`StoreError` naming the
-    chain (after ``store``, when given) if it does not decode."""
+def _index(kind: str, key: tuple, payload, entries: dict,
+           undecodable: dict) -> bool:
+    """Decode one live record's ``payload`` into ``entries[key]`` — a
+    report into its object, an outcome checked for an integer
+    ``chain_length`` and ``results`` mapping client names to labels —
+    or, when it does not decode, its refusal naming the chain into
+    ``undecodable``.  True when it superseded an earlier record of
+    ``key``."""
+    superseded = key in entries or (kind, key) in undecodable
     try:
         if kind == "report":
-            return ChainComplianceReport.from_dict(value)
-        results = value["results"]
-        if not (type(value["chain_length"]) is int and type(results) is dict
-                and all(type(label) is str for label in results.values())):
-            raise PayloadError("outcome payload does not decode")
-        return value
+            entries[key] = ChainComplianceReport.from_dict(payload)
+        else:
+            results = payload["results"]
+            if not (type(payload["chain_length"]) is int
+                    and type(results) is dict
+                    and all(type(label) is str
+                            for label in results.values())):
+                raise PayloadError("outcome payload does not decode")
+            entries[key] = payload
     except PayloadError as exc:
-        where = "" if store is None else f"{store}: "
-        raise StoreError(
-            f"{where}stored {kind} for chain "
-            f"{_encode_key(key[0] if kind == 'report' else key[1])}: {exc}"
-        ) from None
+        entries.pop(key, None)
+        chain = key[0] if kind == "report" else key[1]
+        undecodable[kind, key] = (f"stored {kind} for chain "
+                                  f"{_encode_key(chain)}: {exc}")
+    else:
+        undecodable.pop((kind, key), None)
+    return superseded
 
 
 @dataclass
@@ -292,9 +308,9 @@ def check_store(path) -> StoreCheck:
     Reads it through the opener's functions, so whatever the opener
     refuses is listed in the words of the refusal; so are torn segment
     tails and compaction leftovers (the last writer did not shut down
-    cleanly; a plain reopen repairs both) and every stored report or
-    outcome that does not decode.  Stale and superseded records are
-    counted.
+    cleanly; a plain reopen repairs both) and every live report or
+    outcome that does not decode, which the opener refuses too.  Stale
+    and superseded records are counted.
     """
     root = Path(path)
     check = StoreCheck(path=str(root))
@@ -313,12 +329,14 @@ def check_store(path) -> StoreCheck:
             f"{_SEGMENTS}/{leftover.name}: interrupted compaction "
             f"leftover (reopening the store removes it)"
         )
-    index: dict[str, dict] = {"report": {}, "outcome": {}}
+    reports: dict = {}
+    outcomes: dict = {}
+    undecodable: dict[tuple, str] = {}
     for segment in _segment_files(root):
         check.segments += 1
         try:
             size, torn_at, stale, superseded = _replay_segment(
-                segment, index["report"], index["outcome"]
+                segment, reports, outcomes, undecodable
             )
         except StoreError as exc:
             check.problems.append(str(exc))
@@ -332,14 +350,10 @@ def check_store(path) -> StoreCheck:
                 f"byte {torn_at} ({size - torn_at} trailing bytes; "
                 f"reopening the store truncates it)"
             )
-    check.reports = len(index["report"])
-    check.outcomes = len(index["outcome"])
-    for kind, entries in index.items():
-        for key, value in entries.items():
-            try:
-                _decoded(kind, key, value)
-            except StoreError as exc:
-                check.problems.append(str(exc))
+    kinds = [kind for kind, _ in undecodable]
+    check.reports = len(reports) + kinds.count("report")
+    check.outcomes = len(outcomes) + kinds.count("outcome")
+    check.problems.extend(undecodable.values())
     check.ok = not check.problems
     return check
 
@@ -348,9 +362,10 @@ class VerdictStore:
     """A crash-safe on-disk verdict store rooted at ``path``.
 
     Creating the instance opens (or initialises) the store: segments
-    are replayed into the in-memory index, torn tails truncated, and
-    interrupted-compaction leftovers removed; other damage is refused
-    as :func:`check_store` reports it.  All methods run in the opening
+    are replayed into the in-memory index, every live record decoded,
+    torn tails truncated, and interrupted-compaction leftovers
+    removed; other damage, and a live record that does not decode, is
+    refused as :func:`check_store` reports it.  All methods run in the opening
     process — see the module docstring's concurrency model.
     """
 
@@ -372,10 +387,9 @@ class VerdictStore:
         self.stale_records = 0
         #: replayed records that overwrote an earlier index entry
         self.superseded_records = 0
-        # index values: a parsed JSON payload dict (replayed entries,
-        # decoded lazily on first hit) or a live report object (entries
-        # written by this process)
-        self._reports: dict[tuple[HexKey, str], object] = {}
+        # index values, replayed or written by this process alike:
+        # report objects, and checked outcome dicts
+        self._reports: dict[tuple[HexKey, str], ChainComplianceReport] = {}
         self._outcomes: dict[tuple[str, HexKey, str], dict] = {}
         self._segments: list[Path] = []
         self._handle = None
@@ -410,9 +424,10 @@ class VerdictStore:
             leftover.unlink()
             self.removed_tmp += 1
         self._segments = _segment_files(self.path)
+        undecodable: dict[tuple, str] = {}
         for segment in self._segments:
             size, torn_at, stale, superseded = _replay_segment(
-                segment, self._reports, self._outcomes
+                segment, self._reports, self._outcomes, undecodable
             )
             self.stale_records += stale
             self.superseded_records += superseded
@@ -425,6 +440,8 @@ class VerdictStore:
                 _log.warning("store.recovered_tail", segment=segment.name,
                              truncated_at=torn_at,
                              dropped_bytes=size - torn_at)
+        if undecodable:
+            raise StoreError(next(iter(undecodable.values())))
         if self.removed_tmp or self.recovered_records:
             obs.get_metrics().counter("store.recovered").inc(
                 self.removed_tmp + self.recovered_records
@@ -496,20 +513,16 @@ class VerdictStore:
     @_timed
     def get_report(self, key_hex: HexKey,
                    digest: str) -> ChainComplianceReport | None:
-        """The stored report for ``(chain, trust anchors)``, if any;
-        :class:`StoreError` names the chain if it does not decode."""
-        key = (tuple(key_hex), digest)
-        value = self._reports.get(key)
+        """The stored report for ``(chain, trust anchors)``, if any."""
+        report = self._reports.get((tuple(key_hex), digest))
         metrics = obs.get_metrics()
-        if value is None:
+        if report is None:
             self.misses += 1
             metrics.counter("store.misses", kind="report").inc()
             return None
         self.hits += 1
         metrics.counter("store.hits", kind="report").inc()
-        if isinstance(value, ChainComplianceReport):
-            return value
-        return _decoded("report", key, value, self.path)
+        return report
 
     @_timed
     def put_report(self, key_hex: HexKey, digest: str,
@@ -538,11 +551,11 @@ class VerdictStore:
 
         The caller owns reconstruction into a
         :class:`~repro.chainbuilder.differential.ChainOutcome`; the
-        store only checks the payload's shape (:func:`_decoded`).
-        Treat the returned dict as read-only.
+        store checked the payload's shape when it indexed the record
+        (:func:`_index`).  Treat the returned dict as read-only.
         """
-        key = (domain, tuple(key_hex), capability_digest)
-        value = self._outcomes.get(key)
+        value = self._outcomes.get((domain, tuple(key_hex),
+                                    capability_digest))
         metrics = obs.get_metrics()
         if value is None:
             self.misses += 1
@@ -550,7 +563,7 @@ class VerdictStore:
             return None
         self.hits += 1
         metrics.counter("store.hits", kind="outcome").inc()
-        return _decoded("outcome", key, value, self.path)
+        return value
 
     @_timed
     def put_outcome(self, domain: str, key_hex: HexKey,
@@ -594,12 +607,8 @@ class VerdictStore:
         target = self._segments_dir / f"{nxt:06d}{_SEGMENT_SUFFIX}"
 
         def lines():
-            for (key_hex, digest), value in self._reports.items():
-                if isinstance(value, ChainComplianceReport):
-                    payload = value.to_json()
-                else:
-                    payload = json.dumps(value, separators=(",", ":"))
-                yield _encode_report_line(key_hex, digest, payload)
+            for (key_hex, digest), report in self._reports.items():
+                yield _encode_report_line(key_hex, digest, report.to_json())
             for (domain, key_hex, digest), value in self._outcomes.items():
                 yield _encode_outcome_line(domain, key_hex, digest,
                                            value["chain_length"],

@@ -33,18 +33,12 @@ or, scoped::
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 
 from repro.obs import catalogue
-from repro.obs.diff import RunDiff, diff_reports, render_diff_text
 from repro.obs.evidence import Evidence, evidence_from_dict, render_evidence
 from repro.obs.export import ProgressLine, SnapshotWriter, to_openmetrics
-from repro.obs.health import (
-    HealthMonitor,
-    HealthReport,
-    HealthRule,
-    parse_health_rule,
-)
 from repro.obs.journal import RunJournal, read_journal, validate_journal
 from repro.obs.log import StructLogger, configure, get_logger
 from repro.obs.metrics import (
@@ -58,15 +52,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.probe import SamplingProbe, phase_scope, read_rss_bytes
 from repro.obs.render import render_metrics_table
-from repro.obs.report import (
-    RunReport,
-    build_report,
-    flatten_metrics,
-    render_report_html,
-    render_report_markdown,
-    render_report_text,
-    report_from_journal,
-)
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -121,17 +106,27 @@ __all__ = [
     "validate_journal",
 ]
 
-#: Names served by :mod:`repro.obs.server`, which imports ``http.server``:
-#: loaded on first use, so a command that serves no telemetry never
-#: imports it.
-_SERVER_NAMES = frozenset({"RunStatus", "TelemetryServer", "parse_serve_address"})
+#: Names whose module loads on first use: the telemetry server imports
+#: ``http.server``, and the run report, the run diff and the health
+#: rules (which read both) serve ``report``, ``diff-runs``,
+#: ``--report-out`` and ``--health`` only, so a plain scan imports none
+#: of them.
+_LAZY_NAMES = {
+    **dict.fromkeys(("RunStatus", "TelemetryServer", "parse_serve_address"),
+                    "server"),
+    **dict.fromkeys(("RunDiff", "diff_reports", "render_diff_text"), "diff"),
+    **dict.fromkeys(("HealthMonitor", "HealthReport", "HealthRule",
+                     "parse_health_rule"), "health"),
+    **dict.fromkeys(("RunReport", "build_report", "flatten_metrics",
+                     "render_report_html", "render_report_markdown",
+                     "render_report_text", "report_from_journal"), "report"),
+}
 
 
 def __getattr__(name: str):
-    if name in _SERVER_NAMES:
-        from repro.obs import server
-
-        return getattr(server, name)
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

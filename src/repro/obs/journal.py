@@ -31,6 +31,13 @@ duplicate.  Use the journal as a context manager (or call
 :meth:`RunJournal.close`) so the tail is flushed on normal and
 exceptional exits alike.
 
+The journal keeps nothing it has written: a :class:`RunJournal`
+holds the identity of each verdict it appended (its domain and chain),
+so a (domain, chain) is appended at most once, and the payloads of the
+verdicts it resumed, which :meth:`RunJournal.verdict_for` serves.  A
+verdict this process recorded is read back, like any other event, from
+the file (:func:`read_journal`).
+
 The journal layer knows nothing about certificates — events are plain
 dicts, and the verdict payloads are
 :meth:`repro.core.compliance.ChainComplianceReport.to_dict` output.
@@ -63,8 +70,8 @@ _IDENTITY_FIELDS = ("config", "seed", "root_store_digest")
 
 #: What makes two events "the same record", per type: the fields that
 #: identify it (one ``collection`` per run).  A resumed journal does not
-#: append an event whose identity it holds (verdicts: ask
-#: :meth:`RunJournal.verdict_for`), and the validator reports duplicates.
+#: append an event whose identity it holds, nor a verdict it already
+#: appended this run, and the validator reports duplicates.
 _EVENT_IDENTITY: dict[str, tuple[str, ...]] = {
     "scan": ("domain", "vantage"),
     "degradation": ("vantage",),
@@ -304,7 +311,8 @@ class RunJournal:
     does not exist, and otherwise resumes after verifying the manifest
     identity).  Events append with :meth:`record`; per-domain verdicts
     get the dedicated :meth:`record_verdict` / :meth:`verdict_for` pair
-    that powers resume.
+    that powers resume.  The instance holds no verdict it wrote, only
+    the (domain, chain) identities of the verdicts the file holds.
 
     Parameters
     ----------
@@ -330,7 +338,12 @@ class RunJournal:
         self.fsync = fsync
         self.flush_every = flush_every
         self.resumed_events: list[dict[str, Any]] = []
-        self._verdicts: dict[tuple[str, tuple[str, ...]], dict[str, Any]] = {}
+        #: (domain, chain_key) → payload of each resumed verdict
+        self._resumed_verdicts: dict[tuple[str, tuple[str, ...]],
+                                     dict[str, Any]] = {}
+        #: (domain, chain_key) of every verdict the file holds: resumed
+        #: ones and those this process appended
+        self._verdict_keys: set[tuple[str, tuple[str, ...]]] = set()
         #: identities of the resumed non-verdict events (fresh: empty)
         self._resumed: set[str] = set()
         self._events_written = 0
@@ -381,7 +394,8 @@ class RunJournal:
         for event in events:
             if event["type"] == "verdict":
                 key = (event["domain"], tuple(event["chain_key"]))
-                journal._verdicts[key] = event["report"]
+                journal._resumed_verdicts[key] = event["report"]
+                journal._verdict_keys.add(key)
                 continue
             identity = _event_identity(event)
             if identity is not None:
@@ -474,42 +488,36 @@ class RunJournal:
 
     def record_verdict(self, domain: str, chain_key: tuple[str, ...],
                        report: Any) -> None:
-        """Append one per-domain compliance verdict with its evidence.
+        """Append one per-domain compliance verdict with its evidence —
+        unless the file already holds a verdict for this (domain,
+        chain), resumed or appended by this process.
 
         ``chain_key`` is the tuple of fingerprint hexes of the served
         chain — the same (domain, chain) identity the union merge uses —
         and ``report`` is ``ChainComplianceReport.to_dict()`` output, or
         the report object itself (anything with ``to_json()``), which
-        skips the dict build entirely; :meth:`verdict_for` re-derives
-        the payload lazily from the appended line if it is ever read
-        back within the same run.
+        skips the dict build entirely.  Only the identity is kept: the
+        line goes to the file, and the payload stays with the caller.
         """
-        encoded = encode_verdict_event(domain, chain_key, report)
-        self._append_line(encoded, "verdict")
         key = (domain, tuple(chain_key))
-        if isinstance(report, dict):
-            self._verdicts[key] = report
-        else:
-            # lazily parsed by verdict_for; the line *is* the payload
-            self._verdicts[key] = encoded
+        if key not in self._verdict_keys:
+            self._append_line(encode_verdict_event(domain, chain_key, report),
+                              "verdict")
+            self._verdict_keys.add(key)
 
     # -- resume reads --------------------------------------------------
 
     def verdict_for(self, domain: str,
                     chain_key: tuple[str, ...]) -> dict[str, Any] | None:
-        """The recorded verdict payload for one observation, if any."""
-        key = (domain, chain_key)
-        value = self._verdicts.get(key)
-        if isinstance(value, str):
-            # recorded via the fast object path this run: the encoded
-            # journal line stands in for the payload until first read
-            value = json.loads(value)["report"]
-            self._verdicts[key] = value
-        return value
+        """The payload of the verdict for one observation that the file
+        held when this journal was opened, if any.  A verdict appended
+        by this process is not served: its payload was not kept."""
+        return self._resumed_verdicts.get((domain, chain_key))
 
     @property
     def verdict_count(self) -> int:
-        return len(self._verdicts)
+        """Verdicts the file holds: resumed plus appended this run."""
+        return len(self._verdict_keys)
 
     @property
     def events_written(self) -> int:

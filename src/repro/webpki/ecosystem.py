@@ -202,28 +202,6 @@ class Ecosystem:
                 merged.append((deployment.domain, deployment.alt_vantage_chain))
         return merged
 
-    def vantage_observations(self, vantage: str
-                             ) -> list[tuple[str, list[Certificate]]]:
-        """What one vantage point observes: (domain, served chain) pairs.
-
-        Unlike :meth:`observations` this is *not* deduplicated across
-        vantage points — concatenating the streams of both vantages
-        reproduces the raw scan stream the paper's pipeline ingests,
-        where most domains appear once per vantage serving the identical
-        chain.  That redundancy is exactly what the analysis pipeline's
-        chain-dedup verdict cache exploits.
-        """
-        stream: list[tuple[str, list[Certificate]]] = []
-        for deployment in self.deployments:
-            if vantage in deployment.unreachable_from:
-                continue
-            chain = deployment.chain
-            if (vantage == VANTAGE_AU
-                    and deployment.alt_vantage_chain is not None):
-                chain = deployment.alt_vantage_chain
-            stream.append((deployment.domain, chain))
-        return stream
-
     def deployment_by_domain(self, domain: str) -> DomainDeployment:
         for deployment in self.deployments:
             if deployment.domain == domain:

@@ -1,27 +1,23 @@
-"""The deduplicating pipeline: byte-parity with per-observation analysis.
+"""The analyse pipeline: byte-parity with per-observation analysis.
 
 Every test here checks the same contract from a different angle: with
-or without a shared cache, with or without a journal, interrupted or
+or without a verdict store, with or without a journal, interrupted or
 not, the pipeline's outputs — report list, aggregate tables, journal
 bytes, metrics — are indistinguishable from running
 :func:`~repro.core.compliance.analyze_chain` on every observation.
 """
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro import obs
 from repro.core import aggregate, analyze_chain
 from repro.core.compliance import ChainComplianceReport, rebind_for_domain
-from repro.measurement import Campaign
-from repro.measurement.parallel import (
-    VerdictCache,
-    analyze_observations,
-    chain_key,
-    chain_key_hex,
-)
-from repro.obs import RunJournal
+from repro.measurement import Campaign, VerdictStore
+from repro.measurement.parallel import analyze_observations, chain_key_hex
+from repro.obs import RunJournal, read_journal
 from repro.webpki import Ecosystem, EcosystemConfig
 
 
@@ -66,51 +62,47 @@ def aggregate_json(reports) -> str:
 
 
 def reference_journal(ecosystem, stream, journal):
-    """The reference: ``analyze_chain`` per observation, journaled.
-
-    An observation whose (domain, chain) the journal already holds is
-    read back from it instead of re-analysed, as a resumed run does.
-    """
+    """The reference: ``analyze_chain`` per observation, journaled once
+    per (domain, chain), the first time the pair is seen."""
     union = ecosystem.registry.union()
     reports = []
+    seen = set()
     for domain, chain in stream:
         key = chain_key_hex(chain)
-        recorded = journal.verdict_for(domain, key)
-        if recorded is not None:
-            reports.append(ChainComplianceReport.from_dict(recorded))
-            continue
         report = analyze_chain(domain, chain, union, ecosystem.aia_repo)
-        journal.record_verdict(domain, key, report)
+        if (domain, key) not in seen:
+            seen.add((domain, key))
+            journal.record_verdict(domain, key, report)
         reports.append(report)
     return reports
-
-
-class TestVerdictCache:
-    def test_report_keyed_on_chain_and_store(self, ecosystem, union, stream):
-        cache = VerdictCache()
-        domain, chain = stream[0]
-        key = chain_key(chain)
-        report = analyze_chain(domain, chain, union, ecosystem.aia_repo)
-        cache.store_report(key, union.digest(), report)
-        assert cache.report_for(key, union.digest()) is report
-        # same chain, different trust anchors: not the same verdict
-        assert cache.report_for(key, "0" * 64) is None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_hit_rate(self):
-        cache = VerdictCache()
-        assert cache.hit_rate == 0.0
-        cache.hits, cache.misses = 3, 1
-        assert cache.hit_rate == pytest.approx(0.75)
 
 
 class TestPipelineParity:
     def test_in_process_matches_sequential(
         self, ecosystem, union, stream, sequential_reports
     ):
+        """Without a verdict store every observation is analysed."""
         reports, stats = analyze_observations(
             stream, store=union, fetcher=ecosystem.aia_repo,
         )
+        assert reports == sequential_reports
+        assert aggregate_json(reports) == aggregate_json(sequential_reports)
+        assert stats.observations == stats.analyzed == len(stream)
+        assert stats.cache_hits == 0 and stats.hit_rate == 0.0
+
+    def test_store_serves_repeated_chains(
+        self, ecosystem, union, stream, sequential_reports, tmp_path
+    ):
+        """Each fresh report goes to the store, so a chain repeated
+        later in the run — by the same domain or another — is a store
+        hit, rebound to the domain that served it."""
+        with VerdictStore(tmp_path / "vs") as verdict_store:
+            reports, stats = analyze_observations(
+                stream, store=union, fetcher=ecosystem.aia_repo,
+                verdict_store=verdict_store,
+            )
+            assert verdict_store.hits == stats.cache_hits
+            assert verdict_store.misses == stats.analyzed
         assert reports == sequential_reports
         assert aggregate_json(reports) == aggregate_json(sequential_reports)
         assert stats.observations == len(stream)
@@ -118,25 +110,33 @@ class TestPipelineParity:
         assert stats.analyzed + stats.cache_hits == len(stream)
         assert stats.cache_hits > 0 and stats.hit_rate > 0.0
 
-    def test_cache_carries_across_calls(self, ecosystem, union, stream):
-        cache = VerdictCache()
-        analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, cache=cache,
-        )
-        reports, stats = analyze_observations(
-            stream, store=union, fetcher=ecosystem.aia_repo, cache=cache,
-        )
+    def test_cache_carries_across_calls(self, ecosystem, union, stream,
+                                        tmp_path):
+        """The verdict store serves a second call everything the first
+        analysed."""
+        with VerdictStore(tmp_path / "vs") as verdict_store:
+            analyze_observations(
+                stream, store=union, fetcher=ecosystem.aia_repo,
+                verdict_store=verdict_store,
+            )
+            reports, stats = analyze_observations(
+                stream, store=union, fetcher=ecosystem.aia_repo,
+                verdict_store=verdict_store,
+            )
         assert stats.analyzed == 0
         assert stats.cache_hits == len(stream)
 
     def test_campaign_analyze_delegates(self, ecosystem, stream,
-                                        sequential_reports):
+                                        sequential_reports, tmp_path):
         campaign = Campaign(ecosystem)
-        cache = VerdictCache()
-        report, reports = campaign.analyze(stream, cache=cache)
+        with VerdictStore(tmp_path / "vs") as verdict_store:
+            report, reports = campaign.analyze(
+                stream, verdict_store=verdict_store,
+            )
+            assert (verdict_store.hits + verdict_store.misses
+                    == len(stream))
         assert reports == sequential_reports
         assert report == aggregate(sequential_reports)
-        assert cache.hits + cache.misses == len(stream)
 
 
 class TestCrossDomainRebind:
@@ -167,20 +167,32 @@ class TestJournalParity:
     def test_all_modes_write_identical_journals(
         self, ecosystem, stream, tmp_path
     ):
-        """No cache, a fresh shared cache, and a cache already holding
-        every report all write the reference journal."""
+        """No store, a fresh store, and a store already holding every
+        report all write the reference journal, whose verdicts decode
+        back into the reports they were written from."""
         campaign = Campaign(ecosystem)
         path = tmp_path / "reference.jsonl"
         with RunJournal.create(path, campaign.manifest()) as journal:
             ref_reports = reference_journal(ecosystem, stream, journal)
         ref_bytes = path.read_bytes()
-        warm = VerdictCache()
-        campaign.analyze(stream, cache=warm)
-        for tag, cache in (("none", None), ("fresh", VerdictCache()),
-                           ("warm", warm)):
-            _, reports, journal_bytes = self.run_journaled(
-                campaign, stream, tmp_path / f"{tag}.jsonl", cache=cache,
-            )
+        _, events = read_journal(path)
+        first = {}
+        for (domain, chain), report in zip(stream, ref_reports):
+            first.setdefault((domain, chain_key_hex(chain)), report)
+        assert [
+            ChainComplianceReport.from_dict(event["report"])
+            for event in events
+        ] == list(first.values())
+        with VerdictStore(tmp_path / "warm") as warm:
+            campaign.analyze(stream, verdict_store=warm)
+        for tag, directory in (("none", None), ("fresh", "fresh"),
+                               ("warm", "warm")):
+            with VerdictStore(tmp_path / directory) if directory \
+                    else nullcontext() as verdict_store:
+                _, reports, journal_bytes = self.run_journaled(
+                    campaign, stream, tmp_path / f"{tag}.jsonl",
+                    verdict_store=verdict_store,
+                )
             assert journal_bytes == ref_bytes, tag
             assert reports == ref_reports, tag
 
@@ -229,18 +241,20 @@ class TestMetrics:
         }
 
     def test_counters_match_per_observation_analysis(
-        self, ecosystem, union, stream
+        self, ecosystem, union, stream, tmp_path
     ):
-        """Cache hits record their outcome, so the compliance counters
+        """Store hits record their outcome, so the compliance counters
         equal those of analysing every observation."""
         obs.disable()
         with obs.instrumented() as (registry, _):
             for domain, chain in stream:
                 analyze_chain(domain, chain, union, ecosystem.aia_repo)
             reference = self.totals(registry)
-        with obs.instrumented() as (registry, _):
+        with obs.instrumented() as (registry, _), \
+                VerdictStore(tmp_path / "vs") as verdict_store:
             _, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
+                verdict_store=verdict_store,
             )
             pipelined = self.totals(registry)
             analyzed = registry.total("campaign.chains_analyzed")

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.measurement import Campaign, VerdictCache, shard_bounds
+from repro.measurement import Campaign, VerdictStore, shard_bounds
 from repro.obs import RunJournal
 from repro.obs.journal import read_journal
 from repro.obs.report import build_report, render_report_text
@@ -133,17 +133,19 @@ class TestByteParity:
         assert not any(s.resumed for s in result.shards)
 
     def test_cached_shards_match_flat(self, flat, tmp_path):
-        """A caller's verdict cache collects every shard's counts
-        without perturbing the output."""
+        """One verdict store serves every shard, and is asked once per
+        observation, without perturbing the output."""
         campaign = fresh_campaign()
-        cache = VerdictCache()
         path = tmp_path / "cached.jsonl"
-        with RunJournal.open(path, campaign.manifest()) as journal:
-            result = campaign.run_sharded(11, journal=journal, cache=cache)
+        with RunJournal.open(path, campaign.manifest()) as journal, \
+                VerdictStore(tmp_path / "vs") as verdict_store:
+            result = campaign.run_sharded(11, journal=journal,
+                                          verdict_store=verdict_store)
+            assert (verdict_store.hits + verdict_store.misses
+                    == result.total_observations)
         assert fingerprint(result.report) == flat["fingerprint"]
         _, events = read_journal(path)
         assert event_multiset(events) == event_multiset(flat["events"])
-        assert cache.hits + cache.misses == result.total_observations
 
     def test_sharded_journal_validates(self, tmp_path):
         """`shard` boundary events satisfy the journal invariants —

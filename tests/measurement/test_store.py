@@ -16,13 +16,8 @@ import pytest
 from repro.chainbuilder import DifferentialHarness
 from repro.core import analyze_chain
 from repro.errors import StoreError
-from repro.measurement import (
-    Campaign,
-    VerdictCache,
-    VerdictStore,
-    check_store,
-)
-from repro.measurement.parallel import analyze_observations, chain_key
+from repro.measurement import Campaign, VerdictStore, check_store
+from repro.measurement.parallel import analyze_observations
 from repro.measurement.store import SCHEMA_VERSION
 from repro.obs import RunJournal
 from repro.webpki import Ecosystem, EcosystemConfig
@@ -206,6 +201,11 @@ DAMAGED_STORES = {
         "repaired", "segments/000002.seg.tmp: interrupted compaction "
         "leftover",
     ),
+    "undecodable-report": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(report=5)),
+        "refused", "stored report for chain [",
+    ),
 }
 
 
@@ -304,32 +304,101 @@ class TestCrashSafety:
             assert check_store(path).ok
 
 
-class TestVerdictCacheBacking:
-    def test_miss_probes_backing_and_promotes(self, ecosystem, union,
-                                              tmp_path):
+class TestOnlyLiveRecordsDecode:
+    """A payload that does not decode is refused only in a live record:
+    one a later record of the same key supersedes does not count (nor
+    does one of another schema version: see
+    ``test_compact_drops_stale_records``)."""
+
+    def populate(self, path, ecosystem, union):
+        key, digest, report = make_report(ecosystem, union)
+        with VerdictStore(path) as store:
+            store.put_report(key, digest, report)
+        return key, digest, report
+
+    def test_superseded_undecodable_record_is_not_refused(
+        self, ecosystem, union, tmp_path
+    ):
+        path = tmp_path / "vs"
+        key, digest, report = self.populate(path, ecosystem, union)
+        segment = path / "segments" / "000001.seg"
+        good = segment.read_bytes()
+        bad = json.loads(good)
+        bad["report"] = 5
+        segment.write_bytes(
+            (json.dumps(bad, separators=(",", ":")) + "\n").encode() + good
+        )
+        check = check_store(path)
+        assert check.ok, check.problems
+        assert (check.reports, check.superseded_records) == (1, 1)
+        with VerdictStore(path) as store:
+            assert store.superseded_records == 1
+            assert store.get_report(key, digest).to_json() == \
+                report.to_json()
+
+    def test_live_record_superseding_a_good_one_is_refused(
+        self, ecosystem, union, tmp_path
+    ):
+        path = tmp_path / "vs"
+        self.populate(path, ecosystem, union)
+        segment = path / "segments" / "000001.seg"
+        bad = json.loads(segment.read_bytes())
+        bad["report"] = {"leaf": 3}
+        _append(path, json.dumps(bad, separators=(",", ":")) + "\n")
+        check = check_store(path)
+        assert len(check.problems) == 1, check.problems
+        assert check.problems[0].startswith("stored report for chain [")
+        assert (check.reports, check.superseded_records) == (1, 1)
+        with pytest.raises(StoreError) as refusal:
+            VerdictStore(path)
+        assert str(refusal.value) == f"{path}: {check.problems[0]}"
+
+    def test_undecodable_outcome_is_refused_at_open(self, tmp_path):
+        path = tmp_path / "vs"
+        with VerdictStore(path) as store:
+            store.put_outcome("a.example", ("ab" * 32,), "cap",
+                              chain_length=3, results={"openssl": "ok"})
+        _rewrite_first_record(path, lambda record: record.update(
+            results={"openssl": 5}))
+        check = check_store(path)
+        assert check.problems == [
+            f'stored outcome for chain ["{"ab" * 32}"]: outcome payload '
+            f'does not decode'
+        ]
+        assert check.outcomes == 1
+        with pytest.raises(StoreError) as refusal:
+            VerdictStore(path)
+        assert str(refusal.value) == f"{path}: {check.problems[0]}"
+
+
+class TestDecodedIndex:
+    """The index holds report objects: each replayed record is decoded
+    once, when the store opens, and every hit returns that object."""
+
+    def test_replayed_report_decoded_once_at_open(self, ecosystem, union,
+                                                   tmp_path, monkeypatch):
+        from repro.core.compliance import ChainComplianceReport
+
         key_hex, digest, report = make_report(ecosystem, union)
-        key = chain_key(ecosystem.observations()[0][1])
         with VerdictStore(tmp_path / "vs") as store:
             store.put_report(key_hex, digest, report)
-            store.hits = store.misses = 0
-            cache = VerdictCache(backing=store)
-            first = cache.report_for(key, digest)
-            assert first.to_json() == report.to_json()
-            assert store.hits == 1
-            # promoted into memory: the second hit skips the store
-            assert cache.report_for(key, digest) is first
-            assert store.hits == 1
+        decoded = []
+        original = ChainComplianceReport.from_dict.__func__
 
-    def test_store_report_writes_through(self, ecosystem, union, tmp_path):
-        key_hex, digest, report = make_report(ecosystem, union)
-        key = chain_key(ecosystem.observations()[0][1])
+        def counting(cls, payload):
+            decoded.append(payload["domain"])
+            return original(cls, payload)
+
+        monkeypatch.setattr(ChainComplianceReport, "from_dict",
+                            classmethod(counting))
         with VerdictStore(tmp_path / "vs") as store:
-            cache = VerdictCache(backing=store)
-            cache.store_report(key, digest, report)
-        with VerdictStore(tmp_path / "vs") as store:
-            persisted = store.get_report(key_hex, digest)
-            assert persisted is not None
-            assert persisted.to_json() == report.to_json()
+            assert decoded == [report.domain]
+            first = store.get_report(key_hex, digest)
+            assert isinstance(first, ChainComplianceReport)
+            assert first.to_json() == report.to_json()
+            assert store.get_report(key_hex, digest) is first
+            assert store.hits == 2
+        assert decoded == [report.domain]
 
 
 class TestWarmStartParity:
@@ -345,12 +414,12 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as cold_store:
             _, cold_reports, cold_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "cold.jsonl",
-                cache=VerdictCache(backing=cold_store),
+                verdict_store=cold_store,
             )
         with VerdictStore(tmp_path / "vs") as store:
             _, warm_reports, warm_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "warm.jsonl",
-                cache=VerdictCache(backing=store),
+                verdict_store=store,
             )
             assert store.stats()["writes"] == 0
         assert warm_reports == cold_reports
@@ -361,12 +430,12 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as store:
             analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                cache=VerdictCache(backing=store),
+                verdict_store=store,
             )
         with VerdictStore(tmp_path / "vs") as store:
             _, stats = analyze_observations(
                 stream, store=union, fetcher=ecosystem.aia_repo,
-                cache=VerdictCache(backing=store),
+                verdict_store=store,
             )
         assert stats.analyzed == 0
         assert stats.cache_hits == len(stream)
@@ -378,7 +447,7 @@ class TestWarmStartParity:
         with VerdictStore(tmp_path / "vs") as cold_store:
             _, cold_reports, cold_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "cold.jsonl",
-                cache=VerdictCache(backing=cold_store),
+                verdict_store=cold_store,
             )
         segment = tmp_path / "vs" / "segments" / "000001.seg"
         data = segment.read_bytes()
@@ -387,7 +456,7 @@ class TestWarmStartParity:
             assert store.recovered_records == 1
             _, warm_reports, warm_bytes = self.run_journaled(
                 campaign, stream, tmp_path / "warm.jsonl",
-                cache=VerdictCache(backing=store),
+                verdict_store=store,
             )
             # exactly the truncated verdict was recomputed and re-stored
             assert store.stats()["writes"] == 1

@@ -60,15 +60,43 @@ class TestAppendAndRead:
         assert events[0]["domain"] == "a.example"
 
     def test_verdict_indexing(self, tmp_path):
+        """A verdict goes to the file, and the journal keeps only its
+        identity: ``verdict_for`` serves it once the file is resumed."""
         key = ("aa" * 32, "bb" * 32)
         with fresh(tmp_path) as journal:
             journal.record_verdict("a.example", key, {"domain": "a.example"})
             assert journal.verdict_count == 1
-            assert journal.verdict_for("a.example", key) == {
+            assert journal.verdict_for("a.example", key) is None
+        _, events = read_journal(tmp_path / "run.jsonl")
+        assert events == [{"type": "verdict", "domain": "a.example",
+                           "chain_key": list(key),
+                           "report": {"domain": "a.example"}}]
+        with RunJournal.open(tmp_path / "run.jsonl", MANIFEST) as resumed:
+            assert resumed.verdict_count == 1
+            assert resumed.verdict_for("a.example", key) == {
                 "domain": "a.example"
             }
-            assert journal.verdict_for("a.example", ("cc" * 32,)) is None
-            assert journal.verdict_for("b.example", key) is None
+            assert resumed.verdict_for("a.example", ("cc" * 32,)) is None
+            assert resumed.verdict_for("b.example", key) is None
+
+    def test_one_line_per_domain_and_chain(self, tmp_path):
+        """A second verdict for one (domain, chain) appends nothing,
+        whether the first was written this run or resumed."""
+        key = ("aa" * 32,)
+        path = tmp_path / "run.jsonl"
+        with fresh(tmp_path) as journal:
+            journal.record_verdict("a.example", key, {"domain": "a.example"})
+            journal.record_verdict("a.example", key, {"domain": "again"})
+            journal.record_verdict("b.example", key, {"domain": "b.example"})
+            assert journal.verdict_count == 2
+        written = path.read_bytes()
+        _, events = read_journal(path)
+        assert [(e["domain"], e["report"]["domain"]) for e in events] == [
+            ("a.example", "a.example"), ("b.example", "b.example"),
+        ]
+        with RunJournal.open(path, MANIFEST) as resumed:
+            resumed.record_verdict("a.example", key, {"domain": "again"})
+        assert path.read_bytes() == written
 
     def test_write_after_close_raises(self, tmp_path):
         journal = fresh(tmp_path)
@@ -350,11 +378,11 @@ class TestVerdictEncoding:
 
         with fresh(tmp_path) as journal:
             journal.record_verdict("journal.example", key, report)
-            # the index parses the stored line lazily, on first lookup
-            recalled = journal.verdict_for("journal.example", key)
-        assert recalled == report.to_dict()
+        assert (tmp_path / "run.jsonl").read_bytes().endswith(
+            (line + "\n").encode("utf-8"))
         _, events = read_journal(tmp_path / "run.jsonl")
         assert events == [json.loads(line)]
+        assert events[0]["report"] == report.to_dict()
 
 
 class TestValidation:

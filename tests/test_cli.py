@@ -1296,6 +1296,43 @@ class TestUndecodableStoredPayload:
         assert err.count("\n") == 1, err
 
 
+class TestStoreRefusedAtOpen:
+    """The opener decodes every live stored record, so a store that
+    ``cache verify`` lists a payload problem for is refused when it
+    opens, even when the run would never have asked for that chain."""
+
+    def test_unserved_undecodable_report_stops_the_scan(self, tmp_path,
+                                                        capsys):
+        import json
+
+        store = tmp_path / "vs"
+        argv = ["scan", "--domains", "30", "--seed", "833",
+                "--cache-dir", str(store)]
+        assert main(argv) == 0
+        segment = store / "segments" / "000001.seg"
+        record = json.loads(segment.read_bytes().splitlines()[0])
+        record["chain_key"] = ["ff" * 32]
+        record["report"] = 5
+        with open(segment, "ab") as handle:
+            handle.write(json.dumps(record, separators=(",", ":")).encode()
+                         + b"\n")
+        chain = json.dumps(record["chain_key"], separators=(",", ":"))
+        capsys.readouterr()
+        assert main(["cache", "verify", str(store)]) == 1
+        assert (f"verify: stored report for chain {chain}: "
+                in capsys.readouterr().out)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"repro-chain scan: {store}: stored report for chain "
+            f"{chain}: "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert "chains:" not in captured.out
+        assert main(["cache", "compact", str(store)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"repro-chain cache: {store}: stored report for chain {chain}: ")
+
+
 class TestUndecodableJournalVerdict:
     """A journal verdict that does not decode, lacks its domain or has
     no usable chain key: every command reading it prints one line,
@@ -1429,6 +1466,32 @@ class TestProcessLevel:
             "from repro.measurement import render_table_9\n"
             "assert 'OpenSSL' in render_table_9({'openssl': {'x': 'y'}})\n"
             "assert 'repro.chainbuilder' in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=self._env(), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_scan_imports_no_report_or_diff(self):
+        """The run report and the run diff load only for the commands
+        that build or compare reports (and ``--health``, whose rules
+        read both); ``repro.obs`` still resolves their names."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.obs, repro.measurement, repro.webpki\n"
+            "lazy = ('repro.obs.report', 'repro.obs.diff', "
+            "'repro.obs.health')\n"
+            "assert not [m for m in lazy if m in sys.modules], "
+            "[m for m in lazy if m in sys.modules]\n"
+            "from repro import obs\n"
+            "assert obs.report_from_journal.__module__ == 'repro.obs.report'\n"
+            "assert obs.diff_reports.__module__ == 'repro.obs.diff'\n"
+            "assert obs.parse_health_rule.__module__ == 'repro.obs.health'\n"
+            "assert all(m in sys.modules for m in lazy)\n"
+            "assert all(hasattr(obs, name) for name in obs.__all__)\n"
         )
         done = subprocess.run([sys.executable, "-c", probe],
                               env=self._env(), capture_output=True,
