@@ -24,7 +24,7 @@ from repro.chainbuilder.clients import (
 from repro.chainbuilder.engine import ChainBuilder, ChainFacts, ClientVerdict
 from repro.chainbuilder.policy import ClientPolicy
 from repro.obs.evidence import Evidence
-from repro.obs.probe import phase_scope
+from repro.obs.trace import phase_scope
 from repro.trust.aia import AIAFetcher
 from repro.trust.cache import IntermediateCache
 from repro.trust.rootstore import RootStoreRegistry
@@ -319,7 +319,8 @@ class DifferentialHarness:
         strictly sequential and un-reused to mean anything — a
         persistent store under a learning cache is rejected outright.
 
-        The run is one ``differential`` phase (``phase.*`` metrics).
+        The run is one ``differential`` phase (``phase.*`` metrics and
+        a span of that name).
         :meth:`evaluate`, which the fuzzer and the figure helpers call
         once per chain, records none.
         """

@@ -53,9 +53,11 @@ def _collector_policy():
     that live until exit.  The yielded ``start_hot_loop()`` freezes
     what set-up built into the permanent generation, which later
     passes skip, and turns collection back on (if it was on at entry)
-    for the loop, whose per-chain garbage it does collect.  On every
-    exit the heap is unfrozen and the collector left as it was found,
-    so an in-process caller of :func:`main` keeps its own policy.
+    for the loop, whose per-chain garbage it does collect; ``cache
+    compact``, which only opens and rewrites a store, never calls it.
+    On every exit the heap is unfrozen and the collector left as it
+    was found, so an in-process caller of :func:`main` keeps its own
+    policy.
     Library code never touches the collector; this is the CLI's choice
     for its process (docs/PERFORMANCE.md, "The collector policy").
     """
@@ -148,7 +150,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 2
 
     obs.configure()
-    with obs.instrumented() as (registry, tracer), \
+    # only --trace-out reads the spans: without it none are kept
+    tracer = obs.Tracer() if args.trace_out else obs.NULL_TRACER
+    with obs.instrumented(tracer=tracer) as (registry, _), \
             _collector_policy() as start_hot_loop:
         obs.catalogue.preregister(registry)
         ecosystem = Ecosystem.generate(
@@ -410,9 +414,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     from repro.measurement import Campaign
+    from repro.obs.report import phase_stats
     from repro.webpki import Ecosystem, EcosystemConfig
 
-    with obs.instrumented() as (registry, tracer), \
+    with obs.instrumented(tracer=obs.NULL_TRACER) as (registry, _), \
             _collector_policy() as start_hot_loop:
         ecosystem = Ecosystem.generate(
             EcosystemConfig(n_domains=args.domains, seed=args.seed)
@@ -420,20 +425,18 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         campaign = Campaign(ecosystem, network=ecosystem.install())
         start_hot_loop()
         campaign.run_sharded(len(ecosystem.deployments))
-        print(obs.render_metrics_table(registry.snapshot(), top=args.top))
+        snapshot = registry.snapshot()
+        print(obs.render_metrics_table(snapshot, top=args.top))
         print()
         print("== phase timing ==")
-        for name, entry in sorted(tracer.aggregate().items()):
-            if name.startswith("campaign."):
-                rate = ""
-                if name == "campaign.analyze" and entry["total_s"] > 0:
-                    per_second = (
-                        registry.total("campaign.chains_analyzed")
-                        / entry["total_s"]
-                    )
-                    rate = f"  ({per_second:,.0f} chains/s)"
-                print(f"{name:<24} x{int(entry['count'])}  "
-                      f"{entry['total_s'] * 1e3:,.1f} ms{rate}")
+        for phase in phase_stats(snapshot):
+            rate = ""
+            if phase.phase == "analyze" and phase.wall_seconds > 0:
+                per_second = (registry.total("campaign.chains_analyzed")
+                              / phase.wall_seconds)
+                rate = f"  ({per_second:,.0f} chains/s)"
+            print(f"{phase.phase:<24} x{phase.count}  "
+                  f"{phase.wall_seconds * 1e3:,.1f} ms{rate}")
     return 0
 
 
@@ -891,7 +894,7 @@ def _cmd_cache_compact(args: argparse.Namespace) -> int:
     from repro.measurement import VerdictStore
 
     try:
-        with VerdictStore(args.path) as store:
+        with _collector_policy(), VerdictStore(args.path) as store:
             summary = store.compact()
     except StoreError as exc:
         print(f"repro-chain cache: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from repro.net.scanner import (
 from repro.net.simnet import SimulatedNetwork
 from repro.net.tls import TLS12
 from repro.obs.journal import RunJournal
-from repro.obs.probe import phase_scope
+from repro.obs.trace import phase_scope
 from repro.webpki.ecosystem import Ecosystem, VANTAGE_AU, VANTAGE_US
 from repro.x509 import Certificate
 
@@ -151,9 +151,8 @@ class _Sweep:
         phase = "collect" if shard is None else f"collect.shard.{shard}"
         labels = {} if shard is None else {"shard": shard}
         per_vantage: dict[str, list[ScanRecord]] = {}
-        with phase_scope(phase), \
-                tracer.span("campaign.collect", domains=len(domains),
-                            vantages=len(VANTAGES), **labels):
+        with phase_scope(phase, domains=len(domains),
+                         vantages=len(VANTAGES), **labels):
             if status is not None:
                 status.begin_phase(phase, len(domains) * len(VANTAGES))
             memo: dict = {}
@@ -449,9 +448,7 @@ class Campaign:
         """
         if observations is None:
             observations = self.ecosystem.observations()
-        with phase_scope("analyze"), \
-                obs.get_tracer().span("campaign.analyze",
-                                      chains=len(observations)):
+        with phase_scope("analyze", chains=len(observations)):
             reports, stats = analyze_observations(
                 observations, store=self.ecosystem.registry.union(),
                 fetcher=self.ecosystem.aia_repo,

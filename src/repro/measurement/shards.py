@@ -73,7 +73,7 @@ from repro.measurement.dataset import observation_to_json
 from repro.measurement.parallel import journaled_report
 from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
-from repro.obs.probe import phase_scope
+from repro.obs.trace import phase_scope
 
 _log = obs.get_logger("measurement.shards")
 
@@ -244,7 +244,6 @@ def run_sharded(
     reports show per-shard progress and cost.  The collection summary
     is journaled once the last shard is collected, before its verdicts.
     """
-    tracer = obs.get_tracer()
     domains = [d.domain for d in campaign.ecosystem.deployments]
     bounds = shard_bounds(len(domains), shard_size)
     sweep = _Sweep(campaign._ensure_network(), journal=journal,
@@ -289,9 +288,8 @@ def run_sharded(
             # the last slice ends the sweep: summarise the collection
             # before this shard's verdicts
             sweep.finish(len(domains))
-        with phase_scope(f"analyze.shard.{index}"), \
-                tracer.span("campaign.analyze.shard", index=index,
-                            chains=len(observations)):
+        with phase_scope(f"analyze.shard.{index}", index=index,
+                         chains=len(observations)):
             if status is not None:
                 status.begin_phase(f"analyze.shard.{index}",
                                    len(observations))
@@ -305,8 +303,7 @@ def run_sharded(
 
     with (open(output, "w", encoding="utf-8") if output is not None
           else nullcontext()) as handle, \
-            phase_scope("run.sharded"), \
-            tracer.span("campaign.run_sharded", domains=len(domains),
+            phase_scope("run.sharded", domains=len(domains),
                         shard_size=shard_size, shards=len(bounds)):
         for index, start, stop in bounds[completed:]:
             count = run_shard(index, start, stop, handle)

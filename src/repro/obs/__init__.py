@@ -6,10 +6,9 @@ this package makes it inspectable without making it slower:
 * :mod:`repro.obs.metrics` — labeled counters / gauges / histograms in
   a thread-safe registry with JSON export;
 * :mod:`repro.obs.trace` — nested timing spans with a Chrome
-  trace-event exporter;
-* :mod:`repro.obs.log` — structured (key=value / JSON) logging setup;
-* :mod:`repro.obs.probe` — a timer-based sampling profiler over the
-  span stack.
+  trace-event exporter, and :func:`phase_scope`, which names one
+  pipeline phase for both the metrics and the trace;
+* :mod:`repro.obs.log` — structured (key=value / JSON) logging setup.
 
 Instrumentation is **off by default**: :func:`get_metrics` and
 :func:`get_tracer` return shared null implementations whose methods do
@@ -50,9 +49,15 @@ from repro.obs.metrics import (
     NullMetricsRegistry,
     load_snapshot,
 )
-from repro.obs.probe import SamplingProbe, phase_scope, read_rss_bytes
 from repro.obs.render import render_metrics_table
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.trace import (
+    NULL_TRACER,
+    NullTracer,
+    Span,
+    Tracer,
+    phase_scope,
+    read_rss_bytes,
+)
 
 __all__ = [
     "Counter",
@@ -71,7 +76,6 @@ __all__ = [
     "RunJournal",
     "RunReport",
     "RunStatus",
-    "SamplingProbe",
     "SnapshotWriter",
     "Span",
     "StructLogger",

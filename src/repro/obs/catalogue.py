@@ -69,7 +69,6 @@ COUNTERS: tuple[str, ...] = (
 GAUGES: tuple[str, ...] = (
     "ratelimit.throttle_seconds",
     "cache.size",
-    "probe.rss",                  # bytes — last sampled process RSS
 )
 
 #: Histogram families.

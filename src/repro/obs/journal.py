@@ -316,11 +316,6 @@ class RunJournal:
 
     Parameters
     ----------
-    fsync:
-        When True, ``os.fsync`` on every flush — maximum durability,
-        measurable cost.  Default is flush-only: the OS may lose the
-        final events on power loss, but the file never corrupts past a
-        truncated tail, which resume already tolerates.
     flush_every:
         Flush after this many buffered records (default 1: every
         record, the most durable setting).  Larger windows amortise
@@ -330,12 +325,11 @@ class RunJournal:
     """
 
     def __init__(self, path: str | Path, manifest: dict[str, Any], *,
-                 fsync: bool = False, flush_every: int = 1) -> None:
+                 flush_every: int = 1) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         self.path = Path(path)
         self.manifest = manifest
-        self.fsync = fsync
         self.flush_every = flush_every
         self.resumed_events: list[dict[str, Any]] = []
         #: (domain, chain_key) → payload of each resumed verdict
@@ -357,10 +351,9 @@ class RunJournal:
 
     @classmethod
     def create(cls, path: str | Path, manifest: dict[str, Any], *,
-               fsync: bool = False, flush_every: int = 1) -> "RunJournal":
+               flush_every: int = 1) -> "RunJournal":
         """Start a fresh journal, truncating anything already at ``path``."""
-        journal = cls(path, cls._stamp(manifest), fsync=fsync,
-                      flush_every=flush_every)
+        journal = cls(path, cls._stamp(manifest), flush_every=flush_every)
         journal._handle = open(journal.path, "w", encoding="utf-8")
         journal._append(journal.manifest)
         # The manifest always hits the disk immediately: the journal's
@@ -370,7 +363,7 @@ class RunJournal:
 
     @classmethod
     def open(cls, path: str | Path, manifest: dict[str, Any], *,
-             fsync: bool = False, flush_every: int = 1) -> "RunJournal":
+             flush_every: int = 1) -> "RunJournal":
         """Create at ``path``, or resume the journal already there.
 
         Resuming verifies :func:`manifest_identity` equality and raises
@@ -379,8 +372,7 @@ class RunJournal:
         """
         path = Path(path)
         if not path.exists() or path.stat().st_size == 0:
-            return cls.create(path, manifest, fsync=fsync,
-                              flush_every=flush_every)
+            return cls.create(path, manifest, flush_every=flush_every)
         recorded, events, clean_end = _read(path)
         stamped = cls._stamp(manifest)
         ours, theirs = manifest_identity(stamped), manifest_identity(recorded)
@@ -389,7 +381,7 @@ class RunJournal:
                 f"{path}: manifest mismatch — journal was recorded with "
                 f"{theirs}, this run is {ours}"
             )
-        journal = cls(path, recorded, fsync=fsync, flush_every=flush_every)
+        journal = cls(path, recorded, flush_every=flush_every)
         journal.resumed_events = events
         for event in events:
             if event["type"] == "verdict":
@@ -444,12 +436,10 @@ class RunJournal:
             counter.inc()
 
     def flush(self) -> None:
-        """Push buffered records to the OS (and disk, with ``fsync``)."""
+        """Push buffered records to the OS."""
         if self._handle is None or not self._pending:
             return
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
         self._pending = 0
 
     def record(self, event_type: str, **fields: Any) -> None:

@@ -18,12 +18,12 @@ CI gate) actually reads:
 * **retry / breaker / cache rollups** and **per-phase wall/CPU/RSS**
   resource attribution, read from a metrics snapshot when one is
   supplied (phase histograms are produced by
-  :func:`repro.obs.probe.phase_scope`).
+  :func:`repro.obs.trace.phase_scope`).
 
 Reports built from a journal alone are **deterministic**: every field
 derives from journal bytes, so two identical seeded runs render
-byte-identical console text.  Timing-dependent sections (phases,
-``probe.rss``) appear only when a metrics snapshot is passed in.
+byte-identical console text.  The timing-dependent phase section
+appears only when a metrics snapshot is passed in.
 
 ``to_dict``/``from_dict`` are lossless inverses; rendering comes in
 console text, Markdown, and self-contained HTML flavours.
@@ -508,7 +508,7 @@ def build_report(manifest: dict[str, Any],
     # -- metrics-derived sections --------------------------------------
     if metrics:
         report.metric_totals = flatten_metrics(metrics)
-        report.phases = _phase_stats(metrics)
+        report.phases = phase_stats(metrics)
     return report
 
 
@@ -563,8 +563,9 @@ def flatten_metrics(snapshot: dict[str, Any]) -> dict[str, float]:
     return flat
 
 
-def _phase_stats(snapshot: dict[str, Any]) -> tuple[PhaseStat, ...]:
-    """Per-phase resource table from the ``phase.*`` histograms."""
+def phase_stats(snapshot: dict[str, Any]) -> tuple[PhaseStat, ...]:
+    """Per-phase resource table from the ``phase.*`` histograms: the
+    report's "Phase resources" rows and ``stats``'s phase timing."""
     def by_phase(family: str, field_name: str) -> dict[str, float]:
         out: dict[str, float] = {}
         for series in snapshot.get(family, {}).get("series", []):

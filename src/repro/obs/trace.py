@@ -1,11 +1,12 @@
-"""Span-based tracing with a hierarchical timing tree.
+"""Span-based tracing with a hierarchical timing tree, and the one
+primitive that marks a pipeline phase.
 
 Usage::
 
-    tracer = Tracer()
-    with tracer.span("campaign.collect", domains=5000):
-        with tracer.span("campaign.scan", vantage="us"):
-            ...
+    with obs.instrumented() as (registry, tracer):
+        with phase_scope("collect", domains=5000):
+            ...  # steps inside the phase open Tracer.span contexts
+    print(tracer.tree())
 
 Every ``span`` is timed with the wall clock; nesting is tracked per
 thread so concurrent scanners do not interleave their trees.  After a
@@ -20,9 +21,16 @@ run, the tracer offers three read-outs:
   acceptance criteria require: a list of complete events
   ``{"name", "ph": "X", "ts", "dur", "pid", "tid", "args"}``.
 
-The sampling probe (:mod:`repro.obs.probe`) reads
-:meth:`Tracer.active_stacks` from its own thread, which is why the
-per-thread stacks live behind a lock rather than in a ``threading.local``.
+A pipeline phase is marked with :func:`phase_scope`, never with a bare
+span: it opens the active tracer's span under the phase's name and
+attributes the block's wall clock, CPU time and peak RSS to that same
+name as ``phase.wall_seconds`` / ``phase.cpu_seconds`` /
+``phase.rss_peak_bytes`` histogram observations.  So ``report``'s
+"Phase resources", ``stats``'s phase rows and ``scan --trace-out`` name
+each region once.  Histograms rather than gauges, so a phase entered
+many times (one ``analyze`` per shard, say) keeps every observation.
+:func:`read_rss_bytes` is the pure-Python RSS reader behind the last
+one.
 """
 
 from __future__ import annotations
@@ -31,9 +39,11 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer"]
+__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer", "phase_scope",
+           "read_rss_bytes"]
 
 
 @dataclass
@@ -99,7 +109,7 @@ class Tracer:
         self._lock = threading.Lock()
         #: finished + in-flight top-level spans, in start order
         self._roots: list[Span] = []
-        #: open-span stack per thread id (read by the sampling probe)
+        #: open-span stack per thread id
         self._stacks: dict[int, list[Span]] = {}
 
     # -- recording -----------------------------------------------------
@@ -137,15 +147,6 @@ class Tracer:
     def roots(self) -> list[Span]:
         with self._lock:
             return list(self._roots)
-
-    def active_stacks(self) -> dict[int, tuple[str, ...]]:
-        """Open span names per thread — the sampling probe's input."""
-        with self._lock:
-            return {
-                tid: tuple(s.name for s in stack)
-                for tid, stack in self._stacks.items()
-                if stack
-            }
 
     def aggregate(self) -> dict[str, dict[str, float]]:
         """Per-name ``{count, total_s, self_s}`` across every tree."""
@@ -221,9 +222,6 @@ class NullTracer:
     def roots(self) -> list[Span]:
         return []
 
-    def active_stacks(self) -> dict[int, tuple[str, ...]]:
-        return {}
-
     def aggregate(self) -> dict[str, dict[str, float]]:
         return {}
 
@@ -241,3 +239,66 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
+
+
+_PAGE_SIZE: int | None = None
+
+
+def read_rss_bytes() -> int | None:
+    """The process's resident set size in bytes, or ``None``.
+
+    Reads ``/proc/self/statm`` (second field: resident pages) and
+    multiplies by the page size — no dependency on ``psutil`` or
+    ``resource``.  Platforms without procfs (macOS, Windows) get
+    ``None`` back; callers treat that as "RSS not observable" and skip
+    the metric rather than fail.
+    """
+    global _PAGE_SIZE
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            resident_pages = int(handle.read().split()[1])
+        if _PAGE_SIZE is None:
+            _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+        return resident_pages * _PAGE_SIZE
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+@contextmanager
+def phase_scope(phase: str, registry=None, **attrs: object):
+    """Mark this block as the pipeline phase ``phase``.
+
+    Opens the active tracer's span named ``phase``, carrying ``attrs``,
+    and on exit observes one sample into each ``phase.*`` histogram
+    (labeled ``phase=<name>``) — on the active registry by default, so
+    both halves are no-ops when instrumentation is disabled.  Peak RSS
+    is approximated as max(entry, exit).
+    """
+    from repro import obs  # late import: repro.obs imports this module
+    from repro.obs.catalogue import BUCKET_BOUNDS
+
+    if registry is None:
+        registry = obs.get_metrics()
+    rss_before = read_rss_bytes()
+    cpu_start = time.process_time()
+    wall_start = time.perf_counter()
+    try:
+        with obs.get_tracer().span(phase, **attrs):
+            yield
+    finally:
+        wall = time.perf_counter() - wall_start
+        cpu = time.process_time() - cpu_start
+        registry.histogram(
+            "phase.wall_seconds",
+            buckets=BUCKET_BOUNDS["phase.wall_seconds"], phase=phase,
+        ).observe(wall)
+        registry.histogram(
+            "phase.cpu_seconds",
+            buckets=BUCKET_BOUNDS["phase.cpu_seconds"], phase=phase,
+        ).observe(cpu)
+        rss_after = read_rss_bytes()
+        if rss_after is not None:
+            registry.histogram(
+                "phase.rss_peak_bytes",
+                buckets=BUCKET_BOUNDS["phase.rss_peak_bytes"], phase=phase,
+            ).observe(max(rss_before or 0, rss_after))

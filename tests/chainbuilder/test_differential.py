@@ -303,3 +303,14 @@ class TestDifferentialPhase:
                   if s["labels"] == {"phase": "differential"}]
         assert len(phases) == 1
         assert phases[0]["count"] == 1 and phases[0]["sum"] > 0
+
+    def test_run_leaves_one_differential_span(self, reference_world):
+        """The phase is also a span of the same name, so a traced
+        differential run shows where its time went."""
+        harness = _harness(reference_world)
+        now = reference_world.config.now
+        observations = reference_world.observations()[:20]
+        with obs.instrumented() as (_metrics, tracer):
+            harness.run(observations, at_time=now)
+            harness.evaluate(*observations[0], at_time=now)
+        assert [root.name for root in tracer.roots()] == ["differential"]

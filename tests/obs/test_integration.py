@@ -107,11 +107,9 @@ class TestCampaignSpans:
     def test_phase_span_tree(self, instrumented_campaign):
         _registry, tracer, collection, *_ = instrumented_campaign
         roots = [r.name for r in tracer.roots()]
-        assert "campaign.collect" in roots
-        assert "campaign.analyze" in roots
-        collect = next(
-            r for r in tracer.roots() if r.name == "campaign.collect"
-        )
+        assert "collect" in roots
+        assert "analyze" in roots
+        collect = next(r for r in tracer.roots() if r.name == "collect")
         child_names = [c.name for c in collect.children]
         assert child_names.count("campaign.scan") == len(
             collection.per_vantage

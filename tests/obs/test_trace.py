@@ -1,9 +1,14 @@
-"""Span nesting, timing tree, aggregation, Chrome-trace export."""
+"""Span nesting, timing tree, aggregation, Chrome-trace export, and
+the phase primitive with its RSS reader."""
 
 import json
 import threading
 
-from repro.obs.trace import NULL_TRACER, Tracer
+import pytest
+
+from repro import obs
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, Tracer, phase_scope, read_rss_bytes
 
 
 class FakeClock:
@@ -94,14 +99,6 @@ class TestReadouts:
         text = tracer.tree()
         assert "outer" in text and "  inner" in text and "n=1" in text
 
-    def test_active_stacks_while_open(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                stacks = tracer.active_stacks()
-                assert list(stacks.values()) == [("a", "b")]
-        assert tracer.active_stacks() == {}
-
     def test_clear(self):
         tracer = Tracer()
         with tracer.span("x"):
@@ -153,4 +150,98 @@ class TestNullTracer:
         assert NULL_TRACER.roots() == []
         assert NULL_TRACER.aggregate() == {}
         assert NULL_TRACER.to_json() == "[]"
-        assert NULL_TRACER.active_stacks() == {}
+
+
+class TestReadRssBytes:
+    def test_read_rss_bytes_on_linux(self):
+        rss = read_rss_bytes()
+        if rss is None:
+            pytest.skip("no /proc/self/statm on this platform")
+        assert isinstance(rss, int)
+        assert rss > 1 << 20  # a Python process is at least a MiB
+
+    def test_unreadable_statm_returns_none(self, monkeypatch):
+        import builtins
+
+        real_open = builtins.open
+
+        def refusing_open(path, *args, **kwargs):
+            if path == "/proc/self/statm":
+                raise OSError("no procfs here")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refusing_open)
+        assert read_rss_bytes() is None
+
+
+class TestPhaseScope:
+    def test_observes_wall_cpu_and_rss(self):
+        registry = MetricsRegistry()
+        with phase_scope("analyze", registry):
+            sum(range(10_000))
+        snapshot = registry.snapshot()
+        for family in ("phase.wall_seconds", "phase.cpu_seconds"):
+            series = snapshot[family]["series"]
+            assert len(series) == 1
+            assert series[0]["labels"] == {"phase": "analyze"}
+            assert series[0]["count"] == 1
+            assert series[0]["sum"] >= 0.0
+        if read_rss_bytes() is not None:
+            rss = snapshot["phase.rss_peak_bytes"]["series"][0]
+            assert rss["max"] > 1 << 20
+
+    def test_uses_active_registry_by_default(self):
+        with obs.instrumented() as (registry, _):
+            with phase_scope("collect"):
+                pass
+            series = registry.snapshot()["phase.wall_seconds"]["series"]
+            assert series[0]["labels"]["phase"] == "collect"
+
+    def test_opens_a_span_named_after_the_phase(self):
+        """One name per region: the span the scope opens on the active
+        tracer is the phase label, and carries the scope's attrs."""
+        with obs.instrumented() as (registry, tracer):
+            with phase_scope("collect.shard.3", shard=3):
+                with tracer.span("campaign.scan", vantage="us"):
+                    pass
+        root, = tracer.roots()
+        assert (root.name, root.attrs) == ("collect.shard.3", {"shard": 3})
+        assert [child.name for child in root.children] == ["campaign.scan"]
+        series, = registry.snapshot()["phase.wall_seconds"]["series"]
+        assert series["labels"] == {"phase": root.name}
+
+    def test_noop_when_instrumentation_disabled(self):
+        # The null registry and tracer swallow the scope silently.
+        with phase_scope("collect"):
+            pass
+        assert obs.get_tracer().roots() == []
+
+    def test_records_even_when_body_raises(self):
+        registry = MetricsRegistry()
+        with obs.instrumented(registry) as (_, tracer):
+            with pytest.raises(RuntimeError):
+                with phase_scope("doomed"):
+                    raise RuntimeError("boom")
+        series = registry.snapshot()["phase.wall_seconds"]["series"]
+        assert series[0]["count"] == 1
+        root, = tracer.roots()
+        assert root.name == "doomed" and root.end is not None
+
+    def test_buckets_match_catalogue(self):
+        """phase_scope bins exactly like catalogue.preregister, so a
+        phase series reads the same whichever created the family."""
+        from repro.obs import catalogue
+
+        preregistered = MetricsRegistry()
+        catalogue.preregister(preregistered)
+        scoped = MetricsRegistry()
+        with phase_scope("analyze", scoped):
+            pass
+
+        def buckets(registry):
+            return {
+                s["labels"].get("phase"): sorted(s["buckets"])
+                for s in registry.snapshot()["phase.wall_seconds"]["series"]
+            }
+
+        assert buckets(scoped)["analyze"] == buckets(preregistered)[None]

@@ -224,6 +224,40 @@ class TestCollectorPolicy:
         assert code == (2 if corrupt_store else 0)
         assert state == (enabled, 0)
 
+    def test_cache_compact_opens_the_store_with_collection_paused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The open decodes every live record, set-up like a scan's:
+        no automatic pass runs while it does, and ``main`` restores the
+        collector it found."""
+        import gc
+
+        from repro.measurement.store import VerdictStore
+
+        store = tmp_path / "store"
+        assert main(["scan", "--domains", "60", "--seed", "6",
+                     "--cache-dir", str(store)]) == 0
+        seen = []
+        original_init = VerdictStore.__init__
+
+        def spy_init(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VerdictStore, "__init__", spy_init)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            code = main(["cache", "compact", str(store)])
+            state = (gc.isenabled(), gc.get_freeze_count())
+        finally:
+            if not was_enabled:
+                gc.disable()
+        assert code == 0
+        assert "compacted" in capsys.readouterr().out
+        assert seen == [False]
+        assert state == (True, 0)
+
 
 class TestScanNetworkMode:
     def test_simulated_network_scan(self, capsys):
@@ -263,7 +297,76 @@ class TestScanNetworkMode:
             assert event["ph"] == "X"
             assert {"name", "ts", "dur", "pid", "tid"} <= set(event)
         names = {event["name"] for event in trace}
-        assert "campaign.collect" in names and "campaign.analyze" in names
+        assert {"generate", "run.sharded", "collect.shard.0",
+                "analyze.shard.0", "analyze"} <= names
+
+    def test_every_phase_is_a_span_of_the_same_name(self, tmp_path,
+                                                     capsys):
+        """One name per region: each ``phase`` label of the metrics is
+        a span name of the trace, and a shard's collection span holds
+        its two vantage scans, each with its per-domain handshakes."""
+        import json
+
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.json"
+        code = main(["scan", "--domains", "120", "--seed", "6",
+                     "--simulate-network", "--shard-size", "70",
+                     "--metrics-out", str(metrics_path),
+                     "--trace-out", str(trace_path)])
+        assert code == 0
+        assert "shards: 2 × 70 domains" in capsys.readouterr().out
+        metrics = json.loads(metrics_path.read_text())
+        phases = {
+            series["labels"]["phase"]
+            for series in metrics["phase.wall_seconds"]["series"]
+            if series["labels"]
+        }
+        assert {"collect.shard.0", "collect.shard.1"} <= phases
+        trace = json.loads(trace_path.read_text())
+        assert phases <= {event["name"] for event in trace}
+
+        def inside(outer, name):
+            return [
+                event for event in trace
+                if event["name"] == name and event["tid"] == outer["tid"]
+                and outer["ts"] <= event["ts"]
+                and event["ts"] + event["dur"] <= outer["ts"] + outer["dur"]
+            ]
+
+        for shard in ("0", "1"):
+            collect, = [event for event in trace
+                        if event["name"] == f"collect.shard.{shard}"]
+            assert collect["args"]["shard"] == shard
+            scans = inside(collect, "campaign.scan")
+            assert sorted(scan["args"]["vantage"] for scan in scans) \
+                == ["au", "us"]
+            for scan in scans:
+                handshakes = inside(scan, "scan.handshake")
+                assert handshakes
+                assert {h["args"]["vantage"] for h in handshakes} \
+                    == {scan["args"]["vantage"]}
+
+    def test_scan_without_trace_out_opens_no_span(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """Only ``--trace-out`` reads the tracer, so without it the
+        scan runs against the null tracer and keeps no span."""
+        from repro.obs.trace import Tracer
+
+        pushed = []
+        original_push = Tracer._push
+
+        def counting_push(self, span):
+            pushed.append(span.name)
+            original_push(self, span)
+
+        monkeypatch.setattr(Tracer, "_push", counting_push)
+        argv = ["scan", "--domains", "60", "--seed", "6",
+                "--simulate-network"]
+        assert main(argv) == 0
+        assert pushed == []
+        # the spy does see the spans of a traced run
+        assert main(argv + ["--trace-out", str(tmp_path / "t.json")]) == 0
+        assert "run.sharded" in pushed
 
 
 class TestScanNetworkOutput:

@@ -5,6 +5,7 @@ cannot rot: if an API changes under an example, these fail.
 """
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -77,7 +78,9 @@ def test_instrumented_scan_small(capsys):
     _run("instrumented_scan", 120, 9)
     out = capsys.readouterr().out
     assert "scan.attempts (counter)" in out
-    assert "campaign.analyze" in out
+    for phase in ("generate", "collect", "analyze"):
+        assert re.search(rf"^  {phase} +x1 ", out, re.M), phase
     assert "chains/s" in out
     assert "Chrome trace JSON" in out
+    assert "top-level spans: generate, collect, analyze" in out
     assert not obs.enabled()  # the example restores the null layer

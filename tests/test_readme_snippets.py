@@ -49,7 +49,8 @@ def test_observability_snippet():
         campaign.analyze(collection.observations)
     table = obs.render_metrics_table(registry.snapshot())
     assert "scan.attempts" in table and "compliance.verdict" in table
-    assert "campaign.collect" in tracer.tree()
+    assert [root.name for root in tracer.roots()] == ["collect", "analyze"]
+    assert "campaign.scan" in tracer.tree()
     assert not obs.enabled()
 
 
