@@ -10,6 +10,7 @@ and rolls them into a :class:`ChainComplianceReport`.
 from __future__ import annotations
 
 import json
+import marshal
 from dataclasses import dataclass, replace
 
 from repro import obs
@@ -23,7 +24,7 @@ from repro.core.leaf import (
     LeafPlacement,
     classify_leaf_placement,
 )
-from repro.core.order import OrderAnalysis, analyze_order
+from repro.core.order import OrderAnalysis, OrderDefect, analyze_order
 from repro.core.relation import DEFAULT_POLICY, RelationPolicy
 from repro.core.topology import ChainTopology
 from repro.errors import PayloadError
@@ -269,52 +270,126 @@ class ChainComplianceReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "ChainComplianceReport":
         """Inverse of :meth:`to_dict` (used by journal resume); raises
-        :class:`~repro.errors.PayloadError` when it does not decode."""
-        from repro.core.order import OrderDefect
+        :class:`~repro.errors.PayloadError` when it does not decode.
+        Decodes through a single-use :class:`ReportTable`."""
+        return ReportTable().decode(payload)
 
+
+#: The marshal format of the sharing keys: version 2 writes no object
+#: references, so equal values of equal types always encode alike.
+_KEY_FORMAT = 2
+
+
+def _sharing_key(kind: type, section) -> tuple | None:
+    """The key under which a :class:`ReportTable` shares the decode of
+    one payload section: ``kind`` and the section's marshal encoding.
+    The encoding tags every value with its exact type (``1``, ``1.0``
+    and ``true`` encode apart, as do ``0``, ``false`` and ``null``, and
+    ``0.0`` and ``-0.0``) and keeps list and key order, so sections
+    with equal keys hold equal JSON values and decode alike.  None for
+    a value marshal cannot encode (no JSON decoder makes one)."""
+    try:
+        return kind, marshal.dumps(section, _KEY_FORMAT)
+    except ValueError:
+        return None
+
+
+class ReportTable:
+    """The report codec's decoder: payloads in, reports out, sharing
+    what repeats.
+
+    The verdicts of a corpus fall into a handful of classes, so the
+    sections a store replays are nearly all repeats.  One table hands
+    every payload it decodes the same :class:`LeafAnalysis`,
+    :class:`OrderAnalysis`, :class:`CompletenessAnalysis` and
+    :class:`Evidence` instance for an equal section (see
+    :func:`_sharing_key`).  A section the table has not seen decodes
+    field by field in :meth:`ChainComplianceReport.to_dict` order, so a
+    payload that does not decode is refused with the same
+    :class:`~repro.errors.PayloadError` whichever table decodes it.
+
+    :meth:`intern` shares equal strings too, for callers that keep
+    strings beside the reports (the verdict store's index keys).
+    """
+
+    __slots__ = ("_shared", "_strings")
+
+    def __init__(self) -> None:
+        self._shared: dict[tuple, object] = {}
+        self._strings: dict[str, str] = {}
+
+    def intern(self, value):
+        """The first string equal to ``value`` this table saw (``value``
+        itself if none); anything but a string passes through."""
+        if type(value) is not str:
+            return value
+        return self._strings.setdefault(value, value)
+
+    def decode(self, payload) -> ChainComplianceReport:
+        """Inverse of :meth:`ChainComplianceReport.to_dict`; raises
+        :class:`~repro.errors.PayloadError` when it does not decode."""
         try:
             leaf = payload["leaf"]
             order = payload["order"]
             completeness = payload["completeness"]
-
-            def _evidence(section: dict) -> tuple[Evidence, ...]:
-                return tuple(evidence_from_dict(e)
-                             for e in section.get("evidence", ()))
-
-            return cls(
+            return ChainComplianceReport(
                 domain=payload["domain"],
                 chain_length=payload["chain_length"],
-                leaf=LeafAnalysis(
-                    placement=LeafPlacement(leaf["placement"]),
-                    deciding_index=leaf["deciding_index"],
-                    evidence=_evidence(leaf),
-                ),
-                order=OrderAnalysis(
-                    defects=frozenset(
-                        OrderDefect(d) for d in order["defects"]
-                    ),
-                    duplicate_roles=frozenset(order["duplicate_roles"]),
-                    max_duplicate_count=order["max_duplicate_count"],
-                    irrelevant_count=order["irrelevant_count"],
-                    path_count=order["path_count"],
-                    reversed_any=order["reversed_any"],
-                    reversed_all=order["reversed_all"],
-                    path_structures=tuple(order["path_structures"]),
-                    compliant=order["compliant"],
-                    evidence=_evidence(order),
-                ),
-                completeness=CompletenessAnalysis(
-                    category=CompletenessClass(completeness["category"]),
-                    missing_count=completeness["missing_count"],
-                    aia_outcome=completeness["aia_outcome"],
-                    evidence=_evidence(completeness),
-                ),
+                leaf=self._share(LeafAnalysis, leaf, self._leaf),
+                order=self._share(OrderAnalysis, order, self._order),
+                completeness=self._share(CompletenessAnalysis, completeness,
+                                         self._completeness),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                IndexError, OverflowError) as exc:
             raise PayloadError(
                 f"report payload does not decode "
                 f"({type(exc).__name__}: {exc})"
             ) from None
+
+    def _share(self, kind: type, section, decode):
+        """The table's ``kind`` instance for ``section``: the one an
+        equal section decoded to, else ``decode(section)``, kept."""
+        key = _sharing_key(kind, section)
+        shared = self._shared.get(key)
+        if shared is None:
+            shared = decode(section)
+            if key is not None:
+                self._shared[key] = shared
+        return shared
+
+    def _evidence(self, section) -> tuple[Evidence, ...]:
+        return tuple(self._share(Evidence, record, evidence_from_dict)
+                     for record in section.get("evidence", ()))
+
+    def _leaf(self, section) -> LeafAnalysis:
+        return LeafAnalysis(
+            placement=LeafPlacement(section["placement"]),
+            deciding_index=section["deciding_index"],
+            evidence=self._evidence(section),
+        )
+
+    def _order(self, section) -> OrderAnalysis:
+        return OrderAnalysis(
+            defects=frozenset(OrderDefect(d) for d in section["defects"]),
+            duplicate_roles=frozenset(section["duplicate_roles"]),
+            max_duplicate_count=section["max_duplicate_count"],
+            irrelevant_count=section["irrelevant_count"],
+            path_count=section["path_count"],
+            reversed_any=section["reversed_any"],
+            reversed_all=section["reversed_all"],
+            path_structures=tuple(section["path_structures"]),
+            compliant=section["compliant"],
+            evidence=self._evidence(section),
+        )
+
+    def _completeness(self, section) -> CompletenessAnalysis:
+        return CompletenessAnalysis(
+            category=CompletenessClass(section["category"]),
+            missing_count=section["missing_count"],
+            aia_outcome=section["aia_outcome"],
+            evidence=self._evidence(section),
+        )
 
 
 def analyze_chain(

@@ -25,7 +25,7 @@ Storage format
 version); ``segments/NNNNNN.seg`` files hold one JSON record per line,
 encoded with the report codec the journal already pins byte-identical
 (:meth:`~repro.core.compliance.ChainComplianceReport.to_json` /
-``from_dict``).  Writes append to the highest-numbered segment and a
+:class:`~repro.core.compliance.ReportTable`).  Writes append to the highest-numbered segment and a
 full segment is sealed (fsync) before the next one starts; compaction
 writes the live records to a temp file, fsyncs, and atomically renames
 it into place before unlinking the old segments — a crash at any point
@@ -36,7 +36,10 @@ Opening a store replays every segment into an in-memory index,
 decoding each record as it indexes the line: a report becomes its
 :class:`~repro.core.compliance.ChainComplianceReport`, an outcome a
 checked ``{"chain_length", "results"}`` dict, so the index holds one
-value type per record kind and a hit is a dictionary lookup.  A torn
+value type per record kind and a hit is a dictionary lookup.  One
+:class:`~repro.core.compliance.ReportTable` decodes a whole replay, so
+equal report sections are one object and equal key strings one
+string.  A torn
 *final* record (the crash left a partial line) is truncated away and
 counted as a recovery; other damage, and a live record that does not
 decode, raises :class:`~repro.errors.StoreError` naming the file or
@@ -61,7 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
-from repro.core.compliance import ChainComplianceReport
+from repro.core.compliance import ChainComplianceReport, ReportTable
 from repro.errors import PayloadError, StoreError
 
 __all__ = [
@@ -186,10 +189,16 @@ def _read_meta(root: Path) -> dict | None:
     return meta
 
 
-def _replay_segment(segment: Path, reports: dict, outcomes: dict,
-                    undecodable: dict) -> tuple[int, int | None, int, int]:
+def _replay_segment(segment: Path, table: ReportTable, reports: dict,
+                    outcomes: dict, undecodable: dict
+                    ) -> tuple[int, int | None, int, int]:
     """Index one segment's records, decoded, into ``reports`` and
     ``outcomes``.
+
+    ``table`` is the replay's one :class:`ReportTable`: it decodes every
+    report, sharing the sections that repeat across records, and
+    interns the index keys' strings (the digest, identical in every
+    record, and the chain-key fingerprints).
 
     A record whose payload does not decode leaves the index and puts
     its refusal in ``undecodable`` under ``(kind, key)``, until a later
@@ -203,6 +212,7 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict,
     """
     data = segment.read_bytes()
     name = f"{_SEGMENTS}/{segment.name}"
+    intern = table.intern
     stale = superseded = 0
     offset = 0
     lines = data.split(b"\n")
@@ -227,16 +237,18 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict,
             if record.get("schema") != SCHEMA_VERSION:
                 stale += 1
             elif record.get("kind") == "report":
-                key = (tuple(record["chain_key"]), record["digest"])
+                key = (tuple(map(intern, record["chain_key"])),
+                       intern(record["digest"]))
                 superseded += _index("report", key, record["report"],
-                                     reports, undecodable)
+                                     table, reports, undecodable)
             elif record.get("kind") == "outcome":
-                key = (record["domain"], tuple(record["chain_key"]),
-                       record["digest"])
+                key = (record["domain"],
+                       tuple(map(intern, record["chain_key"])),
+                       intern(record["digest"]))
                 superseded += _index("outcome", key,
                                      {"chain_length": record["chain_length"],
                                       "results": record["results"]},
-                                     outcomes, undecodable)
+                                     table, outcomes, undecodable)
             else:
                 stale += 1  # a kind from a newer writer: skippable
         except KeyError as exc:
@@ -249,18 +261,18 @@ def _replay_segment(segment: Path, reports: dict, outcomes: dict,
     return len(data), None, stale, superseded
 
 
-def _index(kind: str, key: tuple, payload, entries: dict,
-           undecodable: dict) -> bool:
+def _index(kind: str, key: tuple, payload, table: ReportTable,
+           entries: dict, undecodable: dict) -> bool:
     """Decode one live record's ``payload`` into ``entries[key]`` — a
-    report into its object, an outcome checked for an integer
-    ``chain_length`` and ``results`` mapping client names to labels —
-    or, when it does not decode, its refusal naming the chain into
-    ``undecodable``.  True when it superseded an earlier record of
+    report into its object through ``table``, an outcome checked for an
+    integer ``chain_length`` and ``results`` mapping client names to
+    labels — or, when it does not decode, its refusal naming the chain
+    into ``undecodable``.  True when it superseded an earlier record of
     ``key``."""
     superseded = key in entries or (kind, key) in undecodable
     try:
         if kind == "report":
-            entries[key] = ChainComplianceReport.from_dict(payload)
+            entries[key] = table.decode(payload)
         else:
             results = payload["results"]
             if not (type(payload["chain_length"]) is int
@@ -329,6 +341,7 @@ def check_store(path) -> StoreCheck:
             f"{_SEGMENTS}/{leftover.name}: interrupted compaction "
             f"leftover (reopening the store removes it)"
         )
+    table = ReportTable()
     reports: dict = {}
     outcomes: dict = {}
     undecodable: dict[tuple, str] = {}
@@ -336,7 +349,7 @@ def check_store(path) -> StoreCheck:
         check.segments += 1
         try:
             size, torn_at, stale, superseded = _replay_segment(
-                segment, reports, outcomes, undecodable
+                segment, table, reports, outcomes, undecodable
             )
         except StoreError as exc:
             check.problems.append(str(exc))
@@ -424,10 +437,11 @@ class VerdictStore:
             leftover.unlink()
             self.removed_tmp += 1
         self._segments = _segment_files(self.path)
+        table = ReportTable()
         undecodable: dict[tuple, str] = {}
         for segment in self._segments:
             size, torn_at, stale, superseded = _replay_segment(
-                segment, self._reports, self._outcomes, undecodable
+                segment, table, self._reports, self._outcomes, undecodable
             )
             self.stale_records += stale
             self.superseded_records += superseded

@@ -67,6 +67,9 @@ class Evidence:
     details:
         Extra machine-readable facts (positions, outcome codes,
         per-client verdicts...); values must be JSON-serialisable.
+        Treat it as read-only: a decoded report may share its evidence
+        records, ``details`` included, with every equal record that the
+        same :class:`~repro.core.compliance.ReportTable` decoded.
     """
 
     rule_id: str

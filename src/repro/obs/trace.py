@@ -13,9 +13,8 @@ thread so concurrent scanners do not interleave their trees.  After a
 run, the tracer offers three read-outs:
 
 * :meth:`Tracer.roots` — the raw span tree (each span knows its
-  children and its *self time*, i.e. wall time minus child time);
-* :meth:`Tracer.aggregate` — per-name totals (count / total / self),
-  the "where did the time go" table;
+  children and its duration);
+* :meth:`Tracer.tree` — that tree rendered as indented text;
 * :meth:`Tracer.to_chrome_trace` — Chrome trace-event JSON (open in
   ``chrome://tracing`` or https://ui.perfetto.dev), the format the
   acceptance criteria require: a list of complete events
@@ -42,6 +41,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.obs.metrics import NullMetricsRegistry
+
 __all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer", "phase_scope",
            "read_rss_bytes"]
 
@@ -61,11 +62,6 @@ class Span:
     def duration(self) -> float:
         """Wall seconds (0.0 while still open)."""
         return (self.end - self.start) if self.end is not None else 0.0
-
-    @property
-    def self_time(self) -> float:
-        """Wall time not accounted for by direct children."""
-        return max(0.0, self.duration - sum(c.duration for c in self.children))
 
     def tree(self, *, indent: int = 0) -> str:
         """Human-readable nested rendering, durations in ms."""
@@ -148,27 +144,9 @@ class Tracer:
         with self._lock:
             return list(self._roots)
 
-    def aggregate(self) -> dict[str, dict[str, float]]:
-        """Per-name ``{count, total_s, self_s}`` across every tree."""
-        totals: dict[str, dict[str, float]] = {}
-        for root in self.roots():
-            for span in root.walk():
-                entry = totals.setdefault(
-                    span.name, {"count": 0, "total_s": 0.0, "self_s": 0.0}
-                )
-                entry["count"] += 1
-                entry["total_s"] += span.duration
-                entry["self_s"] += span.self_time
-        return totals
-
     def tree(self) -> str:
         """All root trees rendered beneath each other."""
         return "\n".join(root.tree() for root in self.roots())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._roots.clear()
-            self._stacks.clear()
 
     # -- export --------------------------------------------------------
 
@@ -222,14 +200,8 @@ class NullTracer:
     def roots(self) -> list[Span]:
         return []
 
-    def aggregate(self) -> dict[str, dict[str, float]]:
-        return {}
-
     def tree(self) -> str:
         return ""
-
-    def clear(self) -> None:
-        pass
 
     def to_chrome_trace(self) -> list[dict[str, object]]:
         return []
@@ -272,13 +244,18 @@ def phase_scope(phase: str, registry=None, **attrs: object):
     and on exit observes one sample into each ``phase.*`` histogram
     (labeled ``phase=<name>``) — on the active registry by default, so
     both halves are no-ops when instrumentation is disabled.  Peak RSS
-    is approximated as max(entry, exit).
+    is approximated as max(entry, exit).  Under the null registry the
+    scope reads neither RSS nor the clocks: nothing would keep them.
     """
     from repro import obs  # late import: repro.obs imports this module
     from repro.obs.catalogue import BUCKET_BOUNDS
 
     if registry is None:
         registry = obs.get_metrics()
+    if isinstance(registry, NullMetricsRegistry):
+        with obs.get_tracer().span(phase, **attrs):
+            yield
+        return
     rss_before = read_rss_bytes()
     cpu_start = time.process_time()
     wall_start = time.perf_counter()

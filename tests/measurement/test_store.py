@@ -377,20 +377,19 @@ class TestDecodedIndex:
 
     def test_replayed_report_decoded_once_at_open(self, ecosystem, union,
                                                    tmp_path, monkeypatch):
-        from repro.core.compliance import ChainComplianceReport
+        from repro.core.compliance import ChainComplianceReport, ReportTable
 
         key_hex, digest, report = make_report(ecosystem, union)
         with VerdictStore(tmp_path / "vs") as store:
             store.put_report(key_hex, digest, report)
         decoded = []
-        original = ChainComplianceReport.from_dict.__func__
+        original = ReportTable.decode
 
-        def counting(cls, payload):
+        def counting(table, payload):
             decoded.append(payload["domain"])
-            return original(cls, payload)
+            return original(table, payload)
 
-        monkeypatch.setattr(ChainComplianceReport, "from_dict",
-                            classmethod(counting))
+        monkeypatch.setattr(ReportTable, "decode", counting)
         with VerdictStore(tmp_path / "vs") as store:
             assert decoded == [report.domain]
             first = store.get_report(key_hex, digest)
@@ -399,6 +398,29 @@ class TestDecodedIndex:
             assert store.get_report(key_hex, digest) is first
             assert store.hits == 2
         assert decoded == [report.domain]
+
+    def test_equal_sections_share_one_object(self, ecosystem, union,
+                                             tmp_path):
+        """One decode table per open: two stored reports whose order
+        sections are equal hold one OrderAnalysis, and the index keys
+        share the digest string."""
+        reports = [make_report(ecosystem, union, index)
+                   for index in range(len(ecosystem.observations()))]
+        first, second = [entry for entry in reports
+                         if entry[2].order.compliant][:2]
+        assert first[0] != second[0]
+        assert first[2].order == second[2].order
+        with VerdictStore(tmp_path / "vs") as store:
+            for key_hex, digest, report in (first, second):
+                store.put_report(key_hex, digest, report)
+        with VerdictStore(tmp_path / "vs") as store:
+            a = store.get_report(first[0], first[1])
+            b = store.get_report(second[0], second[1])
+            assert a.order is b.order
+            assert a.to_json() == first[2].to_json()
+            assert b.to_json() == second[2].to_json()
+            digests = [digest for _, digest in store._reports]
+            assert digests[0] is digests[1]
 
 
 class TestWarmStartParity:
