@@ -58,10 +58,11 @@ def _json_str(value: str) -> str:
 #: input cannot grow it without limit.
 _COMMON_JSON: dict[str, str] = {}
 
-#: The report :meth:`ChainComplianceReport.to_json` encoded last, with
-#: its text.  The analysis hands each fresh report to the verdict store
-#: and then to the journal, which would otherwise encode it twice in a
-#: row; reports are immutable, so the text cannot go stale.
+#: The report :meth:`ChainComplianceReport.to_json` or
+#: :meth:`ReportTable.encode` encoded last, with its text.  The analysis
+#: hands each fresh report to the verdict store and then to the journal,
+#: which would otherwise encode it twice in a row; reports are
+#: immutable, so the text cannot go stale.
 _last_encoded: tuple = (None, "")
 
 
@@ -135,6 +136,54 @@ def _json_evidence(evidence) -> str:
         append(_json_details(e.details))
         append("}")
     return "[" + "".join(parts) + "]"
+
+
+def _leaf_json(leaf: LeafAnalysis) -> str:
+    """The compact JSON of a report's ``leaf`` section."""
+    return "".join((
+        '{"placement":', _json_common(leaf.placement.value),
+        ',"deciding_index":', _json_int(leaf.deciding_index),
+        ',"evidence":', _json_evidence(leaf.evidence), "}",
+    ))
+
+
+def _order_json(order: OrderAnalysis) -> str:
+    """The compact JSON of a report's ``order`` section."""
+    return "".join((
+        '{"defects":', _json_str_array(sorted(d.value for d in order.defects)),
+        ',"duplicate_roles":', _json_str_array(sorted(order.duplicate_roles)),
+        ',"max_duplicate_count":', _json_int(order.max_duplicate_count),
+        ',"irrelevant_count":', _json_int(order.irrelevant_count),
+        ',"path_count":', _json_int(order.path_count),
+        ',"reversed_any":', "true" if order.reversed_any else "false",
+        ',"reversed_all":', "true" if order.reversed_all else "false",
+        ',"path_structures":', _json_str_array(order.path_structures),
+        ',"compliant":', "true" if order.compliant else "false",
+        ',"evidence":', _json_evidence(order.evidence), "}",
+    ))
+
+
+def _completeness_json(completeness: CompletenessAnalysis) -> str:
+    """The compact JSON of a report's ``completeness`` section."""
+    aia_outcome = completeness.aia_outcome
+    return "".join((
+        '{"category":', _json_common(completeness.category.value),
+        ',"missing_count":', _json_int(completeness.missing_count),
+        ',"aia_outcome":',
+        "null" if aia_outcome is None else _json_common(aia_outcome),
+        ',"evidence":', _json_evidence(completeness.evidence), "}",
+    ))
+
+
+def _report_json(domain: str, chain_length: int, leaf: str, order: str,
+                 completeness: str) -> str:
+    """A report's compact JSON around its three encoded sections."""
+    return "".join((
+        '{"domain":', _json_str(domain),
+        ',"chain_length":', str(chain_length),
+        ',"leaf":', leaf, ',"order":', order,
+        ',"completeness":', completeness, "}",
+    ))
 
 
 @dataclass(frozen=True)
@@ -230,40 +279,17 @@ class ChainComplianceReport:
         evidence list; everything else is direct string assembly.  The
         equivalence is pinned by tests: for every report ``to_json()``
         equals the compact ``json`` encoding of ``to_dict()``, so
-        journal lines are identical whichever path produced them.
+        journal lines are identical whichever path produced them.  The
+        three sections have an encoder each, which
+        :meth:`ReportTable.encode` keys its sharing on.
         """
         global _last_encoded
         last = _last_encoded
         if last[0] is self:
             return last[1]
-        leaf, order, comp = self.leaf, self.order, self.completeness
-        text = "".join((
-            '{"domain":', _json_str(self.domain),
-            ',"chain_length":', str(self.chain_length),
-            ',"leaf":{"placement":', _json_common(leaf.placement.value),
-            ',"deciding_index":', _json_int(leaf.deciding_index),
-            ',"evidence":', _json_evidence(leaf.evidence),
-            '},"order":{"defects":',
-            _json_str_array(sorted(d.value for d in order.defects)),
-            ',"duplicate_roles":',
-            _json_str_array(sorted(order.duplicate_roles)),
-            ',"max_duplicate_count":', _json_int(order.max_duplicate_count),
-            ',"irrelevant_count":', _json_int(order.irrelevant_count),
-            ',"path_count":', _json_int(order.path_count),
-            ',"reversed_any":', "true" if order.reversed_any else "false",
-            ',"reversed_all":', "true" if order.reversed_all else "false",
-            ',"path_structures":', _json_str_array(order.path_structures),
-            ',"compliant":', "true" if order.compliant else "false",
-            ',"evidence":', _json_evidence(order.evidence),
-            '},"completeness":{"category":',
-            _json_common(comp.category.value),
-            ',"missing_count":', _json_int(comp.missing_count),
-            ',"aia_outcome":',
-            ("null" if comp.aia_outcome is None
-             else _json_common(comp.aia_outcome)),
-            ',"evidence":', _json_evidence(comp.evidence),
-            "}}",
-        ))
+        text = _report_json(self.domain, self.chain_length,
+                            _leaf_json(self.leaf), _order_json(self.order),
+                            _completeness_json(self.completeness))
         _last_encoded = (self, text)
         return text
 
@@ -294,29 +320,76 @@ def _sharing_key(kind: type, section) -> tuple | None:
         return None
 
 
-class ReportTable:
-    """The report codec's decoder: payloads in, reports out, sharing
-    what repeats.
+#: How a refusal names the JSON type a field held.
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+               float: "a number", list: "an array", dict: "an object",
+               type(None): "null"}
 
-    The verdicts of a corpus fall into a handful of classes, so the
-    sections a store replays are nearly all repeats.  One table hands
-    every payload it decodes the same :class:`LeafAnalysis`,
-    :class:`OrderAnalysis`, :class:`CompletenessAnalysis` and
-    :class:`Evidence` instance for an equal section (see
-    :func:`_sharing_key`).  A section the table has not seen decodes
-    field by field in :meth:`ChainComplianceReport.to_dict` order, so a
-    payload that does not decode is refused with the same
-    :class:`~repro.errors.PayloadError` whichever table decodes it.
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def _typed(section, name: str, kind: type, nullable: bool = False):
+    """``section[name]`` when its JSON type is exactly ``kind`` (``bool``
+    is not an ``int`` here), or null where ``nullable``; anything else
+    raises :class:`TypeError` naming the field."""
+    value = section[name]
+    if type(value) is kind or (nullable and value is None):
+        return value
+    wanted = _JSON_KINDS[kind] + (" or null" if nullable else "")
+    raise TypeError(f"{name!r} must be {wanted}, not {_kind(value)}")
+
+
+def _typed_strings(section, name: str) -> list:
+    """``section[name]`` when it is an array of strings, else a
+    :class:`TypeError` naming the field."""
+    values = section[name]
+    if type(values) is not list:
+        raise TypeError(f"{name!r} must be an array of strings, "
+                        f"not {_kind(values)}")
+    for value in values:
+        if type(value) is not str:
+            raise TypeError(f"{name!r} must be an array of strings, "
+                            f"not one holding {_kind(value)}")
+    return values
+
+
+class ReportTable:
+    """The report codec's table: payloads in, reports out, and reports
+    in, lines out, sharing what repeats.
+
+    The verdicts of a corpus fall into a handful of classes, so nearly
+    every section a store replays or writes repeats an earlier one.
+    One table hands every report the same :class:`LeafAnalysis`,
+    :class:`OrderAnalysis` and :class:`CompletenessAnalysis` instance
+    for an equal section:
+
+    * :meth:`decode` keys a payload's sections, and their
+      :class:`Evidence` records, on their marshal encoding (see
+      :func:`_sharing_key`).  A section the table has not seen decodes
+      field by field in :meth:`ChainComplianceReport.to_dict` order,
+      each field checked for its exact JSON type, so a payload that
+      does not decode is refused with the same
+      :class:`~repro.errors.PayloadError` whichever table decodes it.
+    * :meth:`encode` keys a fresh report's sections on their encoded
+      JSON text, which the report's line is assembled from anyway.  A
+      section :meth:`decode` made is keyed on its text too, so a
+      written report shares the sections of replayed ones.
 
     :meth:`intern` shares equal strings too, for callers that keep
     strings beside the reports (the verdict store's index keys).
+    :meth:`end_decode` drops the marshal keys and the interned strings,
+    which only decoding reads, and keeps the sections for
+    :meth:`encode`.
     """
 
-    __slots__ = ("_shared", "_strings")
+    __slots__ = ("_shared", "_strings", "_texts")
 
     def __init__(self) -> None:
         self._shared: dict[tuple, object] = {}
         self._strings: dict[str, str] = {}
+        self._texts: dict[str, object] = {}
 
     def intern(self, value):
         """The first string equal to ``value`` this table saw (``value``
@@ -324,6 +397,41 @@ class ReportTable:
         if type(value) is not str:
             return value
         return self._strings.setdefault(value, value)
+
+    def end_decode(self) -> None:
+        """Forget the decode-only maps (marshal keys, interned strings);
+        the sections stay shared with :meth:`encode`."""
+        self._shared = {}
+        self._strings = {}
+
+    def encode(self, report: ChainComplianceReport
+               ) -> tuple[ChainComplianceReport, str]:
+        """The report to keep for ``report``, and its JSON text.
+
+        Each section is keyed on its encoded text, and the first section
+        of equal text this table saw, decoded or encoded, stands in for
+        ``report``'s: the returned report is ``report`` itself when its
+        sections are new, else one rebuilt on the shared sections.  The
+        text is the report's :meth:`~ChainComplianceReport.to_json`,
+        which the returned report then answers without assembling it
+        again."""
+        global _last_encoded
+        texts = self._texts
+        leaf_text = _leaf_json(report.leaf)
+        leaf = texts.setdefault(leaf_text, report.leaf)
+        order_text = _order_json(report.order)
+        order = texts.setdefault(order_text, report.order)
+        completeness_text = _completeness_json(report.completeness)
+        completeness = texts.setdefault(completeness_text,
+                                        report.completeness)
+        if not (leaf is report.leaf and order is report.order
+                and completeness is report.completeness):
+            report = ChainComplianceReport(report.domain, report.chain_length,
+                                           leaf, order, completeness)
+        text = _report_json(report.domain, report.chain_length, leaf_text,
+                            order_text, completeness_text)
+        _last_encoded = (report, text)
+        return report, text
 
     def decode(self, payload) -> ChainComplianceReport:
         """Inverse of :meth:`ChainComplianceReport.to_dict`; raises
@@ -333,12 +441,14 @@ class ReportTable:
             order = payload["order"]
             completeness = payload["completeness"]
             return ChainComplianceReport(
-                domain=payload["domain"],
-                chain_length=payload["chain_length"],
-                leaf=self._share(LeafAnalysis, leaf, self._leaf),
-                order=self._share(OrderAnalysis, order, self._order),
+                domain=_typed(payload, "domain", str),
+                chain_length=_typed(payload, "chain_length", int),
+                leaf=self._share(LeafAnalysis, leaf, self._leaf, _leaf_json),
+                order=self._share(OrderAnalysis, order, self._order,
+                                  _order_json),
                 completeness=self._share(CompletenessAnalysis, completeness,
-                                         self._completeness),
+                                         self._completeness,
+                                         _completeness_json),
             )
         except (KeyError, TypeError, ValueError, AttributeError,
                 IndexError, OverflowError) as exc:
@@ -347,13 +457,16 @@ class ReportTable:
                 f"({type(exc).__name__}: {exc})"
             ) from None
 
-    def _share(self, kind: type, section, decode):
+    def _share(self, kind: type, section, decode, encode=None):
         """The table's ``kind`` instance for ``section``: the one an
-        equal section decoded to, else ``decode(section)``, kept."""
+        equal section decoded to, else ``decode(section)``, kept (and,
+        with ``encode``, offered to :meth:`encode` under its text)."""
         key = _sharing_key(kind, section)
         shared = self._shared.get(key)
         if shared is None:
             shared = decode(section)
+            if encode is not None:
+                shared = self._texts.setdefault(encode(shared), shared)
             if key is not None:
                 self._shared[key] = shared
         return shared
@@ -365,29 +478,31 @@ class ReportTable:
     def _leaf(self, section) -> LeafAnalysis:
         return LeafAnalysis(
             placement=LeafPlacement(section["placement"]),
-            deciding_index=section["deciding_index"],
+            deciding_index=_typed(section, "deciding_index", int, True),
             evidence=self._evidence(section),
         )
 
     def _order(self, section) -> OrderAnalysis:
         return OrderAnalysis(
-            defects=frozenset(OrderDefect(d) for d in section["defects"]),
-            duplicate_roles=frozenset(section["duplicate_roles"]),
-            max_duplicate_count=section["max_duplicate_count"],
-            irrelevant_count=section["irrelevant_count"],
-            path_count=section["path_count"],
-            reversed_any=section["reversed_any"],
-            reversed_all=section["reversed_all"],
-            path_structures=tuple(section["path_structures"]),
-            compliant=section["compliant"],
+            defects=frozenset(
+                map(OrderDefect, _typed_strings(section, "defects"))),
+            duplicate_roles=frozenset(
+                _typed_strings(section, "duplicate_roles")),
+            max_duplicate_count=_typed(section, "max_duplicate_count", int),
+            irrelevant_count=_typed(section, "irrelevant_count", int),
+            path_count=_typed(section, "path_count", int),
+            reversed_any=_typed(section, "reversed_any", bool),
+            reversed_all=_typed(section, "reversed_all", bool),
+            path_structures=tuple(_typed_strings(section, "path_structures")),
+            compliant=_typed(section, "compliant", bool),
             evidence=self._evidence(section),
         )
 
     def _completeness(self, section) -> CompletenessAnalysis:
         return CompletenessAnalysis(
             category=CompletenessClass(section["category"]),
-            missing_count=section["missing_count"],
-            aia_outcome=section["aia_outcome"],
+            missing_count=_typed(section, "missing_count", int, True),
+            aia_outcome=_typed(section, "aia_outcome", str, True),
             evidence=self._evidence(section),
         )
 

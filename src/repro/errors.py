@@ -76,29 +76,6 @@ class PathBuildingError(ChainError):
         self.reason = reason
 
 
-class PathValidationError(ChainError):
-    """A constructed path failed validation checks.
-
-    Attributes
-    ----------
-    reason:
-        A short machine-readable reason code mirroring the error labels
-        used by real TLS implementations (e.g. ``"expired"``,
-        ``"unknown_issuer"``, ``"not_a_ca"``).
-    """
-
-    def __init__(self, message: str, reason: str = "unspecified") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
-class ChainLengthError(PathBuildingError):
-    """The certificate list or constructed path exceeds a client limit."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, reason="length_limit_exceeded")
-
-
 # ---------------------------------------------------------------------------
 # Trust / AIA
 # ---------------------------------------------------------------------------

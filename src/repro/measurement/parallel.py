@@ -15,7 +15,9 @@ this order:
    :func:`~repro.core.compliance.rebind_for_domain` recomputes exactly
    that when another domain served the stored report.  Every fresh
    report is written to the store, so a chain repeated later in the
-   same run is a store hit too.
+   same run is a store hit too, and the pass keeps (and journals) the
+   report the store indexed, whose sections it shares with every equal
+   report it holds.
 3. **Analysis**, :func:`~repro.core.compliance.analyze_chain`.
 
 Verdicts append to the journal in observation order with the same
@@ -136,7 +138,8 @@ def analyze_observations(
                 report = journaled_report(journal.path, domain, recorded)
                 resumed += 1
                 if verdict_store is not None:
-                    verdict_store.put_report(hexkey, digest, report)
+                    report = (verdict_store.put_report(hexkey, digest, report)
+                              or report)
         if report is None:
             stored = (None if verdict_store is None
                       else verdict_store.get_report(hexkey, digest))
@@ -148,7 +151,7 @@ def analyze_observations(
                 report = analyze_chain(domain, chain, store, fetcher)
                 analyzed += 1
                 if verdict_store is not None:
-                    verdict_store.put_report(hexkey, digest, report)
+                    report = verdict_store.put_report(hexkey, digest, report)
             if journal is not None:
                 journal.record_verdict(domain, hexkey, report)
         reports.append(report)

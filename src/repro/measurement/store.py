@@ -37,9 +37,10 @@ decoding each record as it indexes the line: a report becomes its
 :class:`~repro.core.compliance.ChainComplianceReport`, an outcome a
 checked ``{"chain_length", "results"}`` dict, so the index holds one
 value type per record kind and a hit is a dictionary lookup.  One
-:class:`~repro.core.compliance.ReportTable` decodes a whole replay, so
-equal report sections are one object and equal key strings one
-string.  A torn
+:class:`~repro.core.compliance.ReportTable` decodes a whole replay and
+encodes every report the store writes after it, so equal report
+sections are one object, replayed or written, and equal key strings
+one string.  A torn
 *final* record (the crash left a partial line) is truncated away and
 counted as a recovery; other damage, and a live record that does not
 decode, raises :class:`~repro.errors.StoreError` naming the file or
@@ -66,6 +67,7 @@ from pathlib import Path
 from repro import obs
 from repro.core.compliance import ChainComplianceReport, ReportTable
 from repro.errors import PayloadError, StoreError
+from repro.obs.journal import encode_chain_key, is_chain_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -115,17 +117,14 @@ def _timed(method):
     return wrapper
 
 
-def _encode_key(key_hex: HexKey) -> str:
-    return json.dumps(list(key_hex), separators=(",", ":"))
-
-
 def _encode_report_line(key_hex: HexKey, digest: str,
                         report_json: str) -> bytes:
-    # digest and fingerprints are hex, so raw interpolation is safe;
-    # the report payload reuses the byte-pinned to_json codec.
+    # the digest is hex, so raw interpolation is safe; the chain key is
+    # framed as the journal frames it, and the report payload reuses the
+    # byte-pinned to_json codec.
     return ('{"kind":"report","schema":%d,"digest":"%s","chain_key":%s,'
             '"report":%s}\n'
-            % (SCHEMA_VERSION, digest, _encode_key(key_hex), report_json)
+            % (SCHEMA_VERSION, digest, encode_chain_key(key_hex), report_json)
             ).encode("utf-8")
 
 
@@ -198,7 +197,9 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
     ``table`` is the replay's one :class:`ReportTable`: it decodes every
     report, sharing the sections that repeat across records, and
     interns the index keys' strings (the digest, identical in every
-    record, and the chain-key fingerprints).
+    record, and the chain-key fingerprints).  A record's ``chain_key``
+    must be a list of fingerprint hex strings, the rule the journal
+    reader holds verdicts to (:func:`~repro.obs.journal.is_chain_key`).
 
     A record whose payload does not decode leaves the index and puts
     its refusal in ``undecodable`` under ``(kind, key)``, until a later
@@ -207,8 +208,8 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
     record (missing newline, or a final line that does not parse),
     else None; ``stale`` counts records of another schema version or
     kind, ``superseded`` those that replaced an earlier record.  Damage
-    before the final record, and a record missing a field, raise
-    :class:`StoreError` naming the segment.
+    before the final record, and a record missing a field or with a
+    malformed key, raise :class:`StoreError` naming the segment.
     """
     data = segment.read_bytes()
     name = f"{_SEGMENTS}/{segment.name}"
@@ -234,14 +235,22 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
                 f"{name}: corrupt record at byte {offset}: {exc}"
             ) from None
         try:
+            kind = record.get("kind")
             if record.get("schema") != SCHEMA_VERSION:
                 stale += 1
-            elif record.get("kind") == "report":
+            elif kind not in ("report", "outcome"):
+                stale += 1  # a kind from a newer writer: skippable
+            elif not is_chain_key(record["chain_key"]):
+                raise StoreError(
+                    f"{name}: record at byte {offset} has a malformed key "
+                    f"(chain_key is not a list of fingerprint hex strings)"
+                )
+            elif kind == "report":
                 key = (tuple(map(intern, record["chain_key"])),
                        intern(record["digest"]))
                 superseded += _index("report", key, record["report"],
                                      table, reports, undecodable)
-            elif record.get("kind") == "outcome":
+            else:
                 key = (record["domain"],
                        tuple(map(intern, record["chain_key"])),
                        intern(record["digest"]))
@@ -249,8 +258,6 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
                                      {"chain_length": record["chain_length"],
                                       "results": record["results"]},
                                      table, outcomes, undecodable)
-            else:
-                stale += 1  # a kind from a newer writer: skippable
         except KeyError as exc:
             raise StoreError(f"{name}: record at byte {offset} is missing "
                              f"field {exc}") from None
@@ -285,7 +292,7 @@ def _index(kind: str, key: tuple, payload, table: ReportTable,
         entries.pop(key, None)
         chain = key[0] if kind == "report" else key[1]
         undecodable[kind, key] = (f"stored {kind} for chain "
-                                  f"{_encode_key(chain)}: {exc}")
+                                  f"{encode_chain_key(chain)}: {exc}")
     else:
         undecodable.pop((kind, key), None)
     return superseded
@@ -403,6 +410,9 @@ class VerdictStore:
         # index values, replayed or written by this process alike:
         # report objects, and checked outcome dicts
         self._reports: dict[tuple[HexKey, str], ChainComplianceReport] = {}
+        #: decodes the replay and encodes every write, so an equal
+        #: report section is one object in the whole index
+        self._table = ReportTable()
         self._outcomes: dict[tuple[str, HexKey, str], dict] = {}
         self._segments: list[Path] = []
         self._handle = None
@@ -437,11 +447,11 @@ class VerdictStore:
             leftover.unlink()
             self.removed_tmp += 1
         self._segments = _segment_files(self.path)
-        table = ReportTable()
         undecodable: dict[tuple, str] = {}
         for segment in self._segments:
             size, torn_at, stale, superseded = _replay_segment(
-                segment, table, self._reports, self._outcomes, undecodable
+                segment, self._table, self._reports, self._outcomes,
+                undecodable
             )
             self.stale_records += stale
             self.superseded_records += superseded
@@ -454,6 +464,7 @@ class VerdictStore:
                 _log.warning("store.recovered_tail", segment=segment.name,
                              truncated_at=torn_at,
                              dropped_bytes=size - torn_at)
+        self._table.end_decode()
         if undecodable:
             raise StoreError(next(iter(undecodable.values())))
         if self.removed_tmp or self.recovered_records:
@@ -540,21 +551,29 @@ class VerdictStore:
 
     @_timed
     def put_report(self, key_hex: HexKey, digest: str,
-                   report: ChainComplianceReport) -> bool:
-        """Persist a report; a no-op (False) when already stored.
+                   report: ChainComplianceReport
+                   ) -> ChainComplianceReport | None:
+        """Persist a report and return the one the index now holds; a
+        no-op (None) when already stored.
 
-        The record's line goes to the active segment's buffered handle
-        at once; it reaches the OS at the next :meth:`flush` (or when
-        the buffer fills) and disk at :meth:`close` or rotation.
+        The store's :class:`ReportTable` encodes the report, so the
+        index holds it rebuilt on the sections it already holds (the
+        report itself when its sections are new), and equal sections
+        are one object for written and replayed records alike; callers
+        keep the returned report.  The record's line goes to the active
+        segment's buffered handle at once; it reaches the OS at the next
+        :meth:`flush` (or when the buffer fills) and disk at
+        :meth:`close` or rotation.
         """
         key = (tuple(key_hex), digest)
         if key in self._reports:
-            return False
-        self._append(_encode_report_line(key[0], digest, report.to_json()))
+            return None
+        report, text = self._table.encode(report)
+        self._append(_encode_report_line(key[0], digest, text))
         self._reports[key] = report
         self.writes += 1
         obs.get_metrics().counter("store.writes", kind="report").inc()
-        return True
+        return report
 
     # -- differential outcomes ----------------------------------------
 

@@ -56,7 +56,9 @@ from repro.errors import JournalError
 __all__ = [
     "JOURNAL_VERSION",
     "RunJournal",
+    "encode_chain_key",
     "encode_verdict_event",
+    "is_chain_key",
     "manifest_identity",
     "read_journal",
     "validate_journal",
@@ -109,17 +111,21 @@ def encode_verdict_event(domain: str, chain_key: tuple[str, ...],
     to_json = getattr(report, "to_json", None)
     report_json = to_json() if to_json is not None else _encode_record(report)
     domain_json = f'"{domain}"' if _plain(domain) else _encode_record(domain)
-    if not chain_key:
-        key_json = "[]"
-    elif all(map(_plain, chain_key)):
-        key_json = '["' + '","'.join(chain_key) + '"]'
-    else:
-        key_json = _encode_record(list(chain_key))
     return "".join((
         '{"type":"verdict","domain":', domain_json,
-        ',"chain_key":', key_json,
+        ',"chain_key":', encode_chain_key(chain_key),
         ',"report":', report_json, "}",
     ))
+
+
+def encode_chain_key(chain_key) -> str:
+    """The compact JSON array of a chain key's fingerprint strings, as
+    the journal and the verdict store write it."""
+    if not chain_key:
+        return "[]"
+    if all(map(_plain, chain_key)):
+        return '["' + '","'.join(chain_key) + '"]'
+    return _encode_record(list(chain_key))
 
 
 def manifest_identity(manifest: dict[str, Any]) -> dict[str, Any]:
@@ -149,10 +155,11 @@ def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
         raise JournalError(f"{Path(path)}: corrupt journal: {shown}")
 
 
-def _is_chain_key(value: Any) -> bool:
+def is_chain_key(value: Any) -> bool:
     """True for a verdict's ``chain_key``: a list of hex strings, the
     fingerprints of the chain it judged, which resume and the shard fold
-    turn back into bytes."""
+    turn back into bytes.  The verdict store's replay holds its records'
+    keys to the same rule."""
     if type(value) is not list:
         return False
     try:
@@ -201,7 +208,7 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
                 _refuse_corrupt(path, [
                     f"line {number}: verdict event missing domain/report"
                 ])
-            if not _is_chain_key(record.get("chain_key")):
+            if not is_chain_key(record.get("chain_key")):
                 _refuse_corrupt(path, [
                     f"line {number}: verdict chain_key is not a list of "
                     f"fingerprint hex strings"

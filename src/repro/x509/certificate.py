@@ -13,7 +13,7 @@ import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from repro.x509.extensions import Extension, ExtensionSet, classify_name_form
 from repro.x509.keys import KeyPair, PublicKey
@@ -22,13 +22,27 @@ from repro.x509.oid import ObjectIdentifier
 from repro.x509.validity import Validity
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _DerivedFacts:
+    """The slots where a :class:`Certificate` keeps what it derives.
+
+    None of them is a dataclass field, so ``dataclasses.replace``,
+    equality and :func:`~repro.x509.encoding.certificate_to_dict` never
+    see them.  An empty slot is filled by :meth:`Certificate.__getattr__`
+    on its first read, after which the read is a plain slot lookup.
+    """
+
+    __slots__ = ("tbs_bytes", "fingerprint", "fingerprint_hex", "pem",
+                 "is_self_signed", "_verified_by")
+
+
+@dataclass(frozen=True, slots=True)
+class Certificate(_DerivedFacts):
     """An X.509 v3 certificate.
 
     Instances are hashable on their fingerprint, so they can live in
     sets and dictionaries — the dedup step of the topology analysis
-    relies on this.
+    relies on this.  They carry no instance ``__dict__``: the fields and
+    the derived facts (:class:`_DerivedFacts`) live in fixed slots.
     """
 
     subject: Name
@@ -41,17 +55,26 @@ class Certificate:
     signature: bytes = b""
     version: int = 3
 
-    #: The last key that verified the signature, set on the instance by
-    #: :meth:`verify_signature`.  Not annotated, so not a dataclass
-    #: field: ``dataclasses.replace`` and equality never see it.
-    _verified_by = None
-
     # ------------------------------------------------------------------
     # Canonical encodings and identity
     # ------------------------------------------------------------------
 
-    @cached_property
-    def tbs_bytes(self) -> bytes:
+    def __getattr__(self, name: str):
+        """Derive an empty fact slot's value on its first read and keep
+        it in the slot.  ``_verified_by`` (the last key that verified the
+        signature) reads None until :meth:`verify_signature` fills it."""
+        derive = _DERIVE.get(name)
+        if derive is None:
+            if name == "_verified_by":
+                return None
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = derive(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _derive_tbs_bytes(self) -> bytes:
         """Canonical to-be-signed encoding (stable across processes)."""
         return encode_tbs(
             self.version, self.serial_number,
@@ -60,20 +83,17 @@ class Certificate:
             self.validity, self.public_key, self.extensions.encode(),
         )
 
-    @cached_property
-    def fingerprint(self) -> bytes:
+    def _derive_fingerprint(self) -> bytes:
         """SHA-256 over TBS bytes plus signature: bit-for-bit identity."""
         return hashlib.sha256(self.tbs_bytes + b"||" + self.signature).digest()
 
-    @cached_property
-    def fingerprint_hex(self) -> str:
+    def _derive_fingerprint_hex(self) -> str:
         return self.fingerprint.hex()
 
-    @cached_property
-    def pem(self) -> str:
+    def _derive_pem(self) -> str:
         """This certificate as a PEM block, encoded once per object.
 
-        Cached on the object rather than looked up by fingerprint:
+        Kept on the object rather than looked up by fingerprint:
         certificates that differ only in ``signature_algorithm``, which
         the TBS bytes omit, are equal yet encode differently.
         """
@@ -126,8 +146,7 @@ class Certificate:
         ext = self.extensions.basic_constraints
         return ext.path_length if ext is not None else None
 
-    @cached_property
-    def is_self_signed(self) -> bool:
+    def _derive_is_self_signed(self) -> bool:
         """Subject equals issuer *and* its own key verifies its signature.
 
         The name check alone would misclassify certificates that merely
@@ -146,7 +165,7 @@ class Certificate:
     def verify_signature(self, issuer_key: PublicKey) -> bool:
         """True iff ``issuer_key`` verifies this certificate's signature.
 
-        The last key that verified it is remembered on the instance, and
+        The last key that verified it is remembered in a slot, and
         a later check with that key (the same object or an equal one)
         returns True without hashing.  A certificate carries one
         signature, so one slot covers the repeats; failed checks are
@@ -213,6 +232,16 @@ class Certificate:
         )
 
 
+#: How :meth:`Certificate.__getattr__` fills each derived-fact slot.
+_DERIVE = {
+    "tbs_bytes": Certificate._derive_tbs_bytes,
+    "fingerprint": Certificate._derive_fingerprint,
+    "fingerprint_hex": Certificate._derive_fingerprint_hex,
+    "pem": Certificate._derive_pem,
+    "is_self_signed": Certificate._derive_is_self_signed,
+}
+
+
 # ---------------------------------------------------------------------------
 # Encoding and signing
 # ---------------------------------------------------------------------------
@@ -269,10 +298,8 @@ def sign_certificate(
 
     ``extensions`` pairs each extension, in certificate order, with its
     :meth:`Extension.encode` bytes, so a CA encodes what its leaves
-    share once.  The TBS bytes are set on the one :class:`Certificate`
-    built, where the ``tbs_bytes`` cached_property keeps its value, and
-    not via ``__dict__``: reading that makes CPython build a
-    per-instance dict that the cyclic collector tracks.
+    share once.  The TBS bytes go into the ``tbs_bytes`` slot of the one
+    :class:`Certificate` built, so no certificate encodes them twice.
     """
     tbs = encode_tbs(
         3, serial_number, subject.rfc4514_string().encode(),

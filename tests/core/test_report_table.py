@@ -2,10 +2,11 @@
 decodes and refuses exactly as a payload decoded on its own.
 
 The reference below is the per-payload decoder the table replaced,
-kept verbatim: one table over a whole list of stored payloads, seeded
-mutants among them, must give every payload the reference's report
-(equal, with identical ``to_json`` text) or the reference's refusal
-(identical message).
+kept as it was but for the exact JSON type each scalar and string-list
+field must hold (``exact``, ``strings``): one table over a whole list
+of stored payloads, seeded mutants among them, must give every payload
+the reference's report (equal, with identical ``to_json`` text) or the
+reference's refusal (identical message).
 """
 
 from __future__ import annotations
@@ -26,8 +27,38 @@ from repro.obs.evidence import evidence_from_dict
 from repro.webpki import Ecosystem, EcosystemConfig
 
 
+JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+              float: "a number", list: "an array", dict: "an object",
+              type(None): "null"}
+
+
+def exact(section, name, kind, nullable=False):
+    """``section[name]``, refused unless its JSON type is ``kind`` (or
+    null, where ``nullable``)."""
+    value = section[name]
+    if type(value) is kind or (nullable and value is None):
+        return value
+    wanted = JSON_KINDS[kind] + (" or null" if nullable else "")
+    raise TypeError(f"{name!r} must be {wanted}, "
+                    f"not {JSON_KINDS[type(value)]}")
+
+
+def strings(section, name):
+    """``section[name]``, refused unless it is an array of strings."""
+    values = section[name]
+    if type(values) is not list:
+        raise TypeError(f"{name!r} must be an array of strings, "
+                        f"not {JSON_KINDS[type(values)]}")
+    for value in values:
+        if type(value) is not str:
+            raise TypeError(f"{name!r} must be an array of strings, "
+                            f"not one holding {JSON_KINDS[type(value)]}")
+    return values
+
+
 def reference_decode(payload) -> ChainComplianceReport:
-    """The decoder each payload went through before the table."""
+    """The decoder each payload went through before the table, with
+    every field's JSON type checked."""
     try:
         leaf = payload["leaf"]
         order = payload["order"]
@@ -38,31 +69,32 @@ def reference_decode(payload) -> ChainComplianceReport:
                          for e in section.get("evidence", ()))
 
         return ChainComplianceReport(
-            domain=payload["domain"],
-            chain_length=payload["chain_length"],
+            domain=exact(payload, "domain", str),
+            chain_length=exact(payload, "chain_length", int),
             leaf=LeafAnalysis(
                 placement=LeafPlacement(leaf["placement"]),
-                deciding_index=leaf["deciding_index"],
+                deciding_index=exact(leaf, "deciding_index", int, True),
                 evidence=_evidence(leaf),
             ),
             order=OrderAnalysis(
                 defects=frozenset(
-                    OrderDefect(d) for d in order["defects"]
+                    OrderDefect(d) for d in strings(order, "defects")
                 ),
-                duplicate_roles=frozenset(order["duplicate_roles"]),
-                max_duplicate_count=order["max_duplicate_count"],
-                irrelevant_count=order["irrelevant_count"],
-                path_count=order["path_count"],
-                reversed_any=order["reversed_any"],
-                reversed_all=order["reversed_all"],
-                path_structures=tuple(order["path_structures"]),
-                compliant=order["compliant"],
+                duplicate_roles=frozenset(strings(order, "duplicate_roles")),
+                max_duplicate_count=exact(order, "max_duplicate_count", int),
+                irrelevant_count=exact(order, "irrelevant_count", int),
+                path_count=exact(order, "path_count", int),
+                reversed_any=exact(order, "reversed_any", bool),
+                reversed_all=exact(order, "reversed_all", bool),
+                path_structures=tuple(strings(order, "path_structures")),
+                compliant=exact(order, "compliant", bool),
                 evidence=_evidence(order),
             ),
             completeness=CompletenessAnalysis(
                 category=CompletenessClass(completeness["category"]),
-                missing_count=completeness["missing_count"],
-                aia_outcome=completeness["aia_outcome"],
+                missing_count=exact(completeness, "missing_count", int,
+                                    True),
+                aia_outcome=exact(completeness, "aia_outcome", str, True),
                 evidence=_evidence(completeness),
             ),
         )
@@ -307,12 +339,18 @@ class TestOneTableMatchesTheReference:
                     if p["leaf"]["deciding_index"] == 0
                     and not p["leaf"]["evidence"])
         leaves = []
-        for value in (0, False, None, 0.0, 1, True, 1.0):
+        for value in (0, None, 1):
             mutant = copy.deepcopy(base)
             mutant["leaf"]["deciding_index"] = value
             leaves.append(table.decode(mutant).leaf)
         assert len({id(leaf) for leaf in leaves}) == len(leaves)
         assert table.decode(copy.deepcopy(base)).leaf is leaves[0]
+        for value in (False, 0.0, True, 1.0, "1"):
+            mutant = copy.deepcopy(base)
+            mutant["leaf"]["deciding_index"] = value
+            with pytest.raises(PayloadError, match="'deciding_index' must "
+                               "be an integer or null"):
+                table.decode(mutant)
 
     def test_nested_details_share_only_when_equal(self, payloads):
         base = next(p for p in payloads if p["completeness"]["evidence"])

@@ -206,6 +206,23 @@ DAMAGED_STORES = {
             path, lambda record: record.update(report=5)),
         "refused", "stored report for chain [",
     ),
+    # the journal reader's chain-key rule holds for stored records too
+    "chain-key-not-hex": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(chain_key=[1, 2])),
+        "refused",
+        "segments/000001.seg: record at byte 0 has a malformed key "
+        "(chain_key is not a list of fingerprint hex strings)",
+    ),
+    # a flag where an index belongs would re-encode as `True`, which
+    # is not JSON
+    "deciding-index-true": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record["report"]["leaf"].update(
+                deciding_index=True)),
+        "refused",
+        "stored report for chain [",
+    ),
 }
 
 
@@ -299,6 +316,11 @@ class TestCrashSafety:
             with pytest.raises(StoreError) as refusal:
                 VerdictStore(path)
             assert str(refusal.value) == f"{path}: {check.problems[0]}"
+            if damage == "deciding-index-true":
+                assert check.problems[0].endswith(
+                    "report payload does not decode (TypeError: "
+                    "'deciding_index' must be an integer or null, not a "
+                    "boolean)")
         else:
             VerdictStore(path).close()
             assert check_store(path).ok
@@ -421,6 +443,76 @@ class TestDecodedIndex:
             assert b.to_json() == second[2].to_json()
             digests = [digest for _, digest in store._reports]
             assert digests[0] is digests[1]
+
+
+def _section_texts(report):
+    """Each section of ``report`` with its encoded JSON text."""
+    sections = report.to_dict()
+    return [(getattr(report, name),
+             json.dumps(sections[name], separators=(",", ":")))
+            for name in ("leaf", "order", "completeness")]
+
+
+class TestOneTableForWritesAndReplays:
+    """The store encodes every report it writes through the table that
+    decoded its replay, so the index holds one section object per
+    distinct section text, whether the record was written by this
+    process or replayed."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        ecosystem = Ecosystem.generate(EcosystemConfig(n_domains=300,
+                                                       seed=833))
+        return (ecosystem.observations(), ecosystem.registry.union(),
+                ecosystem.aia_repo)
+
+    @staticmethod
+    def assert_one_object_per_text(reports):
+        objects: dict[str, set[int]] = {}
+        for report in reports:
+            for section, text in _section_texts(report):
+                objects.setdefault(text, set()).add(id(section))
+        assert len(objects) < len(reports)  # the corpus repeats sections
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    def test_written_and_replayed_sections_are_shared(self, world, tmp_path):
+        observations, union, aia = world
+        half = len(observations) // 2
+        with VerdictStore(tmp_path / "vs") as store:
+            written, stats = analyze_observations(
+                observations[:half], store=union, fetcher=aia,
+                verdict_store=store)
+            assert stats.analyzed == half
+            # the pass keeps the report the store indexed
+            indexed = list(store._reports.values())
+            assert [id(r) for r in written] == [id(r) for r in indexed]
+            self.assert_one_object_per_text(indexed)
+        with VerdictStore(tmp_path / "vs") as store:
+            # only the section texts outlive the open
+            assert not (store._table._shared or store._table._strings)
+            reports, stats = analyze_observations(
+                observations, store=union, fetcher=aia, verdict_store=store)
+            assert stats.cache_hits == half
+            assert stats.analyzed == len(observations) - half
+            self.assert_one_object_per_text(list(store._reports.values()))
+            self.assert_one_object_per_text(reports)
+        fresh = [analyze_chain(domain, chain, union, aia)
+                 for domain, chain in observations]
+        assert [r.to_json() for r in reports] == [r.to_json() for r in fresh]
+
+    def test_compaction_after_writes_reproduces_the_segments(self, world,
+                                                            tmp_path):
+        observations, union, aia = world
+        with VerdictStore(tmp_path / "vs", segment_bytes=64 * 1024) as store:
+            analyze_observations(observations, store=union, fetcher=aia,
+                                 verdict_store=store)
+            store.flush()
+            segments = sorted((tmp_path / "vs" / "segments").glob("*.seg"))
+            assert len(segments) > 1
+            written = b"".join(segment.read_bytes() for segment in segments)
+            store.compact()
+        (compacted,) = (tmp_path / "vs" / "segments").glob("*.seg")
+        assert compacted.read_bytes() == written
 
 
 class TestWarmStartParity:

@@ -1435,6 +1435,43 @@ class TestStoreRefusedAtOpen:
         assert capsys.readouterr().err.startswith(
             f"repro-chain cache: {store}: stored report for chain {chain}: ")
 
+    @pytest.mark.parametrize("damage, reason", [
+        ("deciding_index", "'deciding_index' must be an integer or null, "
+                           "not a boolean"),
+        ("chain_key", "segments/000001.seg: record at byte 0 has a "
+                      "malformed key (chain_key is not a list of "
+                      "fingerprint hex strings)"),
+    ], ids=["deciding_index", "chain_key"])
+    def test_mistyped_record_stops_the_scan(self, tmp_path, capsys, damage,
+                                            reason):
+        """A stored field of the wrong JSON type, or a chain key that is
+        not fingerprints, fails ``cache verify`` and stops the scan with
+        one line, where both used to pass."""
+        import json
+
+        store = tmp_path / "vs"
+        argv = ["scan", "--domains", "30", "--seed", "833",
+                "--cache-dir", str(store)]
+        assert main(argv) == 0
+        segment = store / "segments" / "000001.seg"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        if damage == "chain_key":
+            record["chain_key"] = [1, 2]
+        else:
+            record["report"]["leaf"]["deciding_index"] = True
+        lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        segment.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["cache", "verify", str(store)]) == 1
+        assert reason in capsys.readouterr().out
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro-chain scan: {store}: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert "chains:" not in captured.out
+
 
 class TestUndecodableJournalVerdict:
     """A journal verdict that does not decode, lacks its domain or has

@@ -31,11 +31,21 @@ def _base(key=None):
     ), key
 
 
+def _holds(cert, fact):
+    """True when ``cert`` already holds ``fact`` in its slot; reading
+    past ``__getattr__`` derives nothing."""
+    try:
+        object.__getattribute__(cert, fact)
+    except AttributeError:
+        return False
+    return True
+
+
 def _recomputed_tbs(cert):
     """The TBS encoding of a fresh certificate with ``cert``'s fields."""
     fresh = Certificate(**{spec.name: getattr(cert, spec.name)
                            for spec in dataclasses.fields(Certificate)})
-    assert "tbs_bytes" not in fresh.__dict__
+    assert not _holds(fresh, "tbs_bytes")
     return fresh.tbs_bytes
 
 
@@ -107,16 +117,29 @@ class TestWiring:
             assert len(calls) == 4
             calls.clear()
 
+    def test_certificate_has_no_instance_dict(self):
+        builder, _ = _base()
+        cert = builder.sign(SimulatedKeyPair())
+        for fact in ("tbs_bytes", "fingerprint", "fingerprint_hex", "pem",
+                     "is_self_signed"):
+            getattr(cert, fact)
+            assert _holds(cert, fact)
+        assert not hasattr(cert, "__dict__")
+        with pytest.raises(AttributeError):
+            cert.not_a_fact
+
     def test_carried_facts_are_not_fields(self):
-        # The TBS bytes and the verifying key live on the instance, so
-        # replace() re-derives them for a certificate with other fields.
+        # The TBS bytes and the verifying key live in slots that are not
+        # fields, so replace() re-derives them for a certificate with
+        # other fields.
         builder, _ = _base()
         signer = SimulatedKeyPair()
         cert = builder.sign(signer)
         assert cert.verify_signature(signer.public_key)
         renumbered = dataclasses.replace(cert, serial_number=2)
-        assert "tbs_bytes" not in renumbered.__dict__
-        assert "_verified_by" not in renumbered.__dict__
+        assert _holds(cert, "tbs_bytes") and _holds(cert, "_verified_by")
+        assert not _holds(renumbered, "tbs_bytes")
+        assert not _holds(renumbered, "_verified_by")
         assert renumbered.tbs_bytes != cert.tbs_bytes
         assert not renumbered.verify_signature(signer.public_key)
         assert {f.name for f in dataclasses.fields(Certificate)}.isdisjoint(
@@ -186,5 +209,5 @@ def test_generated_certificates_carry_their_tbs_bytes(small_ecosystem):
         certs.update((id(anchor), anchor) for anchor in store)
     assert len(certs) > 1_000
     for cert in certs.values():
-        assert "tbs_bytes" in cert.__dict__
+        assert _holds(cert, "tbs_bytes")
         assert cert.tbs_bytes == _recomputed_tbs(cert)
