@@ -169,7 +169,7 @@ def test_perf_journal_overhead_snapshot(ecosystem, tmp_path):
             record = journal.record_verdict
             start = time.perf_counter()
             for domain, key, report in analysed:
-                record(domain, key, report)
+                record(domain, key, report.to_json())
             elapsed = time.perf_counter() - start
         return elapsed
 

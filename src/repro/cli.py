@@ -610,6 +610,7 @@ def _print_explanation(domain: str, chain_length: int, report) -> None:
 
 def _explain_from_journal(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.core.compliance import ReportTable
     from repro.errors import JournalError
     from repro.measurement.parallel import journaled_report
 
@@ -632,12 +633,13 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
               f"{args.domain!r} in {args.journal}", file=sys.stderr)
         return 2
     first = True
+    table = ReportTable()
     for event in verdicts:
         if not first:
             print()
         first = False
         try:
-            report = journaled_report(args.journal, args.domain,
+            report = journaled_report(table, args.journal, args.domain,
                                       event["report"])
         except JournalError as exc:
             print(f"repro-chain explain: {exc}", file=sys.stderr)
@@ -690,8 +692,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             return 2
         store = ecosystem.registry.union()
         start_hot_loop()
-        # One pipeline pass: observations serving the identical chain
-        # are analysed once and fanned back out.
+        # The scan's own analyse pass, run over this domain's
+        # observations alone.
         reports, _ = analyze_observations(
             matches, store=store, fetcher=ecosystem.aia_repo,
         )

@@ -9,7 +9,6 @@ and rolls them into a :class:`ChainComplianceReport`.
 
 from __future__ import annotations
 
-import json
 import marshal
 from dataclasses import dataclass, replace
 
@@ -29,48 +28,24 @@ from repro.core.relation import DEFAULT_POLICY, RelationPolicy
 from repro.core.topology import ChainTopology
 from repro.errors import PayloadError
 from repro.obs.evidence import Evidence, evidence_from_dict
+from repro.obs.journal import encode_compact, encode_str, encode_str_array
 from repro.obs.metrics import NullMetricsRegistry
 from repro.trust.aia import AIAFetcher
 from repro.trust.rootstore import RootStore
 from repro.x509 import Certificate
-
-#: Compact separators matching the journal's on-disk record encoding.
-_encode_compact = json.JSONEncoder(
-    separators=(",", ":"), check_circular=False
-).encode
-
-
-def _plain(value) -> bool:
-    """True when ``value`` JSON-encodes as ``"value"`` verbatim."""
-    return (type(value) is str and value.isascii() and value.isprintable()
-            and '"' not in value and "\\" not in value)
-
-
-def _json_str(value: str) -> str:
-    """``json.dumps(value)`` with a fast path for plain ASCII text."""
-    if _plain(value):
-        return f'"{value}"'
-    return _encode_compact(value)
-
 
 #: Encodings of the fixed-vocabulary strings (enum values, rule IDs,
 #: taxonomy verdicts) that appear in every report; bounded so hostile
 #: input cannot grow it without limit.
 _COMMON_JSON: dict[str, str] = {}
 
-#: The report :meth:`ChainComplianceReport.to_json` or
-#: :meth:`ReportTable.encode` encoded last, with its text.  The analysis
-#: hands each fresh report to the verdict store and then to the journal,
-#: which would otherwise encode it twice in a row; reports are
-#: immutable, so the text cannot go stale.
-_last_encoded: tuple = (None, "")
-
 
 def _json_common(value: str) -> str:
-    """:func:`_json_str` memoised for small fixed vocabularies."""
+    """:func:`~repro.obs.journal.encode_str` memoised for small fixed
+    vocabularies."""
     cached = _COMMON_JSON.get(value)
     if cached is None:
-        cached = _json_str(value)
+        cached = encode_str(value)
         if len(_COMMON_JSON) < 1024:
             _COMMON_JSON[value] = cached
     return cached
@@ -80,26 +55,17 @@ def _json_int(value: int | None) -> str:
     return "null" if value is None else str(value)
 
 
-def _json_str_array(values) -> str:
-    """Compact JSON array of strings, assembled without the encoder."""
-    if not values:
-        return "[]"
-    if all(map(_plain, values)):
-        return '["' + '","'.join(values) + '"]'
-    return "[" + ",".join(_json_value(v) for v in values) + "]"
-
-
 def _json_value(value) -> str:
     kind = type(value)
     if kind is str:
-        return _json_str(value)
+        return encode_str(value)
     if kind is bool:
         return "true" if value else "false"
     if kind is int:
         return str(value)
     if value is None:
         return "null"
-    return _encode_compact(value)
+    return encode_compact(value)
 
 
 def _json_details(details) -> str:
@@ -107,10 +73,10 @@ def _json_details(details) -> str:
         return "{}"
     parts = []
     for key, value in details.items():
-        if not _plain(key):
-            # the generic encoder coerces/escapes exotic keys; match it
-            return _encode_compact(dict(details))
-        parts.append('"' + key + '":' + _json_value(value))
+        if type(key) is not str:
+            # the generic encoder coerces other keys; match it
+            return encode_compact(dict(details))
+        parts.append(encode_str(key) + ":" + _json_value(value))
     return "{" + ",".join(parts) + "}"
 
 
@@ -125,13 +91,13 @@ def _json_evidence(evidence) -> str:
         append(',"verdict":')
         append(_json_common(e.verdict))
         append(',"summary":')
-        append(_json_str(e.summary))
+        append(encode_str(e.summary))
         append(',"certs":')
-        append(_json_str_array(e.certs))
+        append(encode_str_array(e.certs))
         edges = e.edges
         append(',"edges":')
         append("[]" if not edges
-               else _encode_compact([list(edge) for edge in edges]))
+               else encode_compact([list(edge) for edge in edges]))
         append(',"details":')
         append(_json_details(e.details))
         append("}")
@@ -150,14 +116,16 @@ def _leaf_json(leaf: LeafAnalysis) -> str:
 def _order_json(order: OrderAnalysis) -> str:
     """The compact JSON of a report's ``order`` section."""
     return "".join((
-        '{"defects":', _json_str_array(sorted(d.value for d in order.defects)),
-        ',"duplicate_roles":', _json_str_array(sorted(order.duplicate_roles)),
+        '{"defects":',
+        encode_str_array(sorted(d.value for d in order.defects)),
+        ',"duplicate_roles":',
+        encode_str_array(sorted(order.duplicate_roles)),
         ',"max_duplicate_count":', _json_int(order.max_duplicate_count),
         ',"irrelevant_count":', _json_int(order.irrelevant_count),
         ',"path_count":', _json_int(order.path_count),
         ',"reversed_any":', "true" if order.reversed_any else "false",
         ',"reversed_all":', "true" if order.reversed_all else "false",
-        ',"path_structures":', _json_str_array(order.path_structures),
+        ',"path_structures":', encode_str_array(order.path_structures),
         ',"compliant":', "true" if order.compliant else "false",
         ',"evidence":', _json_evidence(order.evidence), "}",
     ))
@@ -179,7 +147,7 @@ def _report_json(domain: str, chain_length: int, leaf: str, order: str,
                  completeness: str) -> str:
     """A report's compact JSON around its three encoded sections."""
     return "".join((
-        '{"domain":', _json_str(domain),
+        '{"domain":', encode_str(domain),
         ',"chain_length":', str(chain_length),
         ',"leaf":', leaf, ',"order":', order,
         ',"completeness":', completeness, "}",
@@ -231,74 +199,23 @@ class ChainComplianceReport:
             *self.completeness.evidence,
         )
 
-    # -- journal serialisation -----------------------------------------
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready dict capturing the whole report, evidence included.
-
-        The representation is lossless: :meth:`from_dict` rebuilds a
-        report that aggregates (and renders) identically, which is what
-        makes a crash-interrupted campaign resumable from its journal.
-        """
-        return {
-            "domain": self.domain,
-            "chain_length": self.chain_length,
-            "leaf": {
-                "placement": self.leaf.placement.value,
-                "deciding_index": self.leaf.deciding_index,
-                "evidence": [e.to_dict() for e in self.leaf.evidence],
-            },
-            "order": {
-                "defects": sorted(d.value for d in self.order.defects),
-                "duplicate_roles": sorted(self.order.duplicate_roles),
-                "max_duplicate_count": self.order.max_duplicate_count,
-                "irrelevant_count": self.order.irrelevant_count,
-                "path_count": self.order.path_count,
-                "reversed_any": self.order.reversed_any,
-                "reversed_all": self.order.reversed_all,
-                "path_structures": list(self.order.path_structures),
-                "compliant": self.order.compliant,
-                "evidence": [e.to_dict() for e in self.order.evidence],
-            },
-            "completeness": {
-                "category": self.completeness.category.value,
-                "missing_count": self.completeness.missing_count,
-                "aia_outcome": self.completeness.aia_outcome,
-                "evidence": [
-                    e.to_dict() for e in self.completeness.evidence
-                ],
-            },
-        }
+    # -- serialisation -------------------------------------------------
 
     def to_json(self) -> str:
-        """The compact JSON encoding of :meth:`to_dict`, byte for byte.
+        """The report's compact JSON, evidence included: the one
+        encoding of a verdict, which the journal frames and the verdict
+        store writes, and which a :class:`ReportTable` decodes back.
 
-        Hand-assembled rather than routed through the generic encoder
-        because verdict serialisation dominates the journal append cost
-        at corpus scale — the encoder only ever sees the (usually lone)
-        evidence list; everything else is direct string assembly.  The
-        equivalence is pinned by tests: for every report ``to_json()``
-        equals the compact ``json`` encoding of ``to_dict()``, so
-        journal lines are identical whichever path produced them.  The
-        three sections have an encoder each, which
+        Assembled as strings rather than routed through the generic
+        encoder because verdict serialisation dominates the journal
+        append cost at corpus scale — the encoder only ever sees what
+        the fast paths cannot shortcut (escaped text, odd evidence
+        details).  The three sections have an encoder each, which
         :meth:`ReportTable.encode` keys its sharing on.
         """
-        global _last_encoded
-        last = _last_encoded
-        if last[0] is self:
-            return last[1]
-        text = _report_json(self.domain, self.chain_length,
+        return _report_json(self.domain, self.chain_length,
                             _leaf_json(self.leaf), _order_json(self.order),
                             _completeness_json(self.completeness))
-        _last_encoded = (self, text)
-        return text
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChainComplianceReport":
-        """Inverse of :meth:`to_dict` (used by journal resume); raises
-        :class:`~repro.errors.PayloadError` when it does not decode.
-        Decodes through a single-use :class:`ReportTable`."""
-        return ReportTable().decode(payload)
 
 
 #: The marshal format of the sharing keys: version 2 writes no object
@@ -368,7 +285,7 @@ class ReportTable:
     * :meth:`decode` keys a payload's sections, and their
       :class:`Evidence` records, on their marshal encoding (see
       :func:`_sharing_key`).  A section the table has not seen decodes
-      field by field in :meth:`ChainComplianceReport.to_dict` order,
+      field by field in :meth:`ChainComplianceReport.to_json` order,
       each field checked for its exact JSON type, so a payload that
       does not decode is refused with the same
       :class:`~repro.errors.PayloadError` whichever table decodes it.
@@ -412,10 +329,7 @@ class ReportTable:
         of equal text this table saw, decoded or encoded, stands in for
         ``report``'s: the returned report is ``report`` itself when its
         sections are new, else one rebuilt on the shared sections.  The
-        text is the report's :meth:`~ChainComplianceReport.to_json`,
-        which the returned report then answers without assembling it
-        again."""
-        global _last_encoded
+        text is the report's :meth:`~ChainComplianceReport.to_json`."""
         texts = self._texts
         leaf_text = _leaf_json(report.leaf)
         leaf = texts.setdefault(leaf_text, report.leaf)
@@ -428,14 +342,13 @@ class ReportTable:
                 and completeness is report.completeness):
             report = ChainComplianceReport(report.domain, report.chain_length,
                                            leaf, order, completeness)
-        text = _report_json(report.domain, report.chain_length, leaf_text,
-                            order_text, completeness_text)
-        _last_encoded = (report, text)
-        return report, text
+        return report, _report_json(report.domain, report.chain_length,
+                                    leaf_text, order_text, completeness_text)
 
     def decode(self, payload) -> ChainComplianceReport:
-        """Inverse of :meth:`ChainComplianceReport.to_dict`; raises
-        :class:`~repro.errors.PayloadError` when it does not decode."""
+        """The report whose :meth:`~ChainComplianceReport.to_json` text
+        parses to ``payload``; raises :class:`~repro.errors.PayloadError`
+        when it does not decode."""
         try:
             leaf = payload["leaf"]
             order = payload["order"]

@@ -4,7 +4,8 @@ Every observation's report comes from one of three places, asked in
 this order:
 
 1. **The resumed journal.**  An observation whose (domain, chain) the
-   journal held when it was opened is reconstructed from that verdict
+   journal held when it was opened is decoded from that verdict,
+   through the pass's one :class:`~repro.core.compliance.ReportTable`,
    instead of re-analysed.
 2. **The verdict store.**  With a
    :class:`~repro.measurement.store.VerdictStore`, reports are keyed on
@@ -22,7 +23,9 @@ this order:
 
 Verdicts append to the journal in observation order with the same
 (domain, chain_key, report) payloads that analysing every observation
-would write; the journal appends each (domain, chain) once.
+would write; the journal appends each (domain, chain) once.  A report
+the store wrote reaches the journal as the text the store framed, so
+the pass encodes each verdict once.
 
 Everything runs in the calling process (docs/PERFORMANCE.md,
 "Execution model").
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.compliance import (
     ChainComplianceReport,
+    ReportTable,
     analyze_chain,
     rebind_for_domain,
     record_outcome,
@@ -61,12 +65,14 @@ def chain_key_hex(chain: list[Certificate]) -> tuple[str, ...]:
     return tuple(cert.fingerprint_hex for cert in chain)
 
 
-def journaled_report(journal, domain: str,
+def journaled_report(table: ReportTable, journal, domain: str,
                      payload) -> ChainComplianceReport:
-    """A verdict payload read back from the ``journal`` file, decoded;
-    one that does not decode is a :class:`JournalError` naming it."""
+    """A verdict payload read back from the ``journal`` file, decoded
+    through the reading pass's ``table``; one that does not decode is a
+    :class:`JournalError` naming the journal and the verdict's domain,
+    in the words every journal reader uses."""
     try:
-        return ChainComplianceReport.from_dict(payload)
+        return table.decode(payload)
     except PayloadError as exc:
         raise JournalError(
             f"{journal}: verdict for {domain!r}: {exc}") from None
@@ -127,33 +133,32 @@ def analyze_observations(
     reports: list[ChainComplianceReport] = []
     unique: set[tuple[str, ...]] = set()
     analyzed = resumed = cache_hits = 0
+    table = ReportTable()  # decodes the verdicts the journal resumes
 
     for domain, chain in observations:
         hexkey = chain_key_hex(chain)
         unique.add(hexkey)
-        report = None
-        if journal is not None:
-            recorded = journal.verdict_for(domain, hexkey)
-            if recorded is not None:
-                report = journaled_report(journal.path, domain, recorded)
-                resumed += 1
-                if verdict_store is not None:
-                    report = (verdict_store.put_report(hexkey, digest, report)
-                              or report)
-        if report is None:
-            stored = (None if verdict_store is None
-                      else verdict_store.get_report(hexkey, digest))
-            if stored is not None:
-                report = rebind_for_domain(stored, domain, chain)
-                cache_hits += 1
-                record_outcome(report)
-            else:
-                report = analyze_chain(domain, chain, store, fetcher)
-                analyzed += 1
-                if verdict_store is not None:
-                    report = verdict_store.put_report(hexkey, digest, report)
-            if journal is not None:
-                journal.record_verdict(domain, hexkey, report)
+        recorded = (None if journal is None
+                    else journal.verdict_for(domain, hexkey))
+        stored = text = None
+        if recorded is None and verdict_store is not None:
+            stored = verdict_store.get_report(hexkey, digest)
+        if recorded is not None:
+            report = journaled_report(table, journal.path, domain, recorded)
+            resumed += 1
+        elif stored is not None:
+            report = rebind_for_domain(stored, domain, chain)
+            cache_hits += 1
+            record_outcome(report)
+        else:
+            report = analyze_chain(domain, chain, store, fetcher)
+            analyzed += 1
+        if verdict_store is not None and stored is None:
+            written = verdict_store.put_report(hexkey, digest, report)
+            if written is not None:
+                report, text = written
+        if journal is not None and recorded is None:
+            journal.record_verdict(domain, hexkey, text or report.to_json())
         reports.append(report)
         throughput.inc()
         if status is not None:

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
-from repro.core.compliance import ChainComplianceReport
+from repro.core.compliance import ChainComplianceReport, ReportTable
 from repro.core.report import DatasetReport, aggregate
 from repro.errors import JournalError
 from repro.measurement.campaign import VANTAGES, Campaign, _Sweep
@@ -169,13 +169,16 @@ def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
     journal in union-observation order, so folding each shard's group
     in shard order reproduces the live merge byte for byte.  The scans
     rebuild the sweep's per-vantage attempt/success accounting, which
-    the degradation rule needs.
+    the degradation rule needs.  The verdicts decode through one
+    :class:`~repro.core.compliance.ReportTable`, so the folded reports
+    share their equal sections.
     """
     position = {
         domain: i
         for i, domain in enumerate(domains[:bounds[-1][2]])
     }
     groups: list[list[ChainComplianceReport]] = [[] for _ in bounds]
+    table = ReportTable()
     for event in journal.events():
         at = position.get(event.get("domain"))
         if at is None:
@@ -188,7 +191,7 @@ def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
                 sweep.successes[vantage] += 1
         elif kind == "verdict":
             groups[at // shard_size].append(
-                journaled_report(journal.path, event["domain"],
+                journaled_report(table, journal.path, event["domain"],
                                  event["report"])
             )
             chain_key = tuple(bytes.fromhex(fp) for fp in event["chain_key"])

@@ -67,7 +67,7 @@ from pathlib import Path
 from repro import obs
 from repro.core.compliance import ChainComplianceReport, ReportTable
 from repro.errors import PayloadError, StoreError
-from repro.obs.journal import encode_chain_key, is_chain_key
+from repro.obs.journal import encode_compact, encode_str_array, is_chain_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -124,7 +124,7 @@ def _encode_report_line(key_hex: HexKey, digest: str,
     # byte-pinned to_json codec.
     return ('{"kind":"report","schema":%d,"digest":"%s","chain_key":%s,'
             '"report":%s}\n'
-            % (SCHEMA_VERSION, digest, encode_chain_key(key_hex), report_json)
+            % (SCHEMA_VERSION, digest, encode_str_array(key_hex), report_json)
             ).encode("utf-8")
 
 
@@ -139,7 +139,7 @@ def _encode_outcome_line(domain: str, key_hex: HexKey, digest: str,
         "chain_length": chain_length,
         "results": results,
     }
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    return (encode_compact(payload) + "\n").encode("utf-8")
 
 
 def _replace_file(path: Path, chunks) -> None:
@@ -197,9 +197,10 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
     ``table`` is the replay's one :class:`ReportTable`: it decodes every
     report, sharing the sections that repeat across records, and
     interns the index keys' strings (the digest, identical in every
-    record, and the chain-key fingerprints).  A record's ``chain_key``
-    must be a list of fingerprint hex strings, the rule the journal
-    reader holds verdicts to (:func:`~repro.obs.journal.is_chain_key`).
+    record, and the chain-key fingerprints).  A live record's key is
+    held to :func:`_key_problem`: its ``chain_key`` to the rule the
+    journal reader holds verdicts to, its ``digest`` (and an outcome's
+    ``domain``) to be a string.
 
     A record whose payload does not decode leaves the index and puts
     its refusal in ``undecodable`` under ``(kind, key)``, until a later
@@ -240,32 +241,41 @@ def _replay_segment(segment: Path, table: ReportTable, reports: dict,
                 stale += 1
             elif kind not in ("report", "outcome"):
                 stale += 1  # a kind from a newer writer: skippable
-            elif not is_chain_key(record["chain_key"]):
-                raise StoreError(
-                    f"{name}: record at byte {offset} has a malformed key "
-                    f"(chain_key is not a list of fingerprint hex strings)"
-                )
-            elif kind == "report":
-                key = (tuple(map(intern, record["chain_key"])),
-                       intern(record["digest"]))
-                superseded += _index("report", key, record["report"],
-                                     table, reports, undecodable)
             else:
-                key = (record["domain"],
-                       tuple(map(intern, record["chain_key"])),
-                       intern(record["digest"]))
-                superseded += _index("outcome", key,
-                                     {"chain_length": record["chain_length"],
-                                      "results": record["results"]},
-                                     table, outcomes, undecodable)
+                problem = _key_problem(kind, record)
+                if problem is not None:
+                    raise StoreError(f"{name}: record at byte {offset} has "
+                                     f"a malformed key ({problem})")
+                chain = tuple(map(intern, record["chain_key"]))
+                digest = intern(record["digest"])
+                if kind == "report":
+                    superseded += _index("report", (chain, digest),
+                                         record["report"], table, reports,
+                                         undecodable)
+                else:
+                    superseded += _index(
+                        "outcome", (record["domain"], chain, digest),
+                        {"chain_length": record["chain_length"],
+                         "results": record["results"]},
+                        table, outcomes, undecodable)
         except KeyError as exc:
             raise StoreError(f"{name}: record at byte {offset} is missing "
                              f"field {exc}") from None
-        except TypeError as exc:
-            raise StoreError(f"{name}: record at byte {offset} has a "
-                             f"malformed key ({exc})") from None
         offset += len(raw) + 1
     return len(data), None, stale, superseded
+
+
+def _key_problem(kind: str, record: dict) -> str | None:
+    """Why a live record's key cannot key the index, or None: its
+    ``chain_key`` must pass the journal reader's rule
+    (:func:`~repro.obs.journal.is_chain_key`), and its ``digest`` (and
+    an outcome's ``domain``) be a string, as every lookup's is."""
+    if not is_chain_key(record["chain_key"]):
+        return "chain_key is not a list of fingerprint hex strings"
+    for name in ("domain", "digest") if kind == "outcome" else ("digest",):
+        if type(record[name]) is not str:
+            return f"{name} is not a string"
+    return None
 
 
 def _index(kind: str, key: tuple, payload, table: ReportTable,
@@ -292,7 +302,7 @@ def _index(kind: str, key: tuple, payload, table: ReportTable,
         entries.pop(key, None)
         chain = key[0] if kind == "report" else key[1]
         undecodable[kind, key] = (f"stored {kind} for chain "
-                                  f"{encode_chain_key(chain)}: {exc}")
+                                  f"{encode_str_array(chain)}: {exc}")
     else:
         undecodable.pop((kind, key), None)
     return superseded
@@ -552,16 +562,17 @@ class VerdictStore:
     @_timed
     def put_report(self, key_hex: HexKey, digest: str,
                    report: ChainComplianceReport
-                   ) -> ChainComplianceReport | None:
-        """Persist a report and return the one the index now holds; a
-        no-op (None) when already stored.
+                   ) -> tuple[ChainComplianceReport, str] | None:
+        """Persist a report; return the one the index now holds and its
+        ``to_json`` text, or None (a no-op) when already stored.
 
         The store's :class:`ReportTable` encodes the report, so the
         index holds it rebuilt on the sections it already holds (the
         report itself when its sections are new), and equal sections
         are one object for written and replayed records alike; callers
-        keep the returned report.  The record's line goes to the active
-        segment's buffered handle at once; it reaches the OS at the next
+        keep the returned report, and may frame the text again (the
+        journal does).  The record's line goes to the active segment's
+        buffered handle at once; it reaches the OS at the next
         :meth:`flush` (or when the buffer fills) and disk at
         :meth:`close` or rotation.
         """
@@ -573,7 +584,7 @@ class VerdictStore:
         self._reports[key] = report
         self.writes += 1
         obs.get_metrics().counter("store.writes", kind="report").inc()
-        return report
+        return report, text
 
     # -- differential outcomes ----------------------------------------
 

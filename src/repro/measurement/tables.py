@@ -17,7 +17,7 @@ from repro.core.completeness import CompletenessClass, analyze_completeness
 from repro.core.compliance import ChainComplianceReport
 from repro.core.leaf import LeafPlacement
 from repro.core.order import OrderDefect
-from repro.core.report import DatasetReport, aggregate
+from repro.core.report import DatasetReport, aggregate, aggregate_by
 from repro.measurement.stats import cell, format_table, pct
 from repro.trust.rootstore import STORE_NAMES
 from repro.webpki.ecosystem import Ecosystem
@@ -71,6 +71,16 @@ class TableContext:
 
     def report_ca(self, report: ChainComplianceReport) -> str:
         return self.deployment_meta.get(report.domain, ("other", "other"))[1]
+
+    @cached_property
+    def by_server(self) -> dict[str, DatasetReport]:
+        """Table 10's cross-tab: the fold of each HTTP server's chains."""
+        return aggregate_by(self.reports, self.report_server)
+
+    @cached_property
+    def by_ca(self) -> dict[str, DatasetReport]:
+        """Table 11's cross-tab: the fold of each issuing CA's chains."""
+        return aggregate_by(self.reports, self.report_ca)
 
 
 # ---------------------------------------------------------------------------
@@ -344,36 +354,39 @@ def render_table_9(matrix: dict[str, dict[str, str]] | None = None) -> str:
 _SERVER_COLUMNS = ("apache", "nginx", "azure", "cloudflare", "iis",
                    "aws-elb", "other")
 
+#: Table 10's rows, and the per-defect rows of Table 11, in print order.
+_TABLE10_ROWS = ("overview", "duplicate_certificates", "duplicate_leaf",
+                 "irrelevant_certificates", "multiple_paths",
+                 "reversed_sequences", "incomplete_chain")
+_TABLE11_ROWS = ("duplicate_certificates", "irrelevant_certificates",
+                 "multiple_paths", "reversed_sequences", "incomplete_chain")
+
+
+def _defect_cells(group: DatasetReport) -> dict[str, int]:
+    """A group's Tables 10/11 cells, read off its fold.  Every chain
+    with an order defect or an incomplete path is non-compliant, so the
+    fold's counters count non-compliant chains alone."""
+    defects = group.order_defects
+    return {
+        "overview": group.noncompliant,
+        "duplicate_certificates": defects[OrderDefect.DUPLICATE_CERTIFICATES],
+        "duplicate_leaf": group.duplicate_roles["leaf"],
+        "irrelevant_certificates":
+            defects[OrderDefect.IRRELEVANT_CERTIFICATES],
+        "multiple_paths": defects[OrderDefect.MULTIPLE_PATHS],
+        "reversed_sequences": defects[OrderDefect.REVERSED_SEQUENCES],
+        "incomplete_chain": group.incomplete_total,
+    }
+
 
 def table_10(ctx: TableContext) -> dict[str, Counter]:
     """Per non-compliance type, a counter of HTTP server names."""
-    rows: dict[str, Counter] = {
-        "overview": Counter(),
-        "duplicate_certificates": Counter(),
-        "duplicate_leaf": Counter(),
-        "irrelevant_certificates": Counter(),
-        "multiple_paths": Counter(),
-        "reversed_sequences": Counter(),
-        "incomplete_chain": Counter(),
-    }
-    for report in ctx.reports:
-        if report.compliant:
-            continue
-        server = ctx.report_server(report)
-        rows["overview"][server] += 1
-        order = report.order
-        if order.has(OrderDefect.DUPLICATE_CERTIFICATES):
-            rows["duplicate_certificates"][server] += 1
-            if "leaf" in order.duplicate_roles:
-                rows["duplicate_leaf"][server] += 1
-        if order.has(OrderDefect.IRRELEVANT_CERTIFICATES):
-            rows["irrelevant_certificates"][server] += 1
-        if order.has(OrderDefect.MULTIPLE_PATHS):
-            rows["multiple_paths"][server] += 1
-        if order.has(OrderDefect.REVERSED_SEQUENCES):
-            rows["reversed_sequences"][server] += 1
-        if report.completeness.category is CompletenessClass.INCOMPLETE:
-            rows["incomplete_chain"][server] += 1
+    rows: dict[str, Counter] = {row: Counter() for row in _TABLE10_ROWS}
+    for server, group in ctx.by_server.items():
+        cells = _defect_cells(group)
+        for row in _TABLE10_ROWS:
+            if cells[row]:
+                rows[row][server] = cells[row]
     return rows
 
 
@@ -401,39 +414,15 @@ _CA_COLUMNS = ("lets-encrypt", "digicert", "sectigo", "zerossl", "gogetssl",
 
 def table_11(ctx: TableContext) -> dict[str, dict[str, object]]:
     """Per CA: totals, non-compliant counts, and per-defect counts."""
-    totals: Counter = Counter()
-    noncompliant: Counter = Counter()
-    per_defect: dict[str, Counter] = {
-        "duplicate_certificates": Counter(),
-        "irrelevant_certificates": Counter(),
-        "multiple_paths": Counter(),
-        "reversed_sequences": Counter(),
-        "incomplete_chain": Counter(),
-    }
-    for report in ctx.reports:
-        ca = ctx.report_ca(report)
-        totals[ca] += 1
-        if report.compliant:
-            continue
-        noncompliant[ca] += 1
-        order = report.order
-        if order.has(OrderDefect.DUPLICATE_CERTIFICATES):
-            per_defect["duplicate_certificates"][ca] += 1
-        if order.has(OrderDefect.IRRELEVANT_CERTIFICATES):
-            per_defect["irrelevant_certificates"][ca] += 1
-        if order.has(OrderDefect.MULTIPLE_PATHS):
-            per_defect["multiple_paths"][ca] += 1
-        if order.has(OrderDefect.REVERSED_SEQUENCES):
-            per_defect["reversed_sequences"][ca] += 1
-        if report.completeness.category is CompletenessClass.INCOMPLETE:
-            per_defect["incomplete_chain"][ca] += 1
     result: dict[str, dict[str, object]] = {}
     for ca in (*_CA_COLUMNS, "other"):
+        group = ctx.by_ca.get(ca, DatasetReport())
+        cells = _defect_cells(group)
         result[ca] = {
-            "total": totals.get(ca, 0),
-            "noncompliant": noncompliant.get(ca, 0),
-            "noncompliant_rate": pct(noncompliant.get(ca, 0), totals.get(ca, 0)),
-            **{row: counter.get(ca, 0) for row, counter in per_defect.items()},
+            "total": group.total,
+            "noncompliant": group.noncompliant,
+            "noncompliant_rate": pct(group.noncompliant, group.total),
+            **{row: cells[row] for row in _TABLE11_ROWS},
         }
     return result
 
@@ -470,8 +459,7 @@ def render_table_11(ctx: TableContext) -> str:
         ("Non-compliant",
          *[cell(data[ca]["noncompliant"], data[ca]["total"]) for ca in _CA_COLUMNS]),
     ]
-    for defect in ("duplicate_certificates", "irrelevant_certificates",
-                   "multiple_paths", "reversed_sequences", "incomplete_chain"):
+    for defect in _TABLE11_ROWS:
         rows.append(
             (defect,
              *[cell(data[ca][defect], data[ca]["total"]) for ca in _CA_COLUMNS])

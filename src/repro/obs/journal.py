@@ -39,8 +39,15 @@ verdict this process recorded is read back, like any other event, from
 the file (:func:`read_journal`).
 
 The journal layer knows nothing about certificates — events are plain
-dicts, and the verdict payloads are
-:meth:`repro.core.compliance.ChainComplianceReport.to_dict` output.
+dicts, and a verdict's ``report`` is the text
+:meth:`repro.core.compliance.ChainComplianceReport.to_json` wrote,
+which the journal frames as it is handed.  Every reader decodes it
+back through a :class:`repro.core.compliance.ReportTable`, one per
+pass (resume, the shard fold, ``explain``, the run report), so each
+refuses a verdict that does not decode in the same words.  The compact
+JSON primitives the verdict codec and the verdict store share live
+here, at the bottom of the import graph: :data:`encode_compact`,
+:func:`encode_str` and :func:`encode_str_array`.
 """
 
 from __future__ import annotations
@@ -56,7 +63,9 @@ from repro.errors import JournalError
 __all__ = [
     "JOURNAL_VERSION",
     "RunJournal",
-    "encode_chain_key",
+    "encode_compact",
+    "encode_str",
+    "encode_str_array",
     "encode_verdict_event",
     "is_chain_key",
     "manifest_identity",
@@ -83,11 +92,12 @@ _EVENT_IDENTITY: dict[str, tuple[str, ...]] = {
     "shard": ("index", "start", "stop"),
 }
 
-#: One reused compact encoder for the append hot path: skipping the
+#: The one compact JSON encoder, reused for the journal's records, the
+#: verdict store's lines and the verdict codec's escapes: skipping the
 #: per-call ``json.dumps`` argument plumbing and the circular-reference
-#: scan measurably cuts per-record serialisation cost, and journal
-#: payloads are trees by construction.
-_encode_record = json.JSONEncoder(
+#: scan measurably cuts per-record serialisation cost, and what it
+#: encodes is a tree by construction.
+encode_compact = json.JSONEncoder(
     separators=(",", ":"), check_circular=False
 ).encode
 
@@ -98,34 +108,34 @@ def _plain(value) -> bool:
             and '"' not in value and "\\" not in value)
 
 
-def encode_verdict_event(domain: str, chain_key: tuple[str, ...],
-                         report: Any) -> str:
-    """The exact journal line (sans newline) for one verdict event.
+def encode_str(value: str) -> str:
+    """:data:`encode_compact` of one string, with a fast path for plain
+    ASCII text."""
+    return f'"{value}"' if _plain(value) else encode_compact(value)
 
-    ``report`` is either the ``ChainComplianceReport.to_dict()`` payload
-    or the report object itself — anything exposing ``to_json()`` (the
-    compact encoding of its ``to_dict()``) takes the fast path, which is
-    what keeps verdict appends off the campaign's critical path.  The
-    two spellings produce byte-identical lines.
-    """
-    to_json = getattr(report, "to_json", None)
-    report_json = to_json() if to_json is not None else _encode_record(report)
-    domain_json = f'"{domain}"' if _plain(domain) else _encode_record(domain)
+
+def encode_str_array(values) -> str:
+    """The compact JSON array of some strings — a chain key's
+    fingerprints, a report's defect list — assembled without the
+    encoder when every string is plain."""
+    if not values:
+        return "[]"
+    if all(map(_plain, values)):
+        return '["' + '","'.join(values) + '"]'
+    return encode_compact(list(values))
+
+
+def encode_verdict_event(domain: str, chain_key: tuple[str, ...],
+                         report_json: str) -> str:
+    """The exact journal line (sans newline) for one verdict event:
+    ``report_json`` is the report's
+    :meth:`~repro.core.compliance.ChainComplianceReport.to_json` text,
+    framed as it is."""
     return "".join((
-        '{"type":"verdict","domain":', domain_json,
-        ',"chain_key":', encode_chain_key(chain_key),
+        '{"type":"verdict","domain":', encode_str(domain),
+        ',"chain_key":', encode_str_array(chain_key),
         ',"report":', report_json, "}",
     ))
-
-
-def encode_chain_key(chain_key) -> str:
-    """The compact JSON array of a chain key's fingerprint strings, as
-    the journal and the verdict store write it."""
-    if not chain_key:
-        return "[]"
-    if all(map(_plain, chain_key)):
-        return '["' + '","'.join(chain_key) + '"]'
-    return _encode_record(list(chain_key))
 
 
 def manifest_identity(manifest: dict[str, Any]) -> dict[str, Any]:
@@ -143,7 +153,7 @@ def _event_identity(event: dict[str, Any]) -> str | None:
     names = _EVENT_IDENTITY.get(event["type"])
     if names is None:
         return None
-    return _encode_record([event["type"], *map(event.get, names)])
+    return encode_compact([event["type"], *map(event.get, names)])
 
 
 def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
@@ -156,15 +166,18 @@ def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
 
 
 def is_chain_key(value: Any) -> bool:
-    """True for a verdict's ``chain_key``: a list of hex strings, the
-    fingerprints of the chain it judged, which resume and the shard fold
-    turn back into bytes.  The verdict store's replay holds its records'
-    keys to the same rule."""
+    """True for a verdict's ``chain_key``: the fingerprints of the chain
+    it judged, each 32 bytes in the 64 lowercase hex digits every
+    lookup key is written in, which resume and the shard fold turn back
+    into bytes.  The verdict store's replay holds its records' keys to
+    the same rule."""
     if type(value) is not list:
         return False
     try:
         for fingerprint in value:
-            bytes.fromhex(fingerprint)
+            if not (len(fingerprint) == 64
+                    and bytes.fromhex(fingerprint).hex() == fingerprint):
+                return False
     except (TypeError, ValueError):
         return False
     return True
@@ -419,7 +432,7 @@ class RunJournal:
 
     def _append(self, record: dict[str, Any]) -> None:
         # hot path: no sort_keys — readers never depend on key order
-        self._append_line(_encode_record(record), record["type"])
+        self._append_line(encode_compact(record), record["type"])
 
     def _append_line(self, line: str, event_type: str) -> None:
         """Write one already-encoded record (no trailing newline)."""
@@ -484,22 +497,22 @@ class RunJournal:
         }
 
     def record_verdict(self, domain: str, chain_key: tuple[str, ...],
-                       report: Any) -> None:
+                       report_json: str) -> None:
         """Append one per-domain compliance verdict with its evidence —
         unless the file already holds a verdict for this (domain,
         chain), resumed or appended by this process.
 
         ``chain_key`` is the tuple of fingerprint hexes of the served
         chain — the same (domain, chain) identity the union merge uses —
-        and ``report`` is ``ChainComplianceReport.to_dict()`` output, or
-        the report object itself (anything with ``to_json()``), which
-        skips the dict build entirely.  Only the identity is kept: the
-        line goes to the file, and the payload stays with the caller.
+        and ``report_json`` the report's ``to_json()`` text, which
+        :func:`encode_verdict_event` frames.  Only the identity is kept:
+        the line goes to the file, and the report stays with the caller.
         """
         key = (domain, tuple(chain_key))
         if key not in self._verdict_keys:
-            self._append_line(encode_verdict_event(domain, chain_key, report),
-                              "verdict")
+            self._append_line(
+                encode_verdict_event(domain, chain_key, report_json),
+                "verdict")
             self._verdict_keys.add(key)
 
     # -- resume reads --------------------------------------------------

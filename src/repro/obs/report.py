@@ -13,7 +13,12 @@ CI gate) actually reads:
 * the **verdict breakdown by rule ID** with evidence counts — how many
   domains violate ``R2.reversed_sequences``, how many evidence records
   back that up — plus per-domain verdict summaries that power
-  cross-run regression diffing (:mod:`repro.obs.diff`);
+  cross-run regression diffing (:mod:`repro.obs.diff`).  Each verdict
+  is decoded by the codec resume uses
+  (:class:`~repro.core.compliance.ReportTable`), so a chain's
+  compliance is the report's own ``compliant``, the conjunction of the
+  three Section 3.1 rules, and a verdict that does not decode is
+  refused as every other journal reader refuses it;
 * the **top-K slowest domains** by simulated scan duration;
 * **retry / breaker / cache rollups** and **per-phase wall/CPU/RSS**
   resource attribution, read from a metrics snapshot when one is
@@ -356,29 +361,6 @@ class RunReport:
 # Building
 # ----------------------------------------------------------------------
 
-def _verdict_summary(payload: dict[str, Any]) -> tuple[
-        bool, tuple[str, ...], list[tuple[str, str]]]:
-    """(compliant, violated rule IDs, cited (rule ID, verdict) pairs)
-    from one journal verdict payload.
-
-    Derived from the evidence records the journal already carries
-    rather than re-running analysis: a chain is compliant iff no
-    section produced a ``violation`` evidence record and the order
-    analysis says compliant — exactly the predicate
-    ``ChainComplianceReport.compliant`` encodes, without importing
-    :mod:`repro.core` into the journal-consuming layer.
-    """
-    cited = [(str(record.get("rule_id")), str(record.get("verdict")))
-             for section in ("leaf", "order", "completeness")
-             for record in payload.get(section, {}).get("evidence", ())]
-    violations = sorted({rule for rule, verdict in cited
-                         if verdict == "violation"})
-    compliant = not violations and bool(
-        payload.get("order", {}).get("compliant", True)
-    )
-    return compliant, tuple(violations), cited
-
-
 def build_report(manifest: dict[str, Any],
                  events: list[dict[str, Any]], *,
                  metrics: dict[str, Any] | None = None,
@@ -391,7 +373,16 @@ def build_report(manifest: dict[str, Any],
     ``scan --metrics-out`` file).  Everything journal-derived is
     deterministic for a seeded run; metrics-derived sections carry the
     wall-clock noise of the machine that ran them.
+
+    Each verdict decodes through one
+    :class:`~repro.core.compliance.ReportTable`, as resume does, so a
+    chain is compliant here exactly when the scan counted it so, and
+    its violated rules are the ``violation`` evidence it cites; a
+    verdict that does not decode raises
+    :class:`~repro.errors.PayloadError` naming its domain.
     """
+    # core imports obs, so the codec loads when a report is first built
+    from repro.core.compliance import ReportTable
     from repro.obs.journal import manifest_identity
 
     identity = manifest_identity(manifest)
@@ -411,6 +402,7 @@ def build_report(manifest: dict[str, Any],
     degraded: dict[str, str] = {}
     rule_domains: dict[tuple[str, str], set[str]] = {}
     rule_evidence: dict[tuple[str, str], int] = {}
+    table = ReportTable()
 
     for event in events:
         kind = event.get("type")
@@ -443,13 +435,13 @@ def build_report(manifest: dict[str, Any],
         elif kind == "verdict":
             domain = str(event.get("domain"))
             try:
-                compliant, rules, cited = _verdict_summary(
-                    event.get("report") or {}
-                )
-            except (AttributeError, TypeError) as exc:
-                raise PayloadError(
-                    f"verdict for {domain!r}: report payload does not "
-                    f"decode ({type(exc).__name__}: {exc})") from None
+                verdict = table.decode(event.get("report"))
+            except PayloadError as exc:
+                raise PayloadError(f"verdict for {domain!r}: {exc}") from None
+            compliant = verdict.compliant
+            cited = [(e.rule_id, e.verdict) for e in verdict.evidence]
+            rules = tuple(sorted({rule for rule, cited_as in cited
+                                  if cited_as == "violation"}))
             report.verdict_total += 1
             if compliant:
                 report.verdict_compliant += 1

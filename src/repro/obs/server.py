@@ -171,7 +171,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             self._reply_json(404, {"error": "no journal configured "
                                             "for this run"})
             return
-        from repro.errors import JournalError
+        from repro.errors import JournalError, PayloadError
         from repro.obs.journal import read_journal
         from repro.obs.report import build_report
 
@@ -181,6 +181,9 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             # partially flushed line, both tolerated by the reader.
             manifest, events = read_journal(owner.journal_path)
             report = build_report(manifest, events)
+        except PayloadError as exc:
+            self._reply_json(503, {"error": f"{owner.journal_path}: {exc}"})
+            return
         except (OSError, JournalError, ValueError) as exc:
             self._reply_json(503, {"error": str(exc)})
             return

@@ -49,15 +49,19 @@ class JournalSource:
         return str(self.path)
 
     def frame(self) -> dict[str, Any]:
-        from repro.errors import JournalError
+        from repro.errors import JournalError, PayloadError
         from repro.obs.journal import read_journal
         from repro.obs.report import build_report
 
         try:
             manifest, events = read_journal(self.path)
+            report = build_report(manifest, events)
+        except PayloadError as exc:
+            # a verdict that does not decode names its domain, not the
+            # journal holding it
+            raise SourceError(f"{self.path}: {exc}") from exc
         except (OSError, JournalError, ValueError) as exc:
             raise SourceError(str(exc)) from exc
-        report = build_report(manifest, events)
 
         retries = 0
         scan_errors = 0

@@ -14,6 +14,40 @@ from repro.core import (
 from repro.trust import RootStore, StaticAIARepository
 
 
+def reference_dict(report) -> dict:
+    """The reference encoding of a report: the JSON-ready dict the
+    generic encoder turns into the text ``to_json`` must write (the
+    report's own dict spelling before ``to_json`` became its one
+    encoder)."""
+    return {
+        "domain": report.domain,
+        "chain_length": report.chain_length,
+        "leaf": {
+            "placement": report.leaf.placement.value,
+            "deciding_index": report.leaf.deciding_index,
+            "evidence": [e.to_dict() for e in report.leaf.evidence],
+        },
+        "order": {
+            "defects": sorted(d.value for d in report.order.defects),
+            "duplicate_roles": sorted(report.order.duplicate_roles),
+            "max_duplicate_count": report.order.max_duplicate_count,
+            "irrelevant_count": report.order.irrelevant_count,
+            "path_count": report.order.path_count,
+            "reversed_any": report.order.reversed_any,
+            "reversed_all": report.order.reversed_all,
+            "path_structures": list(report.order.path_structures),
+            "compliant": report.order.compliant,
+            "evidence": [e.to_dict() for e in report.order.evidence],
+        },
+        "completeness": {
+            "category": report.completeness.category.value,
+            "missing_count": report.completeness.missing_count,
+            "aia_outcome": report.completeness.aia_outcome,
+            "evidence": [e.to_dict() for e in report.completeness.evidence],
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def world():
     h = build_hierarchy(
@@ -134,13 +168,13 @@ class TestAggregation:
 
 class TestJsonSerialization:
     """``to_json`` is a hand-rolled fast path; it must stay
-    byte-identical to the generic compact encoding of ``to_dict`` —
-    the journal's byte-parity guarantee depends on it."""
+    byte-identical to the generic compact encoding of the reference
+    dict — the journal's byte-parity guarantee depends on it."""
 
     def compact(self, report) -> str:
         import json
 
-        return json.dumps(report.to_dict(), separators=(",", ":"))
+        return json.dumps(reference_dict(report), separators=(",", ":"))
 
     def test_matches_generic_encoder(self, world):
         h, leaf, store, repo = world
@@ -179,6 +213,8 @@ class TestJsonSerialization:
                 "float": 1.5,
                 "nested": {"list": [1, "two", None]},
                 "escaped": 'va"lue\\',
+                'k"ey': "quoted key",
+                "ünï": "non-ASCII key",
             },
         )
         order = dataclasses.replace(
@@ -188,6 +224,11 @@ class TestJsonSerialization:
             report, domain="dömaïn.example", order=order
         )
         assert weird.to_json() == self.compact(weird)
+        # a key the generic encoder coerces (here an int) falls back to it
+        coerced = dataclasses.replace(exotic, details={7: "int key", "k": 1})
+        odd = dataclasses.replace(report, order=dataclasses.replace(
+            report.order, evidence=(coerced,)))
+        assert odd.to_json() == self.compact(odd)
 
     def test_ensure_ascii_escapes_match(self, world):
         h, leaf, store, repo = world

@@ -373,7 +373,7 @@ class TestRefusals:
             next(p for p in payloads if p["completeness"]["evidence"]))
         payload["completeness"]["evidence"][0]["edges"] = edges
         with pytest.raises(PayloadError, match="does not decode"):
-            ChainComplianceReport.from_dict(payload)
+            ReportTable().decode(payload)
 
 
 def test_intern_shares_equal_strings():

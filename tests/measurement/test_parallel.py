@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core import aggregate, analyze_chain
-from repro.core.compliance import ChainComplianceReport, rebind_for_domain
+from repro.core.compliance import ReportTable, rebind_for_domain
 from repro.measurement import Campaign, VerdictStore
 from repro.measurement.parallel import analyze_observations, chain_key_hex
 from repro.obs import RunJournal, read_journal
@@ -72,7 +72,7 @@ def reference_journal(ecosystem, stream, journal):
         report = analyze_chain(domain, chain, union, ecosystem.aia_repo)
         if (domain, key) not in seen:
             seen.add((domain, key))
-            journal.record_verdict(domain, key, report)
+            journal.record_verdict(domain, key, report.to_json())
         reports.append(report)
     return reports
 
@@ -179,9 +179,9 @@ class TestJournalParity:
         first = {}
         for (domain, chain), report in zip(stream, ref_reports):
             first.setdefault((domain, chain_key_hex(chain)), report)
+        table = ReportTable()
         assert [
-            ChainComplianceReport.from_dict(event["report"])
-            for event in events
+            table.decode(event["report"]) for event in events
         ] == list(first.values())
         with VerdictStore(tmp_path / "warm") as warm:
             campaign.analyze(stream, verdict_store=warm)
@@ -228,6 +228,26 @@ class TestJournalParity:
         assert path.read_bytes() == before
         assert stats.analyzed == 0
         assert stats.resumed == len(stream)
+
+    def test_resume_decodes_through_one_table(self, ecosystem, stream,
+                                              tmp_path):
+        """The resumed verdicts of one pass decode through one table:
+        equal sections are one object, as in the store's replay."""
+        campaign = Campaign(ecosystem)
+        path = tmp_path / "run.jsonl"
+        self.run_journaled(campaign, stream, path)
+        with RunJournal.open(path, campaign.manifest()) as journal:
+            reports, stats = analyze_observations(
+                stream, store=ecosystem.registry.union(),
+                fetcher=ecosystem.aia_repo, journal=journal,
+            )
+        assert stats.resumed == len(stream)
+        for name in ("leaf", "order", "completeness"):
+            by_text = {}
+            for report in reports:
+                section = getattr(report, name)
+                text = json.dumps(json.loads(report.to_json())[name])
+                assert by_text.setdefault(text, section) is section, name
 
 
 class TestMetrics:

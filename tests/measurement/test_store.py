@@ -214,6 +214,39 @@ DAMAGED_STORES = {
         "segments/000001.seg: record at byte 0 has a malformed key "
         "(chain_key is not a list of fingerprint hex strings)",
     ),
+    # a key element must be a whole fingerprint in lowercase hex, not any
+    # hex bytes.fromhex takes, and the digest (an outcome's domain too) a
+    # string: a lookup could never hit anything else
+    "chain-key-short-hex": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(chain_key=["ab"])),
+        "refused",
+        "segments/000001.seg: record at byte 0 has a malformed key "
+        "(chain_key is not a list of fingerprint hex strings)",
+    ),
+    "chain-key-upper-case": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(
+                chain_key=[fp.upper() for fp in record["chain_key"]])),
+        "refused",
+        "segments/000001.seg: record at byte 0 has a malformed key "
+        "(chain_key is not a list of fingerprint hex strings)",
+    ),
+    "digest-not-a-string": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(digest=5)),
+        "refused",
+        "segments/000001.seg: record at byte 0 has a malformed key "
+        "(digest is not a string)",
+    ),
+    "outcome-domain-not-a-string": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record.update(
+                kind="outcome", domain=5, chain_length=1, results={})),
+        "refused",
+        "segments/000001.seg: record at byte 0 has a malformed key "
+        "(domain is not a string)",
+    ),
     # a flag where an index belongs would re-encode as `True`, which
     # is not JSON
     "deciding-index-true": (
@@ -447,7 +480,7 @@ class TestDecodedIndex:
 
 def _section_texts(report):
     """Each section of ``report`` with its encoded JSON text."""
-    sections = report.to_dict()
+    sections = json.loads(report.to_json())
     return [(getattr(report, name),
              json.dumps(sections[name], separators=(",", ":")))
             for name in ("leaf", "order", "completeness")]

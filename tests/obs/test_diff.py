@@ -34,7 +34,8 @@ def journal_for_store(path, ecosystem, store, fetcher=None):
     with RunJournal.create(path, manifest) as journal:
         for (domain, chain), report in zip(observations, reports):
             journal.record_verdict(
-                domain, tuple(c.fingerprint_hex for c in chain), report
+                domain, tuple(c.fingerprint_hex for c in chain),
+                report.to_json()
             )
     return report_from_journal(path)
 

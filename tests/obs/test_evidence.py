@@ -121,11 +121,11 @@ class TestVerdictClasses:
 
 class TestReportSerialisation:
     def test_report_round_trip_preserves_evidence(self, analyze, chain):
-        from repro.core.compliance import ChainComplianceReport
+        from repro.core.compliance import ReportTable
 
         report = analyze("fixture.example",
                          malform.duplicate_leaf([chain[0]]))
-        payload = json.loads(json.dumps(report.to_dict()))
-        restored = ChainComplianceReport.from_dict(payload)
+        payload = json.loads(report.to_json())
+        restored = ReportTable().decode(payload)
         assert restored == report
         assert restored.evidence == report.evidence

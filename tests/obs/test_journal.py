@@ -64,7 +64,7 @@ class TestAppendAndRead:
         identity: ``verdict_for`` serves it once the file is resumed."""
         key = ("aa" * 32, "bb" * 32)
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, {"domain": "a.example"})
+            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
             assert journal.verdict_count == 1
             assert journal.verdict_for("a.example", key) is None
         _, events = read_journal(tmp_path / "run.jsonl")
@@ -85,9 +85,9 @@ class TestAppendAndRead:
         key = ("aa" * 32,)
         path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, {"domain": "a.example"})
-            journal.record_verdict("a.example", key, {"domain": "again"})
-            journal.record_verdict("b.example", key, {"domain": "b.example"})
+            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
+            journal.record_verdict("a.example", key, '{"domain":"again"}')
+            journal.record_verdict("b.example", key, '{"domain":"b.example"}')
             assert journal.verdict_count == 2
         written = path.read_bytes()
         _, events = read_journal(path)
@@ -95,7 +95,7 @@ class TestAppendAndRead:
             ("a.example", "a.example"), ("b.example", "b.example"),
         ]
         with RunJournal.open(path, MANIFEST) as resumed:
-            resumed.record_verdict("a.example", key, {"domain": "again"})
+            resumed.record_verdict("a.example", key, '{"domain":"again"}')
         assert path.read_bytes() == written
 
     def test_write_after_close_raises(self, tmp_path):
@@ -127,7 +127,7 @@ class TestCrashSafety:
         path = tmp_path / "run.jsonl"
         key = ("aa" * 32,)
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, {"domain": "a.example"})
+            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type":"verdict","partial":tru')
         resumed = RunJournal.open(path, MANIFEST)
@@ -282,6 +282,32 @@ class TestRejection:
         with pytest.raises(JournalError, match="cannot read"):
             read_journal(tmp_path / "does-not-exist.jsonl")
 
+    @pytest.mark.parametrize("chain_key", [
+        ["ab"], ["ab cd"], ["aa" * 31 + "  "], ["aa" * 33], ["zz" * 32],
+        ["AB" * 32], [5], 5, {"aa" * 32: 1},
+    ], ids=["short", "spaced", "64-chars-31-bytes", "long", "not-hex",
+            "upper-case", "not-str", "int", "object"])
+    def test_verdict_key_must_be_fingerprints(self, tmp_path, chain_key):
+        """Each element of a verdict's chain key is a fingerprint as
+        every lookup key spells it: the 64 lowercase hex digits of 32
+        bytes, no more, no fewer, no other spelling."""
+        from repro.obs.journal import is_chain_key
+
+        assert not is_chain_key(chain_key)
+        path = tmp_path / "run.jsonl"
+        with fresh(tmp_path) as journal:
+            journal.record("verdict", domain="a.example",
+                           chain_key=chain_key, report={})
+        with pytest.raises(JournalError, match="line 2: verdict chain_key "
+                           "is not a list of fingerprint hex strings"):
+            read_journal(path)
+
+    def test_fingerprint_keys_pass(self):
+        from repro.obs.journal import is_chain_key
+
+        for chain_key in ([], ["aa" * 32], ["ab" * 32, "0f" * 32]):
+            assert is_chain_key(chain_key)
+
 
 class TestBatchedFlush:
     def test_records_buffer_until_the_threshold(self, tmp_path):
@@ -359,7 +385,8 @@ class TestVerdictEncoding:
              {"domain": 'quote"back\\slash', "nested": {"k": [1, None]}}),
             ("tab\there.example", (), {}),
         ):
-            line = encode_verdict_event(domain, key, report)
+            text = json.dumps(report, separators=(",", ":"))
+            line = encode_verdict_event(domain, key, text)
             expected = json.dumps(
                 {"type": "verdict", "domain": domain,
                  "chain_key": list(key), "report": report},
@@ -368,21 +395,23 @@ class TestVerdictEncoding:
             assert line == expected
 
     def test_report_objects_use_their_own_serializer(self, tmp_path):
+        """A verdict's report is the text ``to_json`` wrote, framed as
+        it is, and read back as that text parses."""
         from repro.obs.journal import encode_verdict_event
 
         report = self.report()
         key = ("aa" * 32,)
-        line = encode_verdict_event("journal.example", key, report)
-        assert json.loads(line)["report"] == report.to_dict()
-        assert report.to_json() in line
+        text = report.to_json()
+        line = encode_verdict_event("journal.example", key, text)
+        assert line.endswith(',"report":' + text + "}")
 
         with fresh(tmp_path) as journal:
-            journal.record_verdict("journal.example", key, report)
+            journal.record_verdict("journal.example", key, text)
         assert (tmp_path / "run.jsonl").read_bytes().endswith(
             (line + "\n").encode("utf-8"))
         _, events = read_journal(tmp_path / "run.jsonl")
         assert events == [json.loads(line)]
-        assert events[0]["report"] == report.to_dict()
+        assert events[0]["report"] == json.loads(text)
 
 
 class TestValidation:
@@ -400,7 +429,7 @@ class TestValidation:
                            reason="breaker_open")
             journal.record("collection", domains=1, observations=1)
             journal.record_verdict("a.example", ("aa" * 32,),
-                                   {"leaf": {}})
+                                   '{"leaf":{}}')
         return path
 
     def test_well_formed_journal_passes(self, tmp_path):
@@ -448,9 +477,9 @@ class TestValidation:
         path = tmp_path / "run.jsonl"
         with RunJournal.create(path, MANIFEST) as journal:
             journal.record("verdict", domain="a.example",
-                           chain_key=["aa"], report={})
+                           chain_key=["aa" * 32], report={})
             journal.record("verdict", domain="a.example",
-                           chain_key=["aa"], report={})
+                           chain_key=["aa" * 32], report={})
         with pytest.raises(JournalError, match="duplicate verdict"):
             validate_journal(path)
 

@@ -211,6 +211,20 @@ class TestReportEndpoint:
             code, payload = get_json(server.url, "/report")
         assert code == 503 and "error" in payload
 
+    def test_503_on_a_verdict_that_does_not_decode(self, registry,
+                                                   tmp_path):
+        """Journal damage the report builder finds is a 503 naming the
+        journal and the verdict, like damage the reader finds."""
+        path = tmp_path / "run.jsonl"
+        with RunJournal.create(path, {"seed": 1}) as journal:
+            journal.record_verdict("a.example", ("aa" * 32,), '{"leaf":3}')
+        with TelemetryServer(registry, journal_path=path) as server:
+            code, payload = get_json(server.url, "/report")
+        assert code == 503
+        assert payload["error"] == (
+            f"{path}: verdict for 'a.example': report payload does not "
+            f"decode (KeyError: 'order')")
+
     def test_serves_partial_report_from_in_flight_journal(
         self, registry, tmp_path
     ):

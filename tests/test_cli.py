@@ -1441,12 +1441,14 @@ class TestStoreRefusedAtOpen:
         ("chain_key", "segments/000001.seg: record at byte 0 has a "
                       "malformed key (chain_key is not a list of "
                       "fingerprint hex strings)"),
-    ], ids=["deciding_index", "chain_key"])
+        ("digest", "segments/000001.seg: record at byte 0 has a "
+                   "malformed key (digest is not a string)"),
+    ], ids=["deciding_index", "chain_key", "digest"])
     def test_mistyped_record_stops_the_scan(self, tmp_path, capsys, damage,
                                             reason):
-        """A stored field of the wrong JSON type, or a chain key that is
-        not fingerprints, fails ``cache verify`` and stops the scan with
-        one line, where both used to pass."""
+        """A stored field of the wrong JSON type, or a key that is not
+        fingerprints and a digest string, fails ``cache verify`` and
+        stops the scan with one line, where each used to pass."""
         import json
 
         store = tmp_path / "vs"
@@ -1458,6 +1460,8 @@ class TestStoreRefusedAtOpen:
         record = json.loads(lines[0])
         if damage == "chain_key":
             record["chain_key"] = [1, 2]
+        elif damage == "digest":
+            record["digest"] = 5
         else:
             record["report"]["leaf"]["deciding_index"] = True
         lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
@@ -1503,9 +1507,10 @@ class TestUndecodableJournalVerdict:
 
     @pytest.mark.parametrize("damage", ["report-does-not-decode",
                                         "verdict-without-domain",
-                                        "chain-key-not-a-list"])
+                                        "chain-key-not-a-list",
+                                        "deciding-index-true"])
     @pytest.mark.parametrize("command", ["scan", "explain", "report",
-                                         "diff-runs"])
+                                         "diff-runs", "watch"])
     def test_one_line_and_input_error_code(self, journal, damage, command,
                                            tmp_path, capsys):
         mutate = {
@@ -1514,6 +1519,11 @@ class TestUndecodableJournalVerdict:
             "verdict-without-domain": lambda event: event.pop("domain"),
             "chain-key-not-a-list":
                 lambda event: event.update(chain_key=5),
+            # every reader decodes through the codec resume uses, so a
+            # field of the wrong JSON type is refused by all of them
+            "deciding-index-true":
+                lambda event: event["report"]["leaf"].update(
+                    deciding_index=True),
         }[damage]
         path = tmp_path / "run.jsonl"
         _, domain = self._damage_first_verdict(journal, path, mutate)
@@ -1523,6 +1533,7 @@ class TestUndecodableJournalVerdict:
             "explain": ["explain", domain, "--journal", str(path)],
             "report": ["report", str(path)],
             "diff-runs": ["diff-runs", str(path), str(path)],
+            "watch": ["watch", str(path), "--once"],
         }[command]
         capsys.readouterr()
         assert main(argv) == (3 if command == "diff-runs" else 2)
@@ -1531,8 +1542,36 @@ class TestUndecodableJournalVerdict:
         assert err.count("\n") == 1, err
         assert err.count(str(path)) == 1, err
 
-    @pytest.mark.parametrize("chain_key", [5, ["not hex"], [7]],
-                             ids=["int", "not-hex", "not-str"])
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda event: event.update(report={"leaf": 3}),
+         "KeyError: 'order'"),
+        (lambda event: event["report"]["leaf"].update(deciding_index=True),
+         "TypeError: 'deciding_index' must be an integer or null, not a "
+         "boolean"),
+    ], ids=["report-does-not-decode", "deciding-index-true"])
+    def test_every_reader_refuses_in_the_same_words(self, journal, damage,
+                                                    reason, tmp_path,
+                                                    capsys):
+        path = tmp_path / "run.jsonl"
+        _, domain = self._damage_first_verdict(journal, path, damage)
+        refusals = set()
+        for argv in (["scan", "--domains", "30", "--seed", "833",
+                      "--journal", str(path)],
+                     ["explain", domain, "--journal", str(path)],
+                     ["report", str(path)],
+                     ["diff-runs", str(path), str(path)],
+                     ["watch", str(path), "--once"]):
+            capsys.readouterr()
+            main(argv)
+            refusals.add(capsys.readouterr().err.removeprefix(
+                f"repro-chain {argv[0]}: "))
+        assert refusals == {
+            f"{path}: verdict for {domain!r}: report payload does not "
+            f"decode ({reason})\n"
+        }
+
+    @pytest.mark.parametrize("chain_key", [5, ["not hex"], [7], ["ab"]],
+                             ids=["int", "not-hex", "not-str", "short-hex"])
     def test_scan_refuses_a_malformed_chain_key(self, journal, chain_key,
                                                 tmp_path, capsys):
         """Resume and the shard fold both turn ``chain_key`` back into
@@ -1556,6 +1595,52 @@ class TestUndecodableJournalVerdict:
         assert capsys.readouterr().err == (
             f"repro-chain diff-runs: {missing}: No such file or directory\n"
         )
+
+
+class TestReadersAgreeOnCompliance:
+    """A verdict's compliance is the decoded report's own: a chain
+    whose completeness reads ``incomplete``, with no violation evidence
+    behind it, is non-compliant to a resumed ``scan``, to ``report``
+    and to ``diff-runs`` alike."""
+
+    def test_an_incomplete_verdict_without_evidence(self, tmp_path,
+                                                     capsys):
+        import json
+
+        journal = tmp_path / "run.jsonl"
+        scan = ["scan", "--domains", "30", "--seed", "833"]
+        assert main([*scan, "--journal", str(journal)]) == 0
+        lines = journal.read_bytes().splitlines(keepends=True)
+        at, event = next(
+            (i, event) for i, event in enumerate(map(json.loads, lines))
+            if event["type"] == "verdict"
+            and event["report"]["completeness"]["category"] != "incomplete"
+            and not any(e["verdict"] == "violation"
+                        for section in ("leaf", "order", "completeness")
+                        for e in event["report"][section]["evidence"]))
+        event["report"]["completeness"]["category"] = "incomplete"
+        damaged = tmp_path / "damaged.jsonl"
+        _rewrite_line(damaged, lines, at, event)
+
+        capsys.readouterr()
+        assert main([*scan, "--journal", str(damaged)]) == 0
+        resumed = capsys.readouterr().out
+        chains = next(line for line in resumed.splitlines()
+                      if line.startswith("chains:"))
+        noncompliant = int(chains.split("non-compliant:")[1].split()[0])
+        report_json = tmp_path / "report.json"
+        assert main(["report", str(damaged),
+                     "--json-out", str(report_json)]) == 0
+        verdicts = json.loads(report_json.read_text())["verdicts"]
+        assert verdicts["total"] - verdicts["compliant"] == noncompliant
+        assert main(["report", str(journal),
+                     "--json-out", str(report_json)]) == 0
+        undamaged = json.loads(report_json.read_text())["verdicts"]
+        assert (undamaged["total"] - undamaged["compliant"]
+                == noncompliant - 1)
+        capsys.readouterr()
+        assert main(["diff-runs", str(journal), str(damaged)]) == 1
+        assert event["domain"] in capsys.readouterr().out
 
 
 class TestProcessLevel:
