@@ -272,6 +272,11 @@ def _typed_strings(section, name: str) -> list:
     return values
 
 
+#: Each section type's encoder, which the table keys its texts on.
+_SECTION_JSON = {LeafAnalysis: _leaf_json, OrderAnalysis: _order_json,
+                 CompletenessAnalysis: _completeness_json}
+
+
 class ReportTable:
     """The report codec's table: payloads in, reports out, and reports
     in, lines out, sharing what repeats.
@@ -289,24 +294,35 @@ class ReportTable:
       each field checked for its exact JSON type, so a payload that
       does not decode is refused with the same
       :class:`~repro.errors.PayloadError` whichever table decodes it.
+      Decoding encodes nothing, so a read-only pass (journal resume,
+      the shard fold, the run report) pays for no text.
     * :meth:`encode` keys a fresh report's sections on their encoded
-      JSON text, which the report's line is assembled from anyway.  A
-      section :meth:`decode` made is keyed on its text too, so a
-      written report shares the sections of replayed ones.
+      JSON text, which the report's line is assembled from anyway.
+      :meth:`end_decode` keys each section :meth:`decode` made on its
+      text too, once per distinct section, so a written report shares
+      the sections of replayed ones.
+
+    The table remembers the text of every section it keyed, so
+    :meth:`text` assembles the line of a report built on its sections
+    from lookups, encoding only a section it does not hold.
 
     :meth:`intern` shares equal strings too, for callers that keep
     strings beside the reports (the verdict store's index keys).
     :meth:`end_decode` drops the marshal keys and the interned strings,
     which only decoding reads, and keeps the sections for
-    :meth:`encode`.
+    :meth:`encode` and :meth:`text`.
     """
 
-    __slots__ = ("_shared", "_strings", "_texts")
+    __slots__ = ("_shared", "_strings", "_texts", "_text_of")
 
     def __init__(self) -> None:
         self._shared: dict[tuple, object] = {}
         self._strings: dict[str, str] = {}
+        #: text → the section first keyed on it
         self._texts: dict[str, object] = {}
+        #: id(section) → text, for each section in ``_texts``, which
+        #: holds it, so the id stays its own
+        self._text_of: dict[int, str] = {}
 
     def intern(self, value):
         """The first string equal to ``value`` this table saw (``value``
@@ -316,34 +332,61 @@ class ReportTable:
         return self._strings.setdefault(value, value)
 
     def end_decode(self) -> None:
-        """Forget the decode-only maps (marshal keys, interned strings);
-        the sections stay shared with :meth:`encode`."""
+        """Key every section :meth:`decode` made on its text, encoding
+        each distinct section once, and forget the decode-only maps
+        (marshal keys, interned strings); the sections stay shared with
+        :meth:`encode` and :meth:`text`."""
+        for (kind, _), section in self._shared.items():
+            encode = _SECTION_JSON.get(kind)
+            if encode is not None:  # not an evidence record
+                self._key(encode(section), section)
         self._shared = {}
         self._strings = {}
+
+    def _key(self, text: str, section):
+        """The section keyed on ``text``: the first one this table keyed
+        on it, else ``section``, now keyed."""
+        shared = self._texts.setdefault(text, section)
+        if shared is section:
+            self._text_of[id(section)] = text
+        return shared
+
+    def _text(self, section, encode) -> str:
+        """``section``'s text: the one it was keyed on, else encoded."""
+        text = self._text_of.get(id(section))
+        return encode(section) if text is None else text
 
     def encode(self, report: ChainComplianceReport
                ) -> tuple[ChainComplianceReport, str]:
         """The report to keep for ``report``, and its JSON text.
 
-        Each section is keyed on its encoded text, and the first section
-        of equal text this table saw, decoded or encoded, stands in for
+        Each section is keyed on its text, and the first section of
+        equal text this table keyed, decoded or encoded, stands in for
         ``report``'s: the returned report is ``report`` itself when its
         sections are new, else one rebuilt on the shared sections.  The
         text is the report's :meth:`~ChainComplianceReport.to_json`."""
-        texts = self._texts
         leaf_text = _leaf_json(report.leaf)
-        leaf = texts.setdefault(leaf_text, report.leaf)
+        leaf = self._key(leaf_text, report.leaf)
         order_text = _order_json(report.order)
-        order = texts.setdefault(order_text, report.order)
+        order = self._key(order_text, report.order)
         completeness_text = _completeness_json(report.completeness)
-        completeness = texts.setdefault(completeness_text,
-                                        report.completeness)
+        completeness = self._key(completeness_text, report.completeness)
         if not (leaf is report.leaf and order is report.order
                 and completeness is report.completeness):
             report = ChainComplianceReport(report.domain, report.chain_length,
                                            leaf, order, completeness)
         return report, _report_json(report.domain, report.chain_length,
                                     leaf_text, order_text, completeness_text)
+
+    def text(self, report: ChainComplianceReport) -> str:
+        """``report``'s :meth:`~ChainComplianceReport.to_json` text,
+        each section this table keyed served from its kept text and
+        any other (a leaf re-bound to another domain) encoded."""
+        return _report_json(report.domain, report.chain_length,
+                            self._text(report.leaf, _leaf_json),
+                            self._text(report.order, _order_json),
+                            self._text(report.completeness,
+                                       _completeness_json))
 
     def decode(self, payload) -> ChainComplianceReport:
         """The report whose :meth:`~ChainComplianceReport.to_json` text
@@ -356,12 +399,10 @@ class ReportTable:
             return ChainComplianceReport(
                 domain=_typed(payload, "domain", str),
                 chain_length=_typed(payload, "chain_length", int),
-                leaf=self._share(LeafAnalysis, leaf, self._leaf, _leaf_json),
-                order=self._share(OrderAnalysis, order, self._order,
-                                  _order_json),
+                leaf=self._share(LeafAnalysis, leaf, self._leaf),
+                order=self._share(OrderAnalysis, order, self._order),
                 completeness=self._share(CompletenessAnalysis, completeness,
-                                         self._completeness,
-                                         _completeness_json),
+                                         self._completeness),
             )
         except (KeyError, TypeError, ValueError, AttributeError,
                 IndexError, OverflowError) as exc:
@@ -370,16 +411,13 @@ class ReportTable:
                 f"({type(exc).__name__}: {exc})"
             ) from None
 
-    def _share(self, kind: type, section, decode, encode=None):
+    def _share(self, kind: type, section, decode):
         """The table's ``kind`` instance for ``section``: the one an
-        equal section decoded to, else ``decode(section)``, kept (and,
-        with ``encode``, offered to :meth:`encode` under its text)."""
+        equal section decoded to, else ``decode(section)``, kept."""
         key = _sharing_key(kind, section)
         shared = self._shared.get(key)
         if shared is None:
             shared = decode(section)
-            if encode is not None:
-                shared = self._texts.setdefault(encode(shared), shared)
             if key is not None:
                 self._shared[key] = shared
         return shared

@@ -25,7 +25,10 @@ Verdicts append to the journal in observation order with the same
 (domain, chain_key, report) payloads that analysing every observation
 would write; the journal appends each (domain, chain) once.  A report
 the store wrote reaches the journal as the text the store framed, so
-the pass encodes each verdict once.
+the pass encodes each verdict once; one the store served reaches it as
+text the store assembles from the sections' kept texts
+(:meth:`~repro.measurement.store.VerdictStore.report_json`), so each
+distinct section is encoded once per run, not once per report.
 
 Everything runs in the calling process (docs/PERFORMANCE.md,
 "Execution model").
@@ -158,7 +161,10 @@ def analyze_observations(
             if written is not None:
                 report, text = written
         if journal is not None and recorded is None:
-            journal.record_verdict(domain, hexkey, text or report.to_json())
+            if text is None:
+                text = (report.to_json() if verdict_store is None
+                        else verdict_store.report_json(report))
+            journal.record_verdict(domain, hexkey, text)
         reports.append(report)
         throughput.inc()
         if status is not None:

@@ -40,7 +40,8 @@ value type per record kind and a hit is a dictionary lookup.  One
 :class:`~repro.core.compliance.ReportTable` decodes a whole replay and
 encodes every report the store writes after it, so equal report
 sections are one object, replayed or written, and equal key strings
-one string.  A torn
+one string; it keeps each section's text, from which
+:meth:`VerdictStore.report_json` assembles a served report's.  A torn
 *final* record (the crash left a partial line) is truncated away and
 counted as a recovery; other damage, and a live record that does not
 decode, raises :class:`~repro.errors.StoreError` naming the file or
@@ -585,6 +586,15 @@ class VerdictStore:
         self.writes += 1
         obs.get_metrics().counter("store.writes", kind="report").inc()
         return report, text
+
+    def report_json(self, report: ChainComplianceReport) -> str:
+        """``report``'s :meth:`~repro.core.compliance.ChainComplianceReport.to_json`
+        text, each section the index holds served from the text the
+        store's :class:`ReportTable` keeps for it (see
+        :meth:`ReportTable.text`): a served report costs lookups, and
+        only a section the store does not hold (a leaf re-bound to
+        another domain) is encoded."""
+        return self._table.text(report)
 
     # -- differential outcomes ----------------------------------------
 

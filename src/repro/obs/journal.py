@@ -363,9 +363,6 @@ class RunJournal:
         self._events_written = 0
         self._pending = 0
         self._handle: io.TextIOBase | None = None
-        #: per-event-type ``journal.events`` counters, revalidated
-        #: against the live registry (obs.enable can swap it mid-run)
-        self._counters: dict[str, tuple[Any, Any]] = {}
 
     # -- construction --------------------------------------------------
 
@@ -443,17 +440,9 @@ class RunJournal:
         if self._pending >= self.flush_every:
             self.flush()
         self._events_written += 1
-        registry = _active_registry()
-        cached = self._counters.get(event_type)
-        if cached is not None and cached[0] is registry:
-            counter = cached[1]
-        else:
-            counter = registry.counter("journal.events", type=event_type)
-            if isinstance(registry, _OBS_MODULE.NullMetricsRegistry):
-                counter = None  # metrics off: skip the no-op inc entirely
-            self._counters[event_type] = (registry, counter)
-        if counter is not None:
-            counter.inc()
+        # the live registry, asked each time: obs.enable can swap it
+        # mid-run, and a repeated lookup is one dictionary probe
+        _active_registry().counter("journal.events", type=event_type).inc()
 
     def flush(self) -> None:
         """Push buffered records to the OS."""

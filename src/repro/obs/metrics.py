@@ -201,9 +201,17 @@ class MetricsRegistry:
     """Creates, deduplicates, and exports labeled metrics.
 
     ``counter(name, **labels)`` (and friends) return the same object
-    for the same (name, labels) pair, so hot paths may either call
-    through the registry every time or cache the returned instance.
+    for the same (name, labels) pair, so hot paths may call through
+    the registry every time.  A series is named by its labels' names
+    and the ``str()`` of their values, in any order: ``a=1, b="x"``
+    and ``b="x", a="1"`` are one series, ``1.0`` and ``True`` two more.
     Registering one name as two different types is an error.
+
+    The first call of each spelling resolves the series under the
+    lock, sorting its labels; the spelling — the name, then the label
+    names in call order and the values' ``str()`` (a bare name without
+    labels) — then maps straight to the series, so a repeated call is
+    one dictionary lookup, without the sort or the lock.
     """
 
     def __init__(self) -> None:
@@ -211,6 +219,10 @@ class MetricsRegistry:
         self._families: dict[str, type] = {}
         self._series: dict[tuple[str, LabelKey], object] = {}
         self._buckets: dict[str, tuple[float, ...]] = {}
+        #: per metric type, each call spelling resolved → its series
+        self._counters: dict[tuple, Counter] = {}
+        self._gauges: dict[tuple, Gauge] = {}
+        self._histograms: dict[tuple, Histogram] = {}
 
     # -- creation ------------------------------------------------------
 
@@ -232,18 +244,38 @@ class MetricsRegistry:
             return series
 
     def counter(self, name: str, **labels: object) -> Counter:
-        return self._get(Counter, name, labels)
+        spelling = ((name, *labels, *map(str, labels.values()))
+                    if labels else name)
+        series = self._counters.get(spelling)
+        if series is None:
+            series = self._counters[spelling] = self._get(Counter, name,
+                                                          labels)
+        return series
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get(Gauge, name, labels)
+        spelling = ((name, *labels, *map(str, labels.values()))
+                    if labels else name)
+        series = self._gauges.get(spelling)
+        if series is None:
+            series = self._gauges[spelling] = self._get(Gauge, name, labels)
+        return series
 
     def histogram(self, name: str, *, buckets: Iterable[float] | None = None,
                   **labels: object) -> Histogram:
+        spelling = ((name, *labels, *map(str, labels.values()))
+                    if labels else name)
+        series = self._histograms.get(spelling)
+        # the first ``buckets`` given for a name set it for every
+        # series of that name created later
+        if series is not None and (buckets is None or name in self._buckets):
+            return series
         with self._lock:
             if buckets is not None:
                 self._buckets.setdefault(name, tuple(buckets))
             bounds = self._buckets.get(name, DEFAULT_BUCKETS)
-        return self._get(Histogram, name, labels, buckets=bounds)
+        series = self._histograms[spelling] = self._get(
+            Histogram, name, labels, buckets=bounds)
+        return series
 
     # -- introspection -------------------------------------------------
 

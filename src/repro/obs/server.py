@@ -172,14 +172,11 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                                             "for this run"})
             return
         from repro.errors import JournalError, PayloadError
-        from repro.obs.journal import read_journal
+        from repro.obs.journal import validate_journal
         from repro.obs.report import build_report
 
         try:
-            # read_journal (not validate_journal): an in-flight journal
-            # legitimately lacks its closing summary and may end in a
-            # partially flushed line, both tolerated by the reader.
-            manifest, events = read_journal(owner.journal_path)
+            manifest, events = validate_journal(owner.journal_path)
             report = build_report(manifest, events)
         except PayloadError as exc:
             self._reply_json(503, {"error": f"{owner.journal_path}: {exc}"})

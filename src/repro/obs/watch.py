@@ -50,11 +50,11 @@ class JournalSource:
 
     def frame(self) -> dict[str, Any]:
         from repro.errors import JournalError, PayloadError
-        from repro.obs.journal import read_journal
+        from repro.obs.journal import validate_journal
         from repro.obs.report import build_report
 
         try:
-            manifest, events = read_journal(self.path)
+            manifest, events = validate_journal(self.path)
             report = build_report(manifest, events)
         except PayloadError as exc:
             # a verdict that does not decode names its domain, not the

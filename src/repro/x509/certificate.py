@@ -27,12 +27,15 @@ class _DerivedFacts:
 
     None of them is a dataclass field, so ``dataclasses.replace``,
     equality and :func:`~repro.x509.encoding.certificate_to_dict` never
-    see them.  An empty slot is filled by :meth:`Certificate.__getattr__`
-    on its first read, after which the read is a plain slot lookup.
+    see them.  Signing and decoding, which make the TBS bytes, fill
+    the TBS bytes and fingerprint slots (:func:`certificate_with_facts`);
+    a certificate built from its fields alone fills those on first read
+    (:class:`_Underived`).  :attr:`Certificate.pem` and
+    :attr:`Certificate.is_self_signed` fill theirs on first read.
     """
 
-    __slots__ = ("tbs_bytes", "fingerprint", "fingerprint_hex", "pem",
-                 "is_self_signed", "_verified_by")
+    __slots__ = ("tbs_bytes", "fingerprint", "fingerprint_hex", "_pem",
+                 "_self_signed", "_verified_by")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +45,9 @@ class Certificate(_DerivedFacts):
     Instances are hashable on their fingerprint, so they can live in
     sets and dictionaries — the dedup step of the topology analysis
     relies on this.  They carry no instance ``__dict__``: the fields and
-    the derived facts (:class:`_DerivedFacts`) live in fixed slots.
+    the derived facts (:class:`_DerivedFacts`) live in fixed slots, and
+    the class has no ``__getattr__``, so the interpreter's specialised
+    attribute reads apply to every field and fact.
     """
 
     subject: Name
@@ -55,26 +60,17 @@ class Certificate(_DerivedFacts):
     signature: bytes = b""
     version: int = 3
 
+    def __new__(cls, *args, **kwargs):
+        """A certificate built from its fields alone (by a caller, or by
+        ``dataclasses.replace``) is an :class:`_Underived` one, which
+        derives its facts on first read."""
+        return object.__new__(_Underived if cls is Certificate else cls)
+
     # ------------------------------------------------------------------
     # Canonical encodings and identity
     # ------------------------------------------------------------------
 
-    def __getattr__(self, name: str):
-        """Derive an empty fact slot's value on its first read and keep
-        it in the slot.  ``_verified_by`` (the last key that verified the
-        signature) reads None until :meth:`verify_signature` fills it."""
-        derive = _DERIVE.get(name)
-        if derive is None:
-            if name == "_verified_by":
-                return None
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value = derive(self)
-        object.__setattr__(self, name, value)
-        return value
-
-    def _derive_tbs_bytes(self) -> bytes:
+    def _encode_tbs(self) -> bytes:
         """Canonical to-be-signed encoding (stable across processes)."""
         return encode_tbs(
             self.version, self.serial_number,
@@ -83,23 +79,24 @@ class Certificate(_DerivedFacts):
             self.validity, self.public_key, self.extensions.encode(),
         )
 
-    def _derive_fingerprint(self) -> bytes:
-        """SHA-256 over TBS bytes plus signature: bit-for-bit identity."""
-        return hashlib.sha256(self.tbs_bytes + b"||" + self.signature).digest()
-
-    def _derive_fingerprint_hex(self) -> str:
-        return self.fingerprint.hex()
-
-    def _derive_pem(self) -> str:
-        """This certificate as a PEM block, encoded once per object.
+    @property
+    def pem(self) -> str:
+        """This certificate as a PEM block, encoded on first read and
+        kept on the object.
 
         Kept on the object rather than looked up by fingerprint:
         certificates that differ only in ``signature_algorithm``, which
         the TBS bytes omit, are equal yet encode differently.
         """
+        try:
+            return self._pem
+        except AttributeError:  # the first read encodes it
+            pass
         from repro.x509.encoding import to_pem
 
-        return to_pem(self)
+        pem = to_pem(self)
+        object.__setattr__(self, "_pem", pem)
+        return pem
 
     def __hash__(self) -> int:
         return hash(self.fingerprint)
@@ -146,16 +143,23 @@ class Certificate(_DerivedFacts):
         ext = self.extensions.basic_constraints
         return ext.path_length if ext is not None else None
 
-    def _derive_is_self_signed(self) -> bool:
-        """Subject equals issuer *and* its own key verifies its signature.
+    @property
+    def is_self_signed(self) -> bool:
+        """Subject equals issuer *and* its own key verifies its signature;
+        decided on first read and kept on the object.
 
         The name check alone would misclassify certificates that merely
         reuse a DN; real implementations also check the signature (or at
         least the key identifiers), so we do too.
         """
-        if self.subject != self.issuer:
-            return False
-        return self.verify_signature(self.public_key)
+        try:
+            return self._self_signed
+        except AttributeError:  # the first read decides it
+            pass
+        value = (self.subject == self.issuer
+                 and self.verify_signature(self.public_key))
+        object.__setattr__(self, "_self_signed", value)
+        return value
 
     @property
     def is_self_issued(self) -> bool:
@@ -232,14 +236,53 @@ class Certificate(_DerivedFacts):
         )
 
 
-#: How :meth:`Certificate.__getattr__` fills each derived-fact slot.
-_DERIVE = {
-    "tbs_bytes": Certificate._derive_tbs_bytes,
-    "fingerprint": Certificate._derive_fingerprint,
-    "fingerprint_hex": Certificate._derive_fingerprint_hex,
-    "pem": Certificate._derive_pem,
-    "is_self_signed": Certificate._derive_is_self_signed,
-}
+class _Underived(Certificate):
+    """A certificate built from its fields alone: its fact slots start
+    empty, and an empty one is derived on its first read and kept.
+
+    The derivation hook lives on this class only, since any
+    ``__getattr__`` keeps the interpreter from specialising the class's
+    attribute reads; certificates made by signing or decoding are plain
+    :class:`Certificate` objects, with their facts in place.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        """Fill the TBS bytes and fingerprint slots on the first read of
+        any of them.  ``_verified_by`` (the last key that verified the
+        signature) reads None until :meth:`verify_signature` fills it."""
+        if name == "_verified_by":
+            return None
+        if name not in ("tbs_bytes", "fingerprint", "fingerprint_hex"):
+            raise AttributeError(
+                f"'Certificate' object has no attribute {name!r}")
+        _fill_facts(self, self._encode_tbs())
+        return object.__getattribute__(self, name)
+
+
+def _fill_facts(certificate: Certificate, tbs: bytes) -> None:
+    """Put ``tbs`` and the fingerprint it makes, SHA-256 over TBS bytes
+    plus signature (bit-for-bit identity), in ``certificate``'s slots."""
+    fingerprint = hashlib.sha256(tbs + b"||" + certificate.signature).digest()
+    fill = object.__setattr__
+    fill(certificate, "tbs_bytes", tbs)
+    fill(certificate, "fingerprint", fingerprint)
+    fill(certificate, "fingerprint_hex", fingerprint.hex())
+
+
+def certificate_with_facts(*args, tbs: bytes | None = None,
+                           **kwargs) -> Certificate:
+    """``Certificate(*args, **kwargs)`` made the way signing and decoding
+    make every certificate: a plain :class:`Certificate` with its TBS
+    bytes (``tbs`` when the caller made them, else encoded here),
+    fingerprint and fingerprint hex in their slots."""
+    certificate = object.__new__(Certificate)
+    certificate.__init__(*args, **kwargs)
+    _fill_facts(certificate,
+                certificate._encode_tbs() if tbs is None else tbs)
+    object.__setattr__(certificate, "_verified_by", None)
+    return certificate
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +349,8 @@ def sign_certificate(
         issuer.rfc4514_string().encode(), validity, public_key,
         b"\n".join([encoding for _, encoding in extensions]),
     )
-    certificate = Certificate(
+    return certificate_with_facts(
         subject, issuer, serial_number, validity, public_key,
         ExtensionSet(tuple([extension for extension, _ in extensions])),
-        keypair.signature_algorithm, keypair.sign(tbs),
+        keypair.signature_algorithm, keypair.sign(tbs), tbs=tbs,
     )
-    object.__setattr__(certificate, "tbs_bytes", tbs)
-    return certificate

@@ -15,7 +15,7 @@ import json
 from datetime import datetime
 
 from repro.errors import EncodingError, ExtensionError
-from repro.x509.certificate import Certificate
+from repro.x509.certificate import Certificate, certificate_with_facts
 from repro.x509.extensions import (
     AccessDescription,
     AuthorityInformationAccess,
@@ -225,7 +225,7 @@ def certificate_from_dict(obj: dict) -> Certificate:
     try:
         _typed(obj, "certificate", dict)
         sig_alg = _typed(obj.get("sig_alg"), "sig_alg", str, type(None))
-        return Certificate(
+        return certificate_with_facts(
             version=_typed(obj["version"], "version", int),
             serial_number=_typed(obj["serial"], "serial", int),
             subject=_name_from_obj(obj["subject"]),

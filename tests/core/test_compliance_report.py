@@ -235,3 +235,67 @@ class TestJsonSerialization:
         report = analyze_chain("ünïcode.example", h.chain_for(leaf), store,
                                repo)
         assert report.to_json() == self.compact(report)
+
+
+class TestStoreServedText:
+    """A report the verdict store serves reaches the journal as text the
+    store assembles from the texts it keeps for its sections; that text
+    must be the reference encoding, byte for byte, for every report of
+    a cold → warm store pair and for a stored report re-bound to another
+    domain, whose leaf the store does not hold."""
+
+    def test_journal_text_matches_the_reference(self, tmp_path):
+        import json
+
+        from repro.core.compliance import rebind_for_domain
+        from repro.measurement import VerdictStore
+        from repro.measurement.parallel import (
+            analyze_observations,
+            chain_key_hex,
+        )
+        from repro.obs import RunJournal
+        from repro.webpki import Ecosystem, EcosystemConfig
+
+        ecosystem = Ecosystem.generate(EcosystemConfig(n_domains=300,
+                                                       seed=833))
+        observations = ecosystem.observations()
+        union = ecosystem.registry.union()
+
+        def compact(report) -> str:
+            return json.dumps(reference_dict(report), separators=(",", ":"))
+
+        def journaled(name):
+            """Each verdict's report text in the journal of one pass,
+            and the pass's reports."""
+            path = tmp_path / name
+            with VerdictStore(tmp_path / "vs") as store, \
+                    RunJournal.create(path, {"seed": 833}) as journal:
+                reports, stats = analyze_observations(
+                    observations, store=union, fetcher=ecosystem.aia_repo,
+                    verdict_store=store, journal=journal)
+            lines = path.read_text().splitlines()[1:]
+            return [line[line.index(',"report":') + 10:-1]
+                    for line in lines], reports, stats
+
+        cold, cold_reports, cold_stats = journaled("cold.jsonl")
+        warm, warm_reports, warm_stats = journaled("warm.jsonl")
+        assert cold_stats.cache_hits == 0
+        assert warm_stats.cache_hits == len(observations)
+        assert warm == cold
+        seen, expected = set(), []
+        for (domain, chain), report in zip(observations, warm_reports):
+            if (domain, chain_key_hex(chain)) not in seen:
+                seen.add((domain, chain_key_hex(chain)))
+                expected.append(compact(report))
+        assert warm == expected
+        assert len(warm) == len(cold_reports) > 250
+
+        domain, chain = observations[0]
+        with VerdictStore(tmp_path / "vs") as store:
+            stored = store.get_report(chain_key_hex(chain), union.digest())
+            rebound = rebind_for_domain(stored, "elsewhere.example", chain)
+            assert rebound.leaf is not stored.leaf
+            assert store.report_json(stored) == compact(stored)
+            assert store.report_json(rebound) == compact(rebound)
+            assert json.loads(store.report_json(rebound))["domain"] == (
+                "elsewhere.example")

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core import analyze_chain
+from repro.core import analyze_chain, compliance
 from repro.core.compliance import ChainComplianceReport, ReportTable
 from repro.core.completeness import CompletenessAnalysis, CompletenessClass
 from repro.core.leaf import LeafAnalysis, LeafPlacement
@@ -374,6 +374,57 @@ class TestRefusals:
         payload["completeness"]["evidence"][0]["edges"] = edges
         with pytest.raises(PayloadError, match="does not decode"):
             ReportTable().decode(payload)
+
+
+class TestSectionTexts:
+    """Decoding encodes nothing, so a read-only pass (journal resume,
+    the shard fold, the run report) pays for no text; the verdict
+    store, which frames texts, has its table key each decoded section
+    on its text once, at :meth:`ReportTable.end_decode`."""
+
+    @pytest.fixture()
+    def encoded(self, monkeypatch):
+        """The sections the codec's section encoders are called on."""
+        calls = []
+
+        def counted(encode):
+            def encoder(section):
+                calls.append(section)
+                return encode(section)
+            return encoder
+
+        for name in ("_leaf_json", "_order_json", "_completeness_json"):
+            monkeypatch.setattr(compliance, name,
+                                counted(getattr(compliance, name)))
+        monkeypatch.setattr(compliance, "_SECTION_JSON", {
+            kind: counted(encode)
+            for kind, encode in compliance._SECTION_JSON.items()})
+        return calls
+
+    def test_a_decode_pass_encodes_no_section(self, payloads, encoded):
+        table = ReportTable()
+        reports = [table.decode(copy.deepcopy(p)) for p in payloads]
+        assert encoded == []
+        table.end_decode()
+        distinct = {id(section) for report in reports
+                    for section in (report.leaf, report.order,
+                                    report.completeness)}
+        assert len(distinct) < len(reports)  # the corpus repeats sections
+        assert sorted(map(id, encoded)) == sorted(distinct)
+        encoded.clear()
+        assert [table.text(report) for report in reports] == [
+            json.dumps(p, separators=(",", ":")) for p in payloads]
+        assert encoded == []
+
+    def test_the_run_report_encodes_no_section(self, payloads, encoded):
+        from repro.obs.report import build_report
+
+        events = [{"type": "verdict", "domain": p["domain"],
+                   "chain_key": [f"{index:064x}"], "report": p}
+                  for index, p in enumerate(payloads)]
+        report = build_report({"type": "manifest", "seed": 833}, events)
+        assert report.verdict_total == len(payloads)
+        assert encoded == []
 
 
 def test_intern_shares_equal_strings():

@@ -112,6 +112,25 @@ class TestAppendAndRead:
         assert registry.value("journal.events", type="manifest") == 1
         assert registry.value("journal.events", type="scan") == 2
 
+    def test_events_count_in_the_registry_live_at_each_append(self,
+                                                             tmp_path):
+        """``obs.enable`` may swap the registry while a journal is open:
+        each event counts in the registry live when it is appended."""
+        with obs.instrumented() as (first, _):
+            with fresh(tmp_path) as journal:
+                journal.record("scan", domain="a.example")
+                second, _ = obs.enable()
+                journal.record("scan", domain="b.example")
+                journal.record("scan", domain="c.example")
+                obs.disable()
+                journal.record("scan", domain="d.example")
+                obs.enable(first)
+                journal.record("scan", domain="e.example")
+        assert first.value("journal.events", type="manifest") == 1
+        assert first.value("journal.events", type="scan") == 2
+        assert second.value("journal.events", type="manifest") == 0
+        assert second.value("journal.events", type="scan") == 2
+
 
 class TestCrashSafety:
     def test_truncated_final_line_is_dropped(self, tmp_path):

@@ -1,7 +1,9 @@
 """Counter/Gauge/Histogram math, labels, export, thread safety."""
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -66,6 +68,81 @@ class TestLabels:
         registry.counter("name")
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("name")
+
+
+class TestRepeatedLookups:
+    """A repeated lookup is answered from the spelling it was first
+    resolved under, and must name the series the sorted lookup names."""
+
+    def test_another_label_order_names_the_same_series(self, registry):
+        first = registry.counter("c", a="x", b="y")
+        for _ in range(2):  # resolved, then served from the cache
+            assert registry.counter("c", b="y", a="x") is first
+            assert registry.counter("c", a="x", b="y") is first
+        assert len(registry) == 1
+
+    @pytest.mark.parametrize("first", [1, "1", True, 1.0])
+    def test_a_label_value_names_its_series_by_str(self, registry, first):
+        """``1`` and ``"1"`` are one series; ``True`` and ``1.0``, equal
+        to ``1`` and hashing alike, are a series each, whichever
+        spelling was resolved first."""
+        registry.counter("c", v=first).inc()
+        for value in (1, "1", True, 1.0) * 2:
+            registry.counter("c", v=value).inc()
+        assert registry.counter("c", v=1) is registry.counter("c", v="1")
+        expected = {"1": 4, "True": 2, "1.0": 2}
+        expected[str(first)] += 1
+        assert {name: registry.value("c", v=name)
+                for name in expected} == expected
+        assert len(registry) == 3
+
+    def test_a_repeated_lookup_takes_no_lock(self, registry):
+        counter = registry.counter("c", a="1")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h", buckets=(1,), a="1")
+
+        class Refused:
+            def __enter__(self):
+                raise AssertionError("the registry lock was taken")
+
+            def __exit__(self, *exc_info):
+                return False
+
+        registry._lock = Refused()
+        assert registry.counter("c", a="1") is counter
+        assert registry.gauge("g") is gauge
+        assert registry.histogram("h", buckets=(1,), a="1") is histogram
+        assert registry.histogram("h", a="1") is histogram
+
+    def test_a_type_clash_raises_after_the_name_is_cached(self, registry):
+        registry.counter("x", a="1").inc()
+        registry.counter("x", a="1").inc()
+        registry.gauge("g")
+        registry.gauge("g")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("x", a="1")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("x", a="1")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("g")
+        assert registry.value("x", a="1") == 2
+
+    def test_an_unhashable_label_value_names_its_series_by_str(self,
+                                                              registry):
+        series = registry.counter("c", v=[1, 2])
+        assert registry.counter("c", v=[1, 2]) is series
+        assert registry.counter("c", v="[1, 2]") is series
+        registry.counter("c", v={"k": []}).inc()
+        assert registry.value("c", v="{'k': []}") == 1
+
+    def test_the_first_buckets_given_still_reach_later_series(self,
+                                                             registry):
+        first = registry.histogram("h", a="1")
+        assert registry.histogram("h", buckets=(1, 2), a="1") is first
+        assert first.bounds == tuple(float(b) for b in DEFAULT_BUCKETS)
+        assert registry.histogram("h", a="2").bounds == (1.0, 2.0)
+        assert registry.histogram("h", buckets=(5,), a="2").bounds == (
+            1.0, 2.0)
 
 
 class TestHistogram:
@@ -206,6 +283,46 @@ class TestThreadSafety:
         assert counter.value == 16_000
         assert hist.count == 16_000
         assert registry.value("labeled", thread="t") == 16_000
+
+
+    def test_racing_lookups_resolve_one_series_per_label_set(self):
+        """Eight threads resolve and bump the same labelled counters,
+        half of them spelling the labels in the other order, with the
+        interpreter switching threads every few microseconds: every
+        increment lands, in one series per label set."""
+        label_sets = [{"kind": kind, "n": n}
+                      for kind in ("a", "b") for n in range(3)]
+        rounds = 100
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 1.0
+            while True:
+                registry = MetricsRegistry()
+                start = threading.Barrier(8, timeout=30)
+
+                def worker(flip):
+                    start.wait()
+                    for _ in range(rounds):
+                        for labels in label_sets:
+                            if flip:
+                                labels = dict(reversed(labels.items()))
+                            registry.counter("race", **labels).inc()
+
+                threads = [threading.Thread(target=worker, args=(i % 2,))
+                           for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(registry.series("race")) == len(label_sets)
+                for labels in label_sets:
+                    assert registry.value("race", **labels) == 8 * rounds
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestNullRegistry:

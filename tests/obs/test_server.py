@@ -225,6 +225,21 @@ class TestReportEndpoint:
             f"{path}: verdict for 'a.example': report payload does not "
             f"decode (KeyError: 'order')")
 
+    def test_503_on_a_duplicated_verdict(self, registry, tmp_path):
+        """Structural damage ``report`` refuses (a verdict recorded
+        twice) is a 503 too, not a report counting the chain twice."""
+        path = tmp_path / "run.jsonl"
+        with RunJournal.create(path, {"seed": 1}) as journal:
+            journal.record_verdict("a.example", ("aa" * 32,), "{}")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(path.read_text().splitlines()[-1] + "\n")
+        with TelemetryServer(registry, journal_path=path) as server:
+            code, payload = get_json(server.url, "/report")
+        assert code == 503
+        assert payload["error"] == (
+            f"{path}: corrupt journal: line 3: duplicate verdict for "
+            f"'a.example' (chain already recorded)")
+
     def test_serves_partial_report_from_in_flight_journal(
         self, registry, tmp_path
     ):

@@ -1478,10 +1478,10 @@ class TestStoreRefusedAtOpen:
 
 
 class TestUndecodableJournalVerdict:
-    """A journal verdict that does not decode, lacks its domain or has
-    no usable chain key: every command reading it prints one line,
-    naming the journal once, and exits with its input-error code (3 for
-    ``diff-runs``)."""
+    """A journal verdict that does not decode, lacks its domain, has no
+    usable chain key or repeats another: every command reading it
+    prints one line, naming the journal once, and exits with its
+    input-error code (3 for ``diff-runs``)."""
 
     @pytest.fixture(scope="class")
     def journal(self, tmp_path_factory):
@@ -1541,6 +1541,27 @@ class TestUndecodableJournalVerdict:
         assert err.startswith(f"repro-chain {command}: "), err
         assert err.count("\n") == 1, err
         assert err.count(str(path)) == 1, err
+
+    @pytest.mark.parametrize("command", ["report", "watch"])
+    def test_duplicated_verdict_line(self, journal, command, tmp_path,
+                                     capsys):
+        """A verdict line appended again is structural damage: the live
+        dashboard refuses it as ``report`` does, not counting the chain
+        twice."""
+        lines = journal.read_bytes().splitlines(keepends=True)
+        first = next(line for line in lines
+                     if line.startswith(b'{"type":"verdict"'))
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(lines) + first)
+        argv = {"report": ["report", str(path)],
+                "watch": ["watch", str(path), "--once"]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-chain {command}: {path}: corrupt "
+                              f"journal: line {len(lines) + 1}: duplicate "
+                              f"verdict for "), err
+        assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda event: event.update(report={"leaf": 3}),
