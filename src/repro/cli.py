@@ -41,6 +41,9 @@ from contextlib import contextmanager
 
 from repro.x509 import load_pem_bundle, to_pem_bundle
 
+#: Journal records buffered between flushes (no journal's bytes depend on it)
+_JOURNAL_FLUSH_EVERY = 64
+
 
 @contextmanager
 def _collector_policy():
@@ -186,8 +189,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if args.journal:
             try:
                 journal = obs.RunJournal.open(
-                    args.journal, manifest,
-                    flush_every=args.journal_flush_every,
+                    args.journal, manifest, flush_every=_JOURNAL_FLUSH_EVERY,
                 )
             except JournalError as exc:
                 print(f"repro-chain scan: {exc}", file=sys.stderr)
@@ -341,9 +343,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 handle.write(tracer.to_json())
             print(f"wrote Chrome trace to {args.trace_out}")
         if args.report_out:
-            run_report = obs.report_from_journal(
-                args.journal, metrics=registry.snapshot()
-            )
+            try:
+                run_report = obs.report_from_journal(
+                    args.journal, metrics=registry.snapshot()
+                )
+            except JournalError as exc:
+                print(f"repro-chain scan: {exc}", file=sys.stderr)
+                return 2
             with open(args.report_out, "w", encoding="utf-8") as handle:
                 handle.write(_format_report(run_report, args.report_out))
             print(f"wrote run report to {args.report_out}")
@@ -501,7 +507,7 @@ def _load_run_report(path: str):
 def _cmd_diff_runs(args: argparse.Namespace) -> int:
     """Structurally compare two runs; exit code is the CI verdict."""
     from repro import obs
-    from repro.errors import JournalError
+    from repro.errors import JournalError, PayloadError
     from repro.obs.diff import parse_threshold
 
     if _unwritable("diff-runs", args.json_out):
@@ -522,7 +528,7 @@ def _cmd_diff_runs(args: argparse.Namespace) -> int:
             # the journal reader's messages start with the path
             print(f"repro-chain diff-runs: {exc}", file=sys.stderr)
             return 3
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, PayloadError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             print(f"repro-chain diff-runs: {path}: {reason}",
                   file=sys.stderr)
@@ -614,20 +620,16 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
     from repro.errors import JournalError
     from repro.measurement.parallel import journaled_report
 
-    # Validate before reading: a corrupt journal (duplicate summaries,
-    # non-monotonic events) would otherwise produce silently wrong
-    # explanations.
     try:
-        _, events = obs.validate_journal(args.journal)
-    except (OSError, JournalError) as exc:
+        _, events = obs.read_journal(args.journal)
+    except JournalError as exc:
         print(f"repro-chain explain: {exc}", file=sys.stderr)
         return 2
     verdicts = [e for e in events
-                if e.get("type") == "verdict"
-                and e.get("domain") == args.domain]
+                if e["type"] == "verdict" and e["domain"] == args.domain]
     differentials = [e for e in events
-                     if e.get("type") == "differential"
-                     and e.get("domain") == args.domain]
+                     if e["type"] == "differential"
+                     and e["domain"] == args.domain]
     if not verdicts and not differentials:
         print(f"repro-chain explain: no recorded events for "
               f"{args.domain!r} in {args.journal}", file=sys.stderr)
@@ -645,10 +647,9 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
             print(f"repro-chain explain: {exc}", file=sys.stderr)
             return 2
         _print_explanation(args.domain, report.chain_length, report)
-        chain_key = event.get("chain_key") or ()
-        if chain_key:
+        if event["chain_key"]:
             print("chain (presented order):")
-            for fingerprint in chain_key:
+            for fingerprint in event["chain_key"]:
                 print(f"  {fingerprint[:16]}…{fingerprint[-4:]}")
     for event in differentials:
         if not first:
@@ -656,13 +657,11 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
         first = False
         print(f"differential : {args.domain} "
               f"({event.get('chain_length', '?')} certificates)")
-        for client, result in sorted(
-            (event.get("results") or {}).items()
-        ):
+        for client, result in sorted(event.get("results", {}).items()):
             print(f"  {client:<12} {result}")
         attribution = [
             obs.evidence_from_dict(payload)
-            for payload in event.get("attribution") or ()
+            for payload in event.get("attribution", ())
         ]
         if attribution:
             print("attribution:")
@@ -792,7 +791,7 @@ def _cmd_differential(args: argparse.Namespace) -> int:
                     },
                     "seed": args.seed,
                     "root_store_digest": ecosystem.registry.union().digest(),
-                }, flush_every=args.journal_flush_every)
+                }, flush_every=_JOURNAL_FLUSH_EVERY)
             except JournalError as exc:
                 print(f"repro-chain differential: {exc}", file=sys.stderr)
                 return 2
@@ -976,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the report and tables are byte-identical "
                            "for any size; requires --simulate-network "
                            "(default 0: one shard of the whole corpus)")
-    scan.add_argument("--journal-flush-every", type=int, default=64,
-                      help="buffer this many journal records between "
-                           "flushes (1: flush per record; default: 64)")
     scan.add_argument("--report-out",
                       help="aggregate the finished run into a report "
                            "artifact (requires --journal; format from "
@@ -1122,10 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="append per-chain outcomes (with "
                                    "I-1..I-4 attribution evidence) to "
                                    "a JSONL run journal")
-    differential.add_argument("--journal-flush-every", type=int, default=64,
-                              help="buffer this many journal records "
-                                   "between flushes (1: flush per "
-                                   "record; default: 64)")
     differential.add_argument("--cache-dir",
                               help="persist per-(domain, chain, "
                                    "capability) client outcomes in an "

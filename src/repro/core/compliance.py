@@ -28,7 +28,13 @@ from repro.core.relation import DEFAULT_POLICY, RelationPolicy
 from repro.core.topology import ChainTopology
 from repro.errors import PayloadError
 from repro.obs.evidence import Evidence, evidence_from_dict
-from repro.obs.journal import encode_compact, encode_str, encode_str_array
+from repro.obs.journal import (
+    encode_compact,
+    encode_str,
+    encode_str_array,
+    typed,
+    typed_strings,
+)
 from repro.obs.metrics import NullMetricsRegistry
 from repro.trust.aia import AIAFetcher
 from repro.trust.rootstore import RootStore
@@ -237,41 +243,6 @@ def _sharing_key(kind: type, section) -> tuple | None:
         return None
 
 
-#: How a refusal names the JSON type a field held.
-_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
-               float: "a number", list: "an array", dict: "an object",
-               type(None): "null"}
-
-
-def _kind(value) -> str:
-    return _JSON_KINDS.get(type(value), type(value).__name__)
-
-
-def _typed(section, name: str, kind: type, nullable: bool = False):
-    """``section[name]`` when its JSON type is exactly ``kind`` (``bool``
-    is not an ``int`` here), or null where ``nullable``; anything else
-    raises :class:`TypeError` naming the field."""
-    value = section[name]
-    if type(value) is kind or (nullable and value is None):
-        return value
-    wanted = _JSON_KINDS[kind] + (" or null" if nullable else "")
-    raise TypeError(f"{name!r} must be {wanted}, not {_kind(value)}")
-
-
-def _typed_strings(section, name: str) -> list:
-    """``section[name]`` when it is an array of strings, else a
-    :class:`TypeError` naming the field."""
-    values = section[name]
-    if type(values) is not list:
-        raise TypeError(f"{name!r} must be an array of strings, "
-                        f"not {_kind(values)}")
-    for value in values:
-        if type(value) is not str:
-            raise TypeError(f"{name!r} must be an array of strings, "
-                            f"not one holding {_kind(value)}")
-    return values
-
-
 #: Each section type's encoder, which the table keys its texts on.
 _SECTION_JSON = {LeafAnalysis: _leaf_json, OrderAnalysis: _order_json,
                  CompletenessAnalysis: _completeness_json}
@@ -397,8 +368,8 @@ class ReportTable:
             order = payload["order"]
             completeness = payload["completeness"]
             return ChainComplianceReport(
-                domain=_typed(payload, "domain", str),
-                chain_length=_typed(payload, "chain_length", int),
+                domain=typed(payload, "domain", str),
+                chain_length=typed(payload, "chain_length", int),
                 leaf=self._share(LeafAnalysis, leaf, self._leaf),
                 order=self._share(OrderAnalysis, order, self._order),
                 completeness=self._share(CompletenessAnalysis, completeness,
@@ -423,37 +394,39 @@ class ReportTable:
         return shared
 
     def _evidence(self, section) -> tuple[Evidence, ...]:
+        if "evidence" not in section:
+            return ()
         return tuple(self._share(Evidence, record, evidence_from_dict)
-                     for record in section.get("evidence", ()))
+                     for record in typed(section, "evidence", list))
 
     def _leaf(self, section) -> LeafAnalysis:
         return LeafAnalysis(
             placement=LeafPlacement(section["placement"]),
-            deciding_index=_typed(section, "deciding_index", int, True),
+            deciding_index=typed(section, "deciding_index", int, True),
             evidence=self._evidence(section),
         )
 
     def _order(self, section) -> OrderAnalysis:
         return OrderAnalysis(
             defects=frozenset(
-                map(OrderDefect, _typed_strings(section, "defects"))),
+                map(OrderDefect, typed_strings(section, "defects"))),
             duplicate_roles=frozenset(
-                _typed_strings(section, "duplicate_roles")),
-            max_duplicate_count=_typed(section, "max_duplicate_count", int),
-            irrelevant_count=_typed(section, "irrelevant_count", int),
-            path_count=_typed(section, "path_count", int),
-            reversed_any=_typed(section, "reversed_any", bool),
-            reversed_all=_typed(section, "reversed_all", bool),
-            path_structures=tuple(_typed_strings(section, "path_structures")),
-            compliant=_typed(section, "compliant", bool),
+                typed_strings(section, "duplicate_roles")),
+            max_duplicate_count=typed(section, "max_duplicate_count", int),
+            irrelevant_count=typed(section, "irrelevant_count", int),
+            path_count=typed(section, "path_count", int),
+            reversed_any=typed(section, "reversed_any", bool),
+            reversed_all=typed(section, "reversed_all", bool),
+            path_structures=tuple(typed_strings(section, "path_structures")),
+            compliant=typed(section, "compliant", bool),
             evidence=self._evidence(section),
         )
 
     def _completeness(self, section) -> CompletenessAnalysis:
         return CompletenessAnalysis(
             category=CompletenessClass(section["category"]),
-            missing_count=_typed(section, "missing_count", int, True),
-            aia_outcome=_typed(section, "aia_outcome", str, True),
+            missing_count=typed(section, "missing_count", int, True),
+            aia_outcome=typed(section, "aia_outcome", str, True),
             evidence=self._evidence(section),
         )
 

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from repro.obs import catalogue
 from repro.obs.evidence import Evidence, evidence_from_dict, render_evidence
 from repro.obs.export import ProgressLine, SnapshotWriter, to_openmetrics
-from repro.obs.journal import RunJournal, read_journal, validate_journal
+from repro.obs.journal import RunJournal, read_journal
 from repro.obs.log import StructLogger, configure, get_logger
 from repro.obs.metrics import (
     Counter,
@@ -107,7 +107,6 @@ __all__ = [
     "render_report_text",
     "report_from_journal",
     "to_openmetrics",
-    "validate_journal",
 ]
 
 #: Names whose module loads on first use: the telemetry server imports

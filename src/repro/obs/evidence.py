@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
+from repro.obs.journal import json_kind, typed, typed_strings
+
 __all__ = [
     "Evidence",
     "RULE_LEAF_PLACEMENT",
@@ -104,18 +106,33 @@ class Evidence:
 
 
 def evidence_from_dict(payload: Mapping[str, object]) -> Evidence:
-    """Rebuild an :class:`Evidence` from its :meth:`Evidence.to_dict`."""
+    """Rebuild an :class:`Evidence` from its :meth:`Evidence.to_dict`,
+    each field of its exact JSON type (an absent ``certs``, ``edges`` or
+    ``details`` is empty); anything else raises :class:`TypeError`
+    (:class:`KeyError` for an absent one)."""
+    if type(payload) is not dict:
+        raise TypeError(f"an evidence record must be an object, "
+                        f"not {json_kind(payload)}")
     return Evidence(
-        rule_id=str(payload["rule_id"]),
-        verdict=str(payload["verdict"]),
-        summary=str(payload["summary"]),
-        certs=tuple(str(c) for c in payload.get("certs", ())),
-        edges=tuple(
-            (int(edge[0]), int(edge[1]))
-            for edge in payload.get("edges", ())
-        ),
-        details=dict(payload.get("details", {})),
+        rule_id=typed(payload, "rule_id", str),
+        verdict=typed(payload, "verdict", str),
+        summary=typed(payload, "summary", str),
+        certs=(tuple(typed_strings(payload, "certs"))
+               if "certs" in payload else ()),
+        edges=_edges(payload) if "edges" in payload else (),
+        details=(dict(typed(payload, "details", dict))
+                 if "details" in payload else {}),
     )
+
+
+def _edges(payload) -> tuple[tuple[int, int], ...]:
+    edges = typed(payload, "edges", list)
+    for edge in edges:
+        if not (type(edge) is list and len(edge) == 2
+                and type(edge[0]) is int and type(edge[1]) is int):
+            raise TypeError("'edges' must be an array of two-integer "
+                            "arrays")
+    return tuple(map(tuple, edges))
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,20 @@ the journal alone decides what a resumed run must not append again
 this through ``Campaign.analyze`` so an interrupted campaign finishes
 with final tables byte-identical to an uninterrupted one.
 
+:func:`read_journal` is the one read of a journal file, resume
+included: it checks the JSON type of every event field a reader takes
+(:data:`_EVENT_FIELDS`) and the invariants every journal this package
+writes keeps, so every reader refuses a damaged file in the same words.
+
 Appends are buffered: ``flush_every`` controls how many records may
 accumulate in the userspace buffer before a ``flush()`` pushes them to
-the OS (default 1 — flush per record, the maximally durable PR 2
-behaviour; campaign-scale runs pass a larger window via the CLI's
-``--journal-flush-every``).  Batching changes *when* bytes reach the
-file, never *what* reaches it: a crash can lose at most the last
-``flush_every - 1`` complete records plus one truncated line, and a
-resumed run simply re-derives the lost verdicts — the no-duplicate
-guarantee holds because unflushed records were never on disk to
-duplicate.  Use the journal as a context manager (or call
+the OS (default 1 — flush per record, the maximally durable setting;
+the CLI's commands flush every 64 records).  Batching changes *when*
+bytes reach the file, never *what* reaches it: a crash can lose at most
+the last ``flush_every - 1`` complete records plus one truncated line,
+and a resumed run simply re-derives the lost verdicts — the
+no-duplicate guarantee holds because unflushed records were never on
+disk to duplicate.  Use the journal as a context manager (or call
 :meth:`RunJournal.close`) so the tail is flushed on normal and
 exceptional exits alike.
 
@@ -47,7 +51,8 @@ pass (resume, the shard fold, ``explain``, the run report), so each
 refuses a verdict that does not decode in the same words.  The compact
 JSON primitives the verdict codec and the verdict store share live
 here, at the bottom of the import graph: :data:`encode_compact`,
-:func:`encode_str` and :func:`encode_str_array`.
+:func:`encode_str` and :func:`encode_str_array`, and the exact JSON
+type checks every decoder applies (:func:`typed` and its kin).
 """
 
 from __future__ import annotations
@@ -68,9 +73,12 @@ __all__ = [
     "encode_str_array",
     "encode_verdict_event",
     "is_chain_key",
+    "json_kind",
     "manifest_identity",
     "read_journal",
-    "validate_journal",
+    "typed",
+    "typed_number",
+    "typed_strings",
 ]
 
 #: Bump when the event schema changes incompatibly.
@@ -82,7 +90,7 @@ _IDENTITY_FIELDS = ("config", "seed", "root_store_digest")
 #: What makes two events "the same record", per type: the fields that
 #: identify it (one ``collection`` per run).  A resumed journal does not
 #: append an event whose identity it holds, nor a verdict it already
-#: appended this run, and the validator reports duplicates.
+#: appended this run, and :func:`read_journal` refuses duplicates.
 _EVENT_IDENTITY: dict[str, tuple[str, ...]] = {
     "scan": ("domain", "vantage"),
     "degradation": ("vantage",),
@@ -138,6 +146,42 @@ def encode_verdict_event(domain: str, chain_key: tuple[str, ...],
     ))
 
 
+#: How a refusal names the JSON type a value held.
+_JSON_KINDS = {str: "a string", int: "an integer", bool: "a boolean",
+               float: "a number", list: "an array", dict: "an object",
+               type(None): "null"}
+
+
+def json_kind(value) -> str:
+    """The JSON type of a decoded value, as a refusal names it."""
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def typed(section, name: str, kind: type, nullable: bool = False):
+    """``section[name]`` when its JSON type is exactly ``kind`` (``bool``
+    is not an ``int`` here), or null where ``nullable``; anything else
+    raises :class:`TypeError` naming the field."""
+    value = section[name]
+    if type(value) is kind or (nullable and value is None):
+        return value
+    wanted = _JSON_KINDS[kind] + (" or null" if nullable else "")
+    raise TypeError(f"{name!r} must be {wanted}, not {json_kind(value)}")
+
+
+def typed_strings(section, name: str) -> list:
+    """``section[name]`` when it is an array of strings, else a
+    :class:`TypeError` naming the field."""
+    values = section[name]
+    if type(values) is not list:
+        raise TypeError(f"{name!r} must be an array of strings, "
+                        f"not {json_kind(values)}")
+    for value in values:
+        if type(value) is not str:
+            raise TypeError(f"{name!r} must be an array of strings, "
+                            f"not one holding {json_kind(value)}")
+    return values
+
+
 def manifest_identity(manifest: dict[str, Any]) -> dict[str, Any]:
     """The subset of a manifest that defines run identity.
 
@@ -147,22 +191,14 @@ def manifest_identity(manifest: dict[str, Any]) -> dict[str, Any]:
     return {key: manifest.get(key) for key in _IDENTITY_FIELDS}
 
 
-def _event_identity(event: dict[str, Any]) -> str | None:
-    """The event's :data:`_EVENT_IDENTITY` as one JSON string (so any
-    field value hashes, and a list and a tuple key alike), or None."""
+def _event_identity(event: dict[str, Any]) -> tuple | None:
+    """The event's :data:`_EVENT_IDENTITY` as one tuple (a list field as
+    a tuple, so a list and a tuple key alike), or None."""
     names = _EVENT_IDENTITY.get(event["type"])
     if names is None:
         return None
-    return encode_compact([event["type"], *map(event.get, names)])
-
-
-def _refuse_corrupt(path: str | Path, problems: list[str]) -> None:
-    """Raise one :class:`JournalError` naming the first few problems."""
-    if problems:
-        shown = "; ".join(problems[:3])
-        if len(problems) > 3:
-            shown += f"; and {len(problems) - 3} more problem(s)"
-        raise JournalError(f"{Path(path)}: corrupt journal: {shown}")
+    return (event["type"], *[tuple(value) if type(value) is list else value
+                             for value in map(event.get, names)])
 
 
 def is_chain_key(value: Any) -> bool:
@@ -183,10 +219,76 @@ def is_chain_key(value: Any) -> bool:
     return True
 
 
+def typed_number(section, name: str):
+    """``section[name]`` when it is a JSON number (an integer or not, but
+    not a boolean), else a :class:`TypeError` naming the field."""
+    value = section[name]
+    if type(value) is float or type(value) is int:
+        return value
+    raise TypeError(f"{name!r} must be a number, not {json_kind(value)}")
+
+
+def _string_map(event, name):
+    for value in typed(event, name, dict).values():
+        if type(value) is not str:
+            raise TypeError(f"{name!r} must map strings to strings, "
+                            f"not to {json_kind(value)}")
+
+
+def _fingerprints(event, name):
+    if not is_chain_key(event[name]):
+        raise TypeError(f"{name!r} is not a list of fingerprint hex strings")
+
+
+def _evidence_records(event, name):
+    # obs.evidence imports this module's type checks
+    from repro.obs.evidence import evidence_from_dict
+
+    for record in typed(event, name, list):
+        try:
+            evidence_from_dict(record)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TypeError(f"{name!r} holds a record that is not evidence "
+                            f"({type(exc).__name__}: {exc})") from None
+
+
+#: Every event field a reader takes, by event type: (name, required,
+#: exact JSON type or a check raising TypeError).  The identity fields
+#: (:data:`_EVENT_IDENTITY`) are required, so every identity hashes.
+_EVENT_FIELDS: dict[str, tuple[tuple[str, bool, Any], ...]] = {
+    "manifest": (("run", False, str), ("cache", False, dict)),
+    "scan": (("domain", True, str), ("vantage", True, str),
+             ("success", False, bool), ("wire_bytes", False, int),
+             ("attempts", False, int), ("duration", False, typed_number)),
+    "degradation": (("vantage", True, str), ("reason", False, str)),
+    "collection": (("domains", False, int), ("observations", False, int),
+                   ("unique_chains", False, int),
+                   ("unique_certificates", False, int),
+                   ("degraded_vantages", False, _string_map)),
+    "verdict": (("domain", True, str), ("chain_key", True, _fingerprints),
+                ("report", True, dict)),
+    "differential": (("domain", True, str),
+                     ("chain_key", True, _fingerprints),
+                     ("chain_length", False, int),
+                     ("results", False, _string_map),
+                     ("attribution", False, _evidence_records)),
+    "shard": (("index", True, int), ("start", True, int),
+              ("stop", True, int), ("observations", False, int)),
+}
+
+#: The refusal of a second event of one identity, by type.
+_DUPLICATE = {
+    "collection": "second collection summary (one-summary invariant)",
+    "scan": "duplicate scan event for {domain!r} from vantage {vantage!r}",
+    "degradation": "duplicate degradation event for vantage {vantage!r}",
+    "verdict": "duplicate verdict for {domain!r} (chain already recorded)",
+}
+
+
 def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
-    """``(manifest, events, clean_end)`` of one journal file, where
-    ``clean_end`` ends the last complete line: what follows is a torn
-    tail from a crash, which the events leave out."""
+    """:func:`read_journal`, and ``clean_end``, which ends the last
+    complete line: what follows is a torn tail, which the events leave
+    out."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -200,8 +302,15 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
         raise JournalError(f"{path}: not a UTF-8 journal ({exc})") from None
     del data
     lines.pop()  # the empty string after the final newline
+    lines.reverse()  # popped from the end: each line is freed once parsed
     records: list[dict[str, Any]] = []
-    for number, line in enumerate(lines, start=1):
+    problems: list[str] = []
+    summarised = False
+    seen: set[tuple] = set()
+    number = 0
+    while lines:
+        line = lines.pop()
+        number += 1
         if not line.strip():
             continue
         try:
@@ -210,23 +319,49 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
             raise JournalError(
                 f"{path}:{number}: malformed journal line: {exc}"
             ) from None
-        if not (isinstance(record, dict)
-                and type(record.get("type")) is str):
+        if not (type(record) is dict and type(record.get("type")) is str):
             raise JournalError(
                 f"{path}:{number}: journal records must be objects "
                 f"with a 'type'"
             )
-        if record["type"] == "verdict":
-            if not ("domain" in record and "report" in record):
-                _refuse_corrupt(path, [
-                    f"line {number}: verdict event missing domain/report"
-                ])
-            if not is_chain_key(record.get("chain_key")):
-                _refuse_corrupt(path, [
-                    f"line {number}: verdict chain_key is not a list of "
-                    f"fingerprint hex strings"
-                ])
         records.append(record)
+        kind = record["type"]
+        fields = _EVENT_FIELDS.get(kind, ())
+        sound = True
+        for name, required, check in fields:
+            if name not in record:
+                if required:
+                    problems.append(f"line {number}: {kind} event missing "
+                                    f"{name!r}")
+                    sound = False
+            elif type(record[name]) is not check:
+                try:
+                    if type(check) is type:
+                        typed(record, name, check)  # raises: another type
+                    else:
+                        check(record, name)
+                except TypeError as exc:
+                    problems.append(f"line {number}: {kind} {exc}")
+                    sound = False
+        if not sound:
+            continue
+        # The append-only discipline (plus resume dedup) keeps these in
+        # every journal this package writes; a journal breaking one was
+        # edited, interleaved or mis-merged.
+        if summarised and kind in ("scan", "degradation"):
+            problems.append(
+                f"line {number}: {kind} event after the collection "
+                f"summary (sequence not monotonic)"
+            )
+        summarised = summarised or kind == "collection"
+        duplicate = _DUPLICATE.get(kind)
+        if duplicate is not None:
+            identity = _event_identity(record)
+            if identity in seen:
+                problems.append(f"line {number}: " + duplicate.format(
+                    domain=record.get("domain"),
+                    vantage=record.get("vantage")))
+            seen.add(identity)
     if not records:
         raise JournalError(f"{path}: empty journal (no manifest line)")
     manifest = records[0]
@@ -240,87 +375,29 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
             f"{path}: unsupported journal version "
             f"{manifest.get('journal_version')!r}"
         )
+    if problems:
+        shown = "; ".join(problems[:3])
+        if len(problems) > 3:
+            shown += f"; and {len(problems) - 3} more problem(s)"
+        raise JournalError(f"{path}: corrupt journal: {shown}")
     return manifest, records[1:], clean_end
 
 
 def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read ``(manifest, events)`` from a journal file.
+    """Read ``(manifest, events)`` from a journal file: the one read
+    every journal reader, resume included, goes through.
 
     Tolerates a truncated final line (the crash case) by dropping it.
     Raises :class:`JournalError` if the file is empty, its first line is
-    not a manifest, a verdict lacks its domain or report or has a
-    ``chain_key`` that is not a list of hex strings, or an
-    *interior* line is malformed — interior damage means the file is
-    not an append-only journal and resuming from it would silently drop
-    verdicts.
+    not a manifest of this :data:`JOURNAL_VERSION`, or an *interior*
+    line is malformed, and, naming the first few lines at fault, on an
+    event field a reader takes that is absent where required or of
+    another JSON type (:data:`_EVENT_FIELDS`), a second ``collection``
+    summary, a ``scan`` or ``degradation`` after it, or a second event
+    of one :data:`_EVENT_IDENTITY` — damage resuming would turn into
+    dropped or doubled observations.
     """
     return _read(Path(path))[:2]
-
-
-#: The validator's message for a second event of one identity, by type.
-_DUPLICATE = {
-    "collection": "second collection summary (one-summary invariant)",
-    "scan": "duplicate scan event for {domain!r} from vantage {vantage!r}",
-    "degradation": "duplicate degradation event for vantage {vantage!r}",
-    "verdict": "duplicate verdict for {domain!r} (chain already recorded)",
-}
-
-
-def _event_problems(events: list[dict[str, Any]]) -> list[str]:
-    """Structural invariant violations in an ordered event list.
-
-    The append-only discipline (plus resume dedup) guarantees three
-    things about every journal this package writes; a journal breaking
-    any of them was edited, interleaved, or mis-merged, and resuming
-    from it would silently drop or duplicate observations:
-
-    * *one-summary* — at most one ``collection`` event, and at most one
-      ``degradation`` event per vantage;
-    * *monotonic sequence* — collection-phase events (``scan``,
-      ``degradation``) never appear after the ``collection`` summary
-      that closes the phase;
-    * *no duplicates* — each (domain, vantage) scan and each
-      (domain, chain_key) verdict is recorded at most once, where
-      "the same record" is :data:`_EVENT_IDENTITY`.
-    """
-    problems: list[str] = []
-    summarised = False
-    seen: set[str] = set()
-    for number, event in enumerate(events, start=2):  # line 1: manifest
-        kind = event["type"]
-        if summarised and kind in ("scan", "degradation"):
-            problems.append(
-                f"line {number}: {kind} event after the collection "
-                f"summary (sequence not monotonic)"
-            )
-        summarised = summarised or kind == "collection"
-        duplicate = _DUPLICATE.get(kind)
-        if duplicate is None:
-            continue
-        identity = _event_identity(event)
-        if identity in seen:
-            problems.append(f"line {number}: " + duplicate.format(
-                domain=event.get("domain"), vantage=event.get("vantage")
-            ))
-        seen.add(identity)
-    return problems
-
-
-def validate_journal(path: str | Path) -> tuple[dict[str, Any],
-                                                list[dict[str, Any]]]:
-    """:func:`read_journal` plus the structural invariant checks.
-
-    The ``journal tail``-style verification consumers run before
-    trusting a journal: manifest presence and version (enforced by
-    :func:`read_journal`), the one-summary invariant, monotonic
-    phase sequencing, and no duplicate scan/verdict records.  Raises
-    :class:`JournalError` naming the first few offending lines;
-    returns ``(manifest, events)`` on success so callers do not pay a
-    second read.
-    """
-    manifest, events = read_journal(path)
-    _refuse_corrupt(path, _event_problems(events))
-    return manifest, events
 
 
 class RunJournal:
@@ -328,10 +405,11 @@ class RunJournal:
 
     Create a fresh journal with :meth:`create`, or pick up where a
     crashed run stopped with :meth:`open` (which creates when the file
-    does not exist, and otherwise resumes after verifying the manifest
-    identity).  Events append with :meth:`record`; per-domain verdicts
-    get the dedicated :meth:`record_verdict` / :meth:`verdict_for` pair
-    that powers resume.  The instance holds no verdict it wrote, only
+    does not exist, and otherwise resumes the file :func:`read_journal`
+    accepts after verifying the manifest identity).  Events append with
+    :meth:`record`; per-domain verdicts get the dedicated
+    :meth:`record_verdict` / :meth:`verdict_for` pair that powers
+    resume.  The instance holds no verdict it wrote, only
     the (domain, chain) identities of the verdicts the file holds.
 
     Parameters
@@ -383,9 +461,11 @@ class RunJournal:
              flush_every: int = 1) -> "RunJournal":
         """Create at ``path``, or resume the journal already there.
 
-        Resuming verifies :func:`manifest_identity` equality and raises
-        :class:`JournalError` on mismatch — a journal from a different
-        config/seed/root store must not silently absorb this run.
+        Resuming reads the file as :func:`read_journal` does, refusing
+        what it refuses, verifies :func:`manifest_identity` equality and
+        raises :class:`JournalError` on mismatch — a journal from a
+        different config/seed/root store must not silently absorb this
+        run.
         """
         path = Path(path)
         if not path.exists() or path.stat().st_size == 0:
@@ -452,13 +532,10 @@ class RunJournal:
         self._pending = 0
 
     def record(self, event_type: str, **fields: Any) -> None:
-        """Append one event — unless the resumed journal holds its
-        identity; ``type`` is reserved for ``event_type``."""
-        record = {"type": event_type}
-        record.update(fields)
-        if self._resumed and _event_identity(record) in self._resumed:
-            return
-        self._append(record)
+        """Append one event — unless the resumed journal :meth:`holds`
+        its identity; ``type`` is reserved for ``event_type``."""
+        if not self.holds(event_type, **fields):
+            self._append({"type": event_type, **fields})
 
     def holds(self, event_type: str, **fields: Any) -> bool:
         """True when the resumed journal holds an event of this
@@ -482,7 +559,6 @@ class RunJournal:
         return {
             event["vantage"]: event.get("reason", "unknown")
             for event in self.events("degradation")
-            if "vantage" in event
         }
 
     def record_verdict(self, domain: str, chain_key: tuple[str, ...],
@@ -533,24 +609,6 @@ class RunJournal:
         if event_type is None:
             return list(self.resumed_events)
         return [e for e in self.resumed_events if e.get("type") == event_type]
-
-    def validate(self) -> None:
-        """Check the resumed event stream's structural invariants.
-
-        The instance-level spelling of :func:`validate_journal`: the
-        manifest must carry its stamp fields and the events read at
-        :meth:`open` time must satisfy the one-summary, monotonic-
-        sequence, and no-duplicate invariants.  Raises
-        :class:`JournalError` on the first violation set; a journal
-        created fresh this run trivially passes.
-        """
-        if self.manifest.get("type") != "manifest" or (
-            self.manifest.get("journal_version") != JOURNAL_VERSION
-        ):
-            raise JournalError(
-                f"{self.path}: manifest is missing its type/version stamp"
-            )
-        _refuse_corrupt(self.path, _event_problems(self.resumed_events))
 
     # -- lifecycle -----------------------------------------------------
 

@@ -1,9 +1,7 @@
 """Run reports: one consumable artifact per finished campaign.
 
-PRs 1–4 made campaigns *emit* telemetry — journals, evidence records,
-metrics snapshots — but nothing consumed it.  A :class:`RunReport`
-aggregates one finished run into the summary a measurement paper (or a
-CI gate) actually reads:
+A :class:`RunReport` aggregates one finished run's journal (and
+metrics) into the summary a measurement paper (or a CI gate) reads:
 
 * the run's **identity** (config / seed / root-store digest from the
   journal manifest), so two reports are comparable only when they
@@ -30,19 +28,29 @@ derives from journal bytes, so two identical seeded runs render
 byte-identical console text.  The timing-dependent phase section
 appears only when a metrics snapshot is passed in.
 
-``to_dict``/``from_dict`` are lossless inverses; rendering comes in
-console text, Markdown, and self-contained HTML flavours.
+``to_dict``/``from_dict`` are lossless inverses: each record
+serialises with keys equal to its field names and decodes type-exact
+from them, so a report JSON that does not decode is one
+:class:`~repro.errors.PayloadError`.  Rendering comes in console text,
+Markdown, and self-contained HTML flavours.
 """
 
 from __future__ import annotations
 
 import html as _html
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from repro.errors import JournalError, PayloadError
+from repro.obs.journal import (
+    json_kind,
+    read_journal,
+    typed,
+    typed_number,
+    typed_strings,
+)
 
 __all__ = [
     "REPORT_VERSION",
@@ -128,6 +136,64 @@ class PhaseStat:
     rss_peak_bytes: float | None = None
 
 
+def _array(decode):
+    """The decoder of an array whose every element ``decode`` reads."""
+    def read(section, name):
+        values = typed(section, name, list)
+        return tuple(decode(values, index) for index in range(len(values)))
+    return read
+
+
+def _mapping(decode):
+    """The decoder of an object whose every value ``decode`` reads."""
+    def read(section, name):
+        mapping = typed(section, name, dict)
+        return {key: decode(mapping, key) for key in mapping}
+    return read
+
+
+def _record(kind: type):
+    """The decoder of one ``kind`` record (:data:`_RECORD_FIELDS`)."""
+    return lambda section, name: _fields_of(kind, typed(section, name, dict))
+
+
+def _fields_of(kind: type, payload: dict):
+    """A ``kind`` record from an object keyed by its field names, each
+    value of its field's JSON type; an absent field with a default
+    takes it."""
+    return kind(**{name: decode(payload, name)
+                   for name, has_default, decode in _RECORD_FIELDS[kind]
+                   if name in payload or not has_default})
+
+
+def _string(section, name):
+    return typed(section, name, str)
+
+
+#: How a report field of each annotation decodes from its JSON value.
+_FIELD_DECODERS = {
+    "str": _string,
+    "int": lambda section, name: typed(section, name, int),
+    "bool": lambda section, name: typed(section, name, bool),
+    "float": typed_number,
+    "str | None": lambda section, name: typed(section, name, str, True),
+    "int | None": lambda section, name: typed(section, name, int, True),
+    "float | None": lambda section, name: (
+        None if section[name] is None else typed_number(section, name)),
+    "tuple[str, ...]": lambda section, name: tuple(
+        typed_strings(section, name)),
+    "dict[str, Any]": lambda section, name: dict(typed(section, name, dict)),
+    "dict[str, str]": _mapping(_string),
+    "dict[str, float]": _mapping(typed_number),
+    "dict[str, dict[str, str]]": _mapping(_mapping(_string)),
+    "dict[str, DomainVerdict]": _mapping(_record(DomainVerdict)),
+    "tuple[VantageStat, ...]": _array(_record(VantageStat)),
+    "tuple[RuleStat, ...]": _array(_record(RuleStat)),
+    "tuple[SlowScan, ...]": _array(_record(SlowScan)),
+    "tuple[PhaseStat, ...]": _array(_record(PhaseStat)),
+}
+
+
 # ----------------------------------------------------------------------
 # The report
 # ----------------------------------------------------------------------
@@ -136,7 +202,7 @@ class PhaseStat:
 class RunReport:
     """Everything :func:`build_report` distils out of one run."""
 
-    identity: dict[str, Any]
+    identity: dict[str, Any] = field(default_factory=dict)
     run: str = "campaign"
     domains: int | None = None
     observations: int | None = None
@@ -206,155 +272,76 @@ class RunReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dict; :meth:`from_dict` is its lossless inverse."""
-        return {
-            "report_version": REPORT_VERSION,
-            "run": self.run,
-            "identity": dict(self.identity),
-            "collection": {
-                "domains": self.domains,
-                "observations": self.observations,
-                "unique_chains": self.unique_chains,
-                "unique_certificates": self.unique_certificates,
-                "degraded_vantages": dict(self.degraded_vantages),
-            },
-            "vantages": [
-                {
-                    "vantage": v.vantage,
-                    "attempted": v.attempted,
-                    "reached": v.reached,
-                    "wire_bytes": v.wire_bytes,
-                    "degraded_reason": v.degraded_reason,
-                }
-                for v in self.vantages
-            ],
-            "verdicts": {
-                "total": self.verdict_total,
-                "compliant": self.verdict_compliant,
-            },
-            "rules": [
-                {
-                    "rule_id": r.rule_id,
-                    "verdict": r.verdict,
-                    "domains": r.domains,
-                    "evidence": r.evidence,
-                }
-                for r in self.rules
-            ],
-            "domain_verdicts": {
-                domain: {
-                    "compliant": dv.compliant,
-                    "rules": list(dv.rules),
-                    "chains": dv.chains,
-                }
-                for domain, dv in sorted(self.domain_verdicts.items())
-            },
-            "slowest": [
-                {
-                    "domain": s.domain,
-                    "vantage": s.vantage,
-                    "seconds": s.seconds,
-                    "attempts": s.attempts,
-                }
-                for s in self.slowest
-            ],
-            "differential": {
-                domain: dict(results)
-                for domain, results in sorted(self.differential.items())
-            },
-            "phases": [
-                {
-                    "phase": p.phase,
-                    "count": p.count,
-                    "wall_seconds": p.wall_seconds,
-                    "cpu_seconds": p.cpu_seconds,
-                    "rss_peak_bytes": p.rss_peak_bytes,
-                }
-                for p in self.phases
-            ],
-            "metric_totals": dict(sorted(self.metric_totals.items())),
-        }
+        out: dict[str, Any] = {"report_version": REPORT_VERSION}
+        for name, value in _plain(self).items():
+            section, key = _SECTIONED.get(name, (None, name))
+            (out if section is None
+             else out.setdefault(section, {}))[key] = value
+        return out
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunReport":
-        """Inverse of :meth:`to_dict`."""
-        version = payload.get("report_version")
-        if version != REPORT_VERSION:
-            raise ValueError(
-                f"unsupported report version {version!r} "
-                f"(expected {REPORT_VERSION})"
-            )
-        collection = payload.get("collection", {})
-        return cls(
-            identity=dict(payload.get("identity", {})),
-            run=payload.get("run", "campaign"),
-            domains=collection.get("domains"),
-            observations=collection.get("observations"),
-            unique_chains=collection.get("unique_chains"),
-            unique_certificates=collection.get("unique_certificates"),
-            degraded_vantages=dict(collection.get("degraded_vantages", {})),
-            vantages=tuple(
-                VantageStat(
-                    vantage=v["vantage"],
-                    attempted=v["attempted"],
-                    reached=v["reached"],
-                    wire_bytes=v["wire_bytes"],
-                    degraded_reason=v.get("degraded_reason"),
-                )
-                for v in payload.get("vantages", ())
-            ),
-            verdict_total=payload.get("verdicts", {}).get("total", 0),
-            verdict_compliant=payload.get("verdicts", {}).get(
-                "compliant", 0
-            ),
-            rules=tuple(
-                RuleStat(
-                    rule_id=r["rule_id"],
-                    verdict=r["verdict"],
-                    domains=r["domains"],
-                    evidence=r["evidence"],
-                )
-                for r in payload.get("rules", ())
-            ),
-            domain_verdicts={
-                domain: DomainVerdict(
-                    compliant=dv["compliant"],
-                    rules=tuple(dv.get("rules", ())),
-                    chains=dv.get("chains", 1),
-                )
-                for domain, dv in payload.get(
-                    "domain_verdicts", {}
-                ).items()
-            },
-            slowest=tuple(
-                SlowScan(
-                    domain=s["domain"],
-                    vantage=s["vantage"],
-                    seconds=s["seconds"],
-                    attempts=s["attempts"],
-                )
-                for s in payload.get("slowest", ())
-            ),
-            differential={
-                domain: dict(results)
-                for domain, results in payload.get(
-                    "differential", {}
-                ).items()
-            },
-            phases=tuple(
-                PhaseStat(
-                    phase=p["phase"],
-                    count=p["count"],
-                    wall_seconds=p["wall_seconds"],
-                    cpu_seconds=p["cpu_seconds"],
-                    rss_peak_bytes=p.get("rss_peak_bytes"),
-                )
-                for p in payload.get("phases", ())
-            ),
-            metric_totals=dict(payload.get("metric_totals", {})),
-        )
+        """Inverse of :meth:`to_dict`, type-exact: a payload of another
+        :data:`REPORT_VERSION`, or with a value of another JSON type or a
+        record without a required field, raises
+        :class:`~repro.errors.PayloadError`."""
+        try:
+            if type(payload) is not dict:
+                raise TypeError(f"a run report must be an object, "
+                                f"not {json_kind(payload)}")
+            version = payload.get("report_version")
+            if type(version) is not int or version != REPORT_VERSION:
+                raise ValueError(f"unsupported report version {version!r} "
+                                 f"(expected {REPORT_VERSION})")
+            sections = {None: payload, **{
+                section: typed(payload, section, dict)
+                for section in ("collection", "verdicts")
+                if section in payload}}
+            values = {}
+            for name, _, _ in _RECORD_FIELDS[cls]:
+                section, key = _SECTIONED.get(name, (None, name))
+                if key in sections.get(section, ()):
+                    values[name] = sections[section][key]
+            return _fields_of(cls, values)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PayloadError(f"run report does not decode "
+                               f"({type(exc).__name__}: {exc})") from None
+
+
+#: The report fields its JSON nests in a section: (section, key there).
+_SECTIONED = {
+    **{name: ("collection", name)
+       for name in ("domains", "observations", "unique_chains",
+                    "unique_certificates", "degraded_vantages")},
+    "verdict_total": ("verdicts", "total"),
+    "verdict_compliant": ("verdicts", "compliant"),
+}
+
+#: Each record's fields, the report's own among them: name, whether it
+#: has a default, and its decoder (by annotation, :data:`_FIELD_DECODERS`).
+_RECORD_FIELDS = {
+    record: tuple((f.name, f.default is not MISSING
+                   or f.default_factory is not MISSING,
+                   _FIELD_DECODERS[f.type]) for f in fields(record))
+    for record in (VantageStat, RuleStat, DomainVerdict, SlowScan, PhaseStat,
+                   RunReport)
+}
+
+
+def _plain(value):
+    """A report value as JSON: a record as an object keyed by its field
+    names, a tuple as an array."""
+    if type(value) in _RECORD_FIELDS:
+        return {name: _plain(getattr(value, name))
+                for name, _, _ in _RECORD_FIELDS[type(value)]}
+    if type(value) is tuple:
+        return [_plain(item) for item in value]
+    if type(value) is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +356,8 @@ def build_report(manifest: dict[str, Any],
     snapshot) into a :class:`RunReport`.
 
     ``manifest``/``events`` are :func:`repro.obs.journal.read_journal`
-    output; ``metrics`` is a ``MetricsRegistry.snapshot()`` dict (the
+    output, whose field checks let every event field be read as it
+    stands; ``metrics`` is a ``MetricsRegistry.snapshot()`` dict (the
     ``scan --metrics-out`` file).  Everything journal-derived is
     deterministic for a seeded run; metrics-derived sections carry the
     wall-clock noise of the machine that ran them.
@@ -383,6 +371,7 @@ def build_report(manifest: dict[str, Any],
     """
     # core imports obs, so the codec loads when a report is first built
     from repro.core.compliance import ReportTable
+    from repro.obs.evidence import evidence_from_dict
     from repro.obs.journal import manifest_identity
 
     identity = manifest_identity(manifest)
@@ -393,7 +382,7 @@ def build_report(manifest: dict[str, Any],
         identity["cache"] = dict(manifest["cache"])
     report = RunReport(
         identity=identity,
-        run=str(manifest.get("run", "campaign")),
+        run=manifest.get("run", "campaign"),
     )
 
     # -- collection ----------------------------------------------------
@@ -405,37 +394,34 @@ def build_report(manifest: dict[str, Any],
     table = ReportTable()
 
     for event in events:
-        kind = event.get("type")
+        kind = event["type"]
         if kind == "scan":
-            vantage = str(event.get("vantage"))
+            vantage = event["vantage"]
             stat = vantage_stats.setdefault(
                 vantage, {"attempted": 0, "reached": 0, "wire_bytes": 0}
             )
             stat["attempted"] += 1
             if event.get("success"):
                 stat["reached"] += 1
-                stat["wire_bytes"] += int(event.get("wire_bytes", 0))
+                stat["wire_bytes"] += event.get("wire_bytes", 0)
             slow.append(SlowScan(
-                domain=str(event.get("domain")),
+                domain=event["domain"],
                 vantage=vantage,
-                seconds=float(event.get("duration", 0.0)),
-                attempts=int(event.get("attempts", 1)),
+                seconds=event.get("duration", 0.0),
+                attempts=event.get("attempts", 1),
             ))
         elif kind == "collection":
             report.domains = event.get("domains")
             report.observations = event.get("observations")
             report.unique_chains = event.get("unique_chains")
             report.unique_certificates = event.get("unique_certificates")
-            degraded.update(event.get("degraded_vantages") or {})
+            degraded.update(event.get("degraded_vantages", {}))
         elif kind == "degradation":
-            if "vantage" in event:
-                degraded[str(event["vantage"])] = str(
-                    event.get("reason", "unknown")
-                )
+            degraded[event["vantage"]] = event.get("reason", "unknown")
         elif kind == "verdict":
-            domain = str(event.get("domain"))
+            domain = event["domain"]
             try:
-                verdict = table.decode(event.get("report"))
+                verdict = table.decode(event["report"])
             except PayloadError as exc:
                 raise PayloadError(f"verdict for {domain!r}: {exc}") from None
             compliant = verdict.compliant
@@ -462,15 +448,11 @@ def build_report(manifest: dict[str, Any],
                 rule_domains.setdefault(key, set()).add(domain)
                 rule_evidence[key] = rule_evidence.get(key, 0) + 1
         elif kind == "differential":
-            domain = str(event.get("domain"))
-            results = event.get("results") or {}
-            report.differential[domain] = {
-                str(client): str(outcome)
-                for client, outcome in results.items()
-            }
-            for record in event.get("attribution") or ():
-                key = (str(record.get("rule_id")),
-                       str(record.get("verdict", "attribution")))
+            domain = event["domain"]
+            report.differential[domain] = dict(event.get("results", {}))
+            for record in map(evidence_from_dict,
+                              event.get("attribution", ())):
+                key = (record.rule_id, record.verdict)
                 rule_domains.setdefault(key, set()).add(domain)
                 rule_evidence[key] = rule_evidence.get(key, 0) + 1
 
@@ -507,11 +489,10 @@ def build_report(manifest: dict[str, Any],
 def report_from_journal(path: str | Path, *,
                         metrics: dict[str, Any] | None = None,
                         top_slowest: int = 10) -> RunReport:
-    """Validate + read a journal file and build its report (a verdict
-    that does not decode is a :class:`JournalError` naming both)."""
-    from repro.obs.journal import validate_journal
-
-    manifest, events = validate_journal(path)
+    """Read a journal file (:func:`~repro.obs.journal.read_journal`)
+    and build its report; a journal the read refuses, or a verdict that
+    does not decode, is a :class:`JournalError` naming the journal."""
+    manifest, events = read_journal(path)
     try:
         return build_report(manifest, events, metrics=metrics,
                             top_slowest=top_slowest)

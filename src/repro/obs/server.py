@@ -171,17 +171,12 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             self._reply_json(404, {"error": "no journal configured "
                                             "for this run"})
             return
-        from repro.errors import JournalError, PayloadError
-        from repro.obs.journal import validate_journal
-        from repro.obs.report import build_report
+        from repro.errors import JournalError
+        from repro.obs.report import report_from_journal
 
         try:
-            manifest, events = validate_journal(owner.journal_path)
-            report = build_report(manifest, events)
-        except PayloadError as exc:
-            self._reply_json(503, {"error": f"{owner.journal_path}: {exc}"})
-            return
-        except (OSError, JournalError, ValueError) as exc:
+            report = report_from_journal(owner.journal_path)
+        except JournalError as exc:
             self._reply_json(503, {"error": str(exc)})
             return
         self._reply(200, report.to_json() + "\n", "application/json")

@@ -26,6 +26,10 @@ import urllib.request
 from pathlib import Path
 from typing import Any
 
+from repro.errors import JournalError, PayloadError
+from repro.obs.journal import read_journal
+from repro.obs.report import RunReport, build_report
+
 __all__ = ["HttpSource", "JournalSource", "render_frame", "watch"]
 
 #: rule rows kept in the dashboard (hottest first)
@@ -49,27 +53,18 @@ class JournalSource:
         return str(self.path)
 
     def frame(self) -> dict[str, Any]:
-        from repro.errors import JournalError, PayloadError
-        from repro.obs.journal import validate_journal
-        from repro.obs.report import build_report
-
         try:
-            manifest, events = validate_journal(self.path)
+            manifest, events = read_journal(self.path)
             report = build_report(manifest, events)
         except PayloadError as exc:
             # a verdict that does not decode names its domain, not the
             # journal holding it
             raise SourceError(f"{self.path}: {exc}") from exc
-        except (OSError, JournalError, ValueError) as exc:
+        except JournalError as exc:
             raise SourceError(str(exc)) from exc
 
-        retries = 0
-        scan_errors = 0
-        for event in events:
-            if event.get("type") == "scan":
-                retries += max(0, int(event.get("attempts", 1)) - 1)
-                if not event.get("success"):
-                    scan_errors += 1
+        retries = sum(max(0, event.get("attempts", 1) - 1)
+                      for event in events if event["type"] == "scan")
 
         done = report.verdict_total
         total = report.observations or 0
@@ -93,30 +88,11 @@ class JournalSource:
             "rate": rate,
             "health_ok": None,
             "health_failures": (),
-            "vantages": [
-                {
-                    "vantage": v.vantage,
-                    "reached": v.reached,
-                    "attempted": v.attempted,
-                    "degraded": report.degraded_vantages.get(v.vantage),
-                }
-                for v in report.vantages
-            ],
-            "verdicts": {
-                "total": report.verdict_total,
-                "compliant": report.verdict_compliant,
-                "noncompliant": (report.verdict_total
-                                 - report.verdict_compliant),
-            },
-            "rules": [
-                (r.rule_id, r.domains)
-                for r in sorted(report.rules,
-                                key=lambda r: (-r.domains, r.rule_id))
-                if r.verdict not in ("compliant", "pass", "ok")
-            ][:_TOP_RULES],
+            **_report_cells(report),
             "retries": retries,
             "breaker_trips": 0,  # not journaled; HTTP mode reports it
-            "scan_errors": scan_errors,
+            "scan_errors": sum(v.attempted - v.reached
+                               for v in report.vantages),
         }
 
 
@@ -185,42 +161,44 @@ class HttpSource:
                 "degraded": reason,
             })
 
-        report_code, report = self._get_json("/report")
-        if report_code == 200 and report:
-            self._fold_report(frame, report)
+        report_code, payload = self._get_json("/report")
+        if report_code == 200 and payload:
+            try:
+                cells = _report_cells(RunReport.from_dict(payload))
+            except PayloadError as exc:
+                raise SourceError(f"{self.base}/report: {exc}") from exc
+            if not cells["vantages"]:
+                # keep the degraded vantages /progress named
+                del cells["vantages"]
+            frame.update(cells)
         return frame
 
-    @staticmethod
-    def _fold_report(frame: dict[str, Any],
-                     report: dict[str, Any]) -> None:
-        """Enrich a progress frame with the ``/report`` aggregation."""
-        vantages = [
+
+def _report_cells(report: RunReport) -> dict[str, Any]:
+    """The frame cells a run report fills, for either source: vantages,
+    verdict totals and the hottest rules."""
+    return {
+        "vantages": [
             {
-                "vantage": v.get("vantage"),
-                "reached": v.get("reached"),
-                "attempted": v.get("attempted"),
-                "degraded": v.get("degraded_reason"),
+                "vantage": v.vantage,
+                "reached": v.reached,
+                "attempted": v.attempted,
+                "degraded": v.degraded_reason,
             }
-            for v in report.get("vantages", ())
-        ]
-        if vantages:
-            frame["vantages"] = vantages
-        verdicts = report.get("verdicts") or {}
-        if verdicts:
-            total = int(verdicts.get("total", 0))
-            compliant = int(verdicts.get("compliant", 0))
-            frame["verdicts"] = {
-                "total": total,
-                "compliant": compliant,
-                "noncompliant": total - compliant,
-            }
-        rules = [
-            (r.get("rule_id"), int(r.get("domains", 0)))
-            for r in report.get("rules", ())
-            if r.get("verdict") not in ("compliant", "pass", "ok")
-        ]
-        rules.sort(key=lambda item: (-item[1], item[0]))
-        frame["rules"] = rules[:_TOP_RULES]
+            for v in report.vantages
+        ],
+        "verdicts": {
+            "total": report.verdict_total,
+            "compliant": report.verdict_compliant,
+            "noncompliant": report.verdict_noncompliant,
+        },
+        "rules": [
+            (r.rule_id, r.domains)
+            for r in sorted(report.rules,
+                            key=lambda r: (-r.domains, r.rule_id))
+            if r.verdict not in ("compliant", "pass", "ok")
+        ][:_TOP_RULES],
+    }
 
 
 # ----------------------------------------------------------------------

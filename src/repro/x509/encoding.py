@@ -31,7 +31,7 @@ from repro.x509.extensions import (
     SubjectAlternativeName,
     SubjectKeyIdentifier,
 )
-from repro.x509.keys import PublicKey
+from repro.x509.keys import PublicKey, has_verifier
 from repro.x509.name import Name, NameAttribute, RelativeDistinguishedName
 from repro.x509.oid import ExtensionOID, lookup
 from repro.x509.validity import Validity, ensure_utc
@@ -225,6 +225,9 @@ def certificate_from_dict(obj: dict) -> Certificate:
     try:
         _typed(obj, "certificate", dict)
         sig_alg = _typed(obj.get("sig_alg"), "sig_alg", str, type(None))
+        scheme = _typed(obj["key_scheme"], "key_scheme", str)
+        if not has_verifier(scheme):  # a key that could verify nothing
+            raise ValueError(f"no verifier for key scheme {scheme!r}")
         return certificate_with_facts(
             version=_typed(obj["version"], "version", int),
             serial_number=_typed(obj["serial"], "serial", int),
@@ -234,10 +237,7 @@ def certificate_from_dict(obj: dict) -> Certificate:
                 ensure_utc(datetime.fromisoformat(obj["not_before"])),
                 ensure_utc(datetime.fromisoformat(obj["not_after"])),
             ),
-            public_key=PublicKey(
-                _typed(obj["key_scheme"], "key_scheme", str),
-                bytes.fromhex(obj["key_bytes"]),
-            ),
+            public_key=PublicKey(scheme, bytes.fromhex(obj["key_bytes"])),
             extensions=ExtensionSet(
                 tuple(_ext_from_obj(e)
                       for e in _typed(obj["extensions"], "extensions", list))

@@ -223,6 +223,12 @@ _SCHEMES: dict[str, _SchemeBackend] = {
     ECDSAKeyPair.scheme: _ECDSABackend(),
 }
 
+
+def has_verifier(scheme: str) -> bool:
+    """True when a backend verifies signatures of ``scheme``."""
+    return scheme in _SCHEMES
+
+
 #: Signature algorithm OIDs considered deprecated by modern clients.
 DEPRECATED_SIGNATURE_ALGORITHMS = frozenset({
     SignatureAlgorithmOID.RSA_WITH_SHA1.dotted,

@@ -2,11 +2,13 @@
 decodes and refuses exactly as a payload decoded on its own.
 
 The reference below is the per-payload decoder the table replaced,
-kept as it was but for the exact JSON type each scalar and string-list
-field must hold (``exact``, ``strings``): one table over a whole list
-of stored payloads, seeded mutants among them, must give every payload
-the reference's report (equal, with identical ``to_json`` text) or the
-reference's refusal (identical message).
+kept as it was but for the exact JSON type each field must hold
+(``exact``, ``strings``, ``reference_evidence``): one table over a whole
+list of stored payloads, seeded mutants among them, must give every
+payload the reference's report (equal, with identical ``to_json`` text)
+or the reference's refusal (identical message).  Evidence records are
+type-exact too, so a mutant whose record holds a number where a string
+belongs, or an edge that is not two integers, is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.core.completeness import CompletenessAnalysis, CompletenessClass
 from repro.core.leaf import LeafAnalysis, LeafPlacement
 from repro.core.order import OrderAnalysis, OrderDefect
 from repro.errors import PayloadError
-from repro.obs.evidence import evidence_from_dict
+from repro.obs.evidence import Evidence
 from repro.webpki import Ecosystem, EcosystemConfig
 
 
@@ -56,6 +58,32 @@ def strings(section, name):
     return values
 
 
+def reference_edges(record):
+    edges = exact(record, "edges", list)
+    for edge in edges:
+        if not (type(edge) is list and len(edge) == 2
+                and type(edge[0]) is int and type(edge[1]) is int):
+            raise TypeError("'edges' must be an array of two-integer arrays")
+    return tuple(map(tuple, edges))
+
+
+def reference_evidence(record) -> Evidence:
+    """One evidence record, each field of its exact JSON type; an absent
+    ``certs``, ``edges`` or ``details`` is empty."""
+    if type(record) is not dict:
+        raise TypeError(f"an evidence record must be an object, "
+                        f"not {JSON_KINDS[type(record)]}")
+    return Evidence(
+        rule_id=exact(record, "rule_id", str),
+        verdict=exact(record, "verdict", str),
+        summary=exact(record, "summary", str),
+        certs=tuple(strings(record, "certs")) if "certs" in record else (),
+        edges=reference_edges(record) if "edges" in record else (),
+        details=(dict(exact(record, "details", dict))
+                 if "details" in record else {}),
+    )
+
+
 def reference_decode(payload) -> ChainComplianceReport:
     """The decoder each payload went through before the table, with
     every field's JSON type checked."""
@@ -65,8 +93,10 @@ def reference_decode(payload) -> ChainComplianceReport:
         completeness = payload["completeness"]
 
         def _evidence(section):
-            return tuple(evidence_from_dict(e)
-                         for e in section.get("evidence", ()))
+            if "evidence" not in section:
+                return ()
+            return tuple(reference_evidence(e)
+                         for e in exact(section, "evidence", list))
 
         return ChainComplianceReport(
             domain=exact(payload, "domain", str),

@@ -256,6 +256,41 @@ DAMAGED_STORES = {
         "refused",
         "stored report for chain [",
     ),
+    # evidence records decode type-exact: each of these used to decode,
+    # and compaction wrote it back as the string it was coerced to
+    "evidence-rule-id-not-a-string": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record["report"]["completeness"][
+                "evidence"][0].update(rule_id=5)),
+        "refused",
+        "stored report for chain [",
+    ),
+    "evidence-certs-not-strings": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record["report"]["completeness"][
+                "evidence"][0].update(certs=[7])),
+        "refused",
+        "stored report for chain [",
+    ),
+    "evidence-edge-a-boolean": (
+        lambda path: _rewrite_first_record(
+            path, lambda record: record["report"]["completeness"][
+                "evidence"][0].update(edges=[[True, 0]])),
+        "refused",
+        "stored report for chain [",
+    ),
+}
+
+#: damage -> how the refused payload's decode is worded
+DECODE_REFUSALS = {
+    "deciding-index-true": "TypeError: 'deciding_index' must be an integer "
+                           "or null, not a boolean",
+    "evidence-rule-id-not-a-string": "TypeError: 'rule_id' must be a "
+                                     "string, not an integer",
+    "evidence-certs-not-strings": "TypeError: 'certs' must be an array of "
+                                  "strings, not one holding an integer",
+    "evidence-edge-a-boolean": "TypeError: 'edges' must be an array of "
+                               "two-integer arrays",
 }
 
 
@@ -349,11 +384,10 @@ class TestCrashSafety:
             with pytest.raises(StoreError) as refusal:
                 VerdictStore(path)
             assert str(refusal.value) == f"{path}: {check.problems[0]}"
-            if damage == "deciding-index-true":
+            if damage in DECODE_REFUSALS:
                 assert check.problems[0].endswith(
-                    "report payload does not decode (TypeError: "
-                    "'deciding_index' must be an integer or null, not a "
-                    "boolean)")
+                    f"report payload does not decode "
+                    f"({DECODE_REFUSALS[damage]})")
         else:
             VerdictStore(path).close()
             assert check_store(path).ok

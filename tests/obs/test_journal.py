@@ -51,7 +51,8 @@ class TestManifest:
 class TestAppendAndRead:
     def test_events_round_trip(self, tmp_path):
         with fresh(tmp_path) as journal:
-            journal.record("scan", domain="a.example", success=True)
+            journal.record("scan", domain="a.example", vantage="us",
+                           success=True)
             journal.record("collection", observations=1)
             assert journal.events_written == 3  # manifest included
         manifest, events = read_journal(tmp_path / "run.jsonl")
@@ -136,7 +137,8 @@ class TestCrashSafety:
     def test_truncated_final_line_is_dropped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
-            journal.record("scan", domain="a.example", success=True)
+            journal.record("scan", domain="a.example", vantage="us",
+                           success=True)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type":"verdict","domain":"crash.ex')
         _, events = read_journal(path)
@@ -152,7 +154,7 @@ class TestCrashSafety:
         resumed = RunJournal.open(path, MANIFEST)
         assert resumed.verdict_count == 1
         assert resumed.verdict_for("a.example", key) is not None
-        resumed.record("scan", domain="b.example")
+        resumed.record("scan", domain="b.example", vantage="us")
         resumed.close()
         # the partial record is gone and the file parses end to end
         _, events = read_journal(path)
@@ -180,7 +182,7 @@ class TestCrashSafety:
     def test_resumed_events_accessor(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
-            journal.record("scan", domain="a.example")
+            journal.record("scan", domain="a.example", vantage="us")
             journal.record("collection", observations=1)
         resumed = RunJournal.open(path, MANIFEST)
         assert len(resumed.events()) == 2
@@ -208,7 +210,7 @@ class TestResumedIdentities:
             journal.record("degradation", vantage="au",
                            reason="breaker_open")
             journal.record("collection", domains=1)
-            journal.record("differential", chain_key=["aa"],
+            journal.record("differential", chain_key=["aa" * 32],
                            domain="a.example", results={})
             journal.record("shard", index=0, start=0, stop=1,
                            observations=1)
@@ -220,7 +222,7 @@ class TestResumedIdentities:
             resumed.record("degradation", vantage="au",
                            reason="no_successful_scans")
             resumed.record("collection", domains=2)
-            resumed.record("differential", chain_key=("aa",),
+            resumed.record("differential", chain_key=("aa" * 32,),
                            domain="a.example", results={"openssl": "ok"})
             resumed.record("shard", index=0, start=0, stop=1,
                            observations=9)
@@ -243,13 +245,17 @@ class TestResumedIdentities:
         ]
 
     def test_fresh_journal_appends_every_event(self, tmp_path):
+        """Only resumed identities are skipped: a fresh journal appends
+        what it is handed, and the read refuses the duplicate."""
+        path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
             journal.record("scan", domain="a.example", vantage="us")
             journal.record("scan", domain="a.example", vantage="us")
             assert not journal.holds("scan", domain="a.example",
                                      vantage="us")
-        _, events = read_journal(tmp_path / "run.jsonl")
-        assert len(events) == 2
+        assert len(path.read_text().splitlines()) == 3
+        with pytest.raises(JournalError, match="line 3: duplicate scan"):
+            read_journal(path)
 
 
 class TestRejection:
@@ -317,7 +323,7 @@ class TestRejection:
         with fresh(tmp_path) as journal:
             journal.record("verdict", domain="a.example",
                            chain_key=chain_key, report={})
-        with pytest.raises(JournalError, match="line 2: verdict chain_key "
+        with pytest.raises(JournalError, match="line 2: verdict 'chain_key' "
                            "is not a list of fingerprint hex strings"):
             read_journal(path)
 
@@ -350,6 +356,25 @@ class TestBatchedFlush:
         with pytest.raises(ValueError, match="flush_every"):
             RunJournal(tmp_path / "run.jsonl", MANIFEST, flush_every=0)
 
+    def test_flush_policy_is_invisible(self, tmp_path):
+        """The cadence changes when bytes reach the file, never which:
+        a journal flushed per record equals one flushed every 64, the
+        CLI's cadence."""
+        written = []
+        for flush_every in (1, 64):
+            path = tmp_path / f"every-{flush_every}.jsonl"
+            with RunJournal.create(path, MANIFEST,
+                                   flush_every=flush_every) as journal:
+                for i in range(150):
+                    journal.record("scan", domain=f"d{i}.example",
+                                   vantage="us", success=i % 3 > 0)
+                    journal.record_verdict(f"d{i}.example", (f"{i:064x}",),
+                                           '{"leaf":{}}')
+                journal.record("collection", domains=150)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 302
+
     def test_crash_loses_at_most_the_buffered_tail(self, tmp_path):
         """A hard crash drops only unflushed records; resume stays clean."""
         import os
@@ -365,9 +390,10 @@ class TestBatchedFlush:
             f"journal = RunJournal.create({str(path)!r}, manifest,"
             " flush_every=100)\n"
             "for i in range(3):\n"
-            "    journal.record('scan', domain=f'd{i}.example')\n"
+            "    journal.record('scan', domain=f'd{i}.example',"
+            " vantage='us')\n"
             "journal.flush()\n"
-            "journal.record('scan', domain='lost.example')\n"
+            "journal.record('scan', domain='lost.example', vantage='us')\n"
             "os._exit(1)  # crash: no close, no flush\n"
         )
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -434,8 +460,9 @@ class TestVerdictEncoding:
 
 
 class TestValidation:
-    """``validate_journal`` / ``RunJournal.validate``: the invariants a
-    well-formed append-only journal satisfies."""
+    """The structural invariants :func:`read_journal` checks, which a
+    well-formed append-only journal satisfies and resume refuses to
+    break."""
 
     def good_journal(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -452,10 +479,8 @@ class TestValidation:
         return path
 
     def test_well_formed_journal_passes(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = self.good_journal(tmp_path)
-        manifest, events = validate_journal(path)
+        manifest, events = read_journal(path)
         assert manifest["seed"] == MANIFEST["seed"]
         assert len(events) == 5
 
@@ -464,35 +489,27 @@ class TestValidation:
             handle.write(json.dumps(payload) + "\n")
 
     def test_second_collection_summary_rejected(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = self.good_journal(tmp_path)
         self.append_line(path, {"type": "collection", "domains": 1})
         with pytest.raises(JournalError, match="one-summary"):
-            validate_journal(path)
+            read_journal(path)
 
     def test_scan_after_summary_is_non_monotonic(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = self.good_journal(tmp_path)
         self.append_line(path, {"type": "scan", "domain": "z.example",
                                 "vantage": "us", "success": True})
         with pytest.raises(JournalError, match="not monotonic"):
-            validate_journal(path)
+            read_journal(path)
 
     def test_duplicate_scan_rejected_with_line_number(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = tmp_path / "run.jsonl"
         with RunJournal.create(path, MANIFEST) as journal:
             journal.record("scan", domain="a.example", vantage="us")
             journal.record("scan", domain="a.example", vantage="us")
         with pytest.raises(JournalError, match="line 3.*duplicate scan"):
-            validate_journal(path)
+            read_journal(path)
 
     def test_duplicate_verdict_rejected(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = tmp_path / "run.jsonl"
         with RunJournal.create(path, MANIFEST) as journal:
             journal.record("verdict", domain="a.example",
@@ -500,40 +517,121 @@ class TestValidation:
             journal.record("verdict", domain="a.example",
                            chain_key=["aa" * 32], report={})
         with pytest.raises(JournalError, match="duplicate verdict"):
-            validate_journal(path)
+            read_journal(path)
 
     def test_verdict_missing_fields_rejected(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = tmp_path / "run.jsonl"
         with RunJournal.create(path, MANIFEST) as journal:
             journal.record("verdict", chain_key=["aa"])
         with pytest.raises(JournalError, match="missing"):
-            validate_journal(path)
+            read_journal(path)
 
     def test_many_problems_are_summarised(self, tmp_path):
-        from repro.obs.journal import validate_journal
-
         path = tmp_path / "run.jsonl"
         with RunJournal.create(path, MANIFEST) as journal:
             for _ in range(5):
                 journal.record("collection", domains=1)
         with pytest.raises(JournalError, match="more problem"):
-            validate_journal(path)
+            read_journal(path)
 
-    def test_instance_validate_checks_resumed_events(self, tmp_path):
+    def test_resume_refuses_what_the_read_refuses(self, tmp_path):
+        """Resume reads through :func:`read_journal`: a journal it
+        refuses is never resumed, and the file is left as it was."""
         path = self.good_journal(tmp_path)
         self.append_line(path, {"type": "collection", "domains": 9})
-        journal = RunJournal.open(path, MANIFEST)
-        with journal:
-            with pytest.raises(JournalError, match="corrupt journal"):
-                journal.validate()
+        damaged = path.read_bytes()
+        with pytest.raises(JournalError, match="corrupt journal: line 7: "
+                           "second collection summary"):
+            RunJournal.open(path, MANIFEST)
+        assert path.read_bytes() == damaged
 
-    def test_instance_validate_passes_on_fresh_journal(self, tmp_path):
-        with fresh(tmp_path) as journal:
-            journal.validate()
 
-    def test_instance_validate_requires_stamped_manifest(self, tmp_path):
-        journal = RunJournal(tmp_path / "x.jsonl", dict(MANIFEST))
-        with pytest.raises(JournalError, match="type/version stamp"):
-            journal.validate()
+class TestFieldTypes:
+    """Every event field a reader takes holds its JSON type, or the
+    read refuses the journal naming the line and the field."""
+
+    def journal_with(self, tmp_path, **scan_fields):
+        path = tmp_path / "run.jsonl"
+        with RunJournal.create(path, MANIFEST) as journal:
+            journal.record("scan", **{"domain": "a.example",
+                                      "vantage": "us", **scan_fields})
+        return path
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"attempts": "x"}, "'attempts' must be an integer, not a string"),
+        ({"attempts": [1]}, "'attempts' must be an integer, not an array"),
+        ({"attempts": True}, "'attempts' must be an integer, not a boolean"),
+        ({"wire_bytes": 1.5}, "'wire_bytes' must be an integer, not a "
+                              "number"),
+        ({"success": 1}, "'success' must be a boolean, not an integer"),
+        ({"duration": "1"}, "'duration' must be a number, not a string"),
+        ({"vantage": None}, "'vantage' must be a string, not null"),
+    ], ids=["attempts-str", "attempts-list", "attempts-bool", "bytes-float",
+            "success-int", "duration-str", "vantage-null"])
+    def test_scan_fields(self, tmp_path, fields, message):
+        path = self.journal_with(tmp_path, **fields)
+        with pytest.raises(JournalError,
+                           match=f"corrupt journal: line 2: scan {message}"):
+            read_journal(path)
+
+    def test_numbers_take_integers_too(self, tmp_path):
+        path = self.journal_with(tmp_path, duration=0, attempts=2,
+                                 success=False, wire_bytes=0)
+        assert read_journal(path)[1][0]["duration"] == 0
+
+    def test_identity_fields_are_required(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunJournal.create(path, MANIFEST) as journal:
+            journal.record("scan", domain="a.example")
+            journal.record("degradation", reason="breaker_open")
+            journal.record("shard", index=0, start=0)
+        with pytest.raises(JournalError) as caught:
+            read_journal(path)
+        assert str(caught.value).endswith(
+            "corrupt journal: line 2: scan event missing 'vantage'; "
+            "line 3: degradation event missing 'vantage'; "
+            "line 4: shard event missing 'stop'")
+
+    @pytest.mark.parametrize("event, message", [
+        ({"type": "collection", "degraded_vantages": {"au": 1}},
+         "collection 'degraded_vantages' must map strings to strings, "
+         "not to an integer"),
+        ({"type": "collection", "observations": "2"},
+         "collection 'observations' must be an integer, not a string"),
+        ({"type": "differential", "domain": "a.example",
+          "chain_key": ["aa" * 32], "results": {"openssl": None}},
+         "differential 'results' must map strings to strings, not to null"),
+        ({"type": "differential", "domain": "a.example",
+          "chain_key": ["aa" * 32],
+          "attribution": [{"rule_id": 5, "verdict": "attribution",
+                           "summary": "x"}]},
+         "differential 'attribution' holds a record that is not evidence "
+         "(TypeError: 'rule_id' must be a string, not an integer)"),
+        ({"type": "differential", "domain": "a.example", "chain_key": []},
+         None),
+        ({"type": "verdict", "domain": "a.example", "chain_key": [],
+          "report": 5},
+         "verdict 'report' must be an object, not an integer"),
+    ], ids=["degraded-map", "count-str", "results-map", "attribution",
+            "differential-ok", "report-int"])
+    def test_other_event_fields(self, tmp_path, event, message):
+        path = tmp_path / "run.jsonl"
+        fresh(tmp_path).close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(event) + "\n")
+        if message is None:
+            assert read_journal(path)[1] == [event]
+            return
+        with pytest.raises(JournalError,
+                           match=f"line 2: {message}".replace("(", r"\(")
+                           .replace(")", r"\)")):
+            read_journal(path)
+
+    def test_manifest_fields(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        stamped = dict(MANIFEST, type="manifest",
+                       journal_version=JOURNAL_VERSION, run=["campaign"])
+        path.write_text(json.dumps(stamped) + "\n")
+        with pytest.raises(JournalError, match="line 1: manifest 'run' "
+                           "must be a string, not an array"):
+            read_journal(path)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.errors import PayloadError
 from repro.measurement import Campaign
 from repro.obs import RunJournal, read_journal
 from repro.obs.report import (
@@ -153,7 +154,7 @@ class TestRoundtrip:
         payload = report.to_dict()
         assert payload["report_version"] == REPORT_VERSION
         payload["report_version"] = REPORT_VERSION + 1
-        with pytest.raises(ValueError, match="unsupported report"):
+        with pytest.raises(PayloadError, match="unsupported report"):
             RunReport.from_dict(payload)
 
 

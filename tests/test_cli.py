@@ -127,6 +127,30 @@ class TestChainFileErrors:
             [str(empty)], empty, "no certificates found", capsys
         )
 
+    def test_key_scheme_without_a_verifier(self, tmp_path, capsys):
+        """A root of a generated world re-encoded with a key scheme no
+        backend verifies does not decode: one line, not a signature
+        error from the self-signed check."""
+        import base64
+        import json
+
+        from repro.webpki import Ecosystem, EcosystemConfig
+        from repro.x509.encoding import certificate_to_dict
+
+        ecosystem = Ecosystem.generate(EcosystemConfig(n_domains=20,
+                                                       seed=833))
+        root = min(ecosystem.registry.union(), key=lambda c: c.fingerprint)
+        payload = certificate_to_dict(root)
+        payload["key_scheme"] = "bogus"
+        body = base64.b64encode(json.dumps(payload).encode()).decode()
+        bogus = tmp_path / "bogus.pem"
+        bogus.write_text("-----BEGIN CERTIFICATE-----\n" + body
+                         + "\n-----END CERTIFICATE-----\n")
+        self._assert_one_line_exit_two(
+            [str(bogus)], bogus, "malformed certificate payload: no "
+            "verifier for key scheme 'bogus'", capsys,
+        )
+
 
 class TestCapabilities:
     def test_single_client(self, capsys):
@@ -788,15 +812,6 @@ class TestScanVerdictCache:
         assert "== Table 7 (completeness) ==" in out
         assert 0 < len(calls) <= self.count(r"^chains: ([\d,]+)", out)
 
-    def test_journal_flush_policy_is_invisible(self, tmp_path, capsys):
-        default = tmp_path / "default.jsonl"
-        eager = tmp_path / "eager.jsonl"
-        assert main(self.BASE + ["--journal", str(default)]) == 0
-        assert main(self.BASE + ["--journal", str(eager),
-                                 "--journal-flush-every", "8"]) == 0
-        capsys.readouterr()
-        assert eager.read_bytes() == default.read_bytes()
-
 
 @pytest.fixture(scope="module")
 def journaled_scan(tmp_path_factory):
@@ -1443,7 +1458,8 @@ class TestStoreRefusedAtOpen:
                       "fingerprint hex strings)"),
         ("digest", "segments/000001.seg: record at byte 0 has a "
                    "malformed key (digest is not a string)"),
-    ], ids=["deciding_index", "chain_key", "digest"])
+        ("evidence", "'rule_id' must be a string, not an integer"),
+    ], ids=["deciding_index", "chain_key", "digest", "evidence"])
     def test_mistyped_record_stops_the_scan(self, tmp_path, capsys, damage,
                                             reason):
         """A stored field of the wrong JSON type, or a key that is not
@@ -1462,6 +1478,8 @@ class TestStoreRefusedAtOpen:
             record["chain_key"] = [1, 2]
         elif damage == "digest":
             record["digest"] = 5
+        elif damage == "evidence":
+            record["report"]["completeness"]["evidence"][0]["rule_id"] = 5
         else:
             record["report"]["leaf"]["deciding_index"] = True
         lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
@@ -1475,6 +1493,123 @@ class TestStoreRefusedAtOpen:
         assert reason in captured.err
         assert captured.err.count("\n") == 1, captured.err
         assert "chains:" not in captured.out
+
+
+class TestOneJournalRead:
+    """Resume and every reader read a journal through one checked read,
+    so what one refuses they all refuse: one stderr line naming the
+    journal, the command's input-error code (3 for ``diff-runs``), and a
+    resumed scan stops before it scans or analyses anything."""
+
+    @pytest.fixture(scope="class")
+    def journals(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one-read")
+        journals = {"ground-truth": root / "plain.jsonl",
+                    "network": root / "network.jsonl"}
+        for mode, path in journals.items():
+            network = ["--simulate-network"] if mode == "network" else []
+            assert main(["scan", "--domains", "30", "--seed", "833",
+                         *network, "--journal", str(path)]) == 0
+        return journals
+
+    @staticmethod
+    def scan_argv(mode, path):
+        network = ["--simulate-network"] if mode == "network" else []
+        return ["scan", "--domains", "30", "--seed", "833", *network,
+                "--journal", str(path)]
+
+    @pytest.mark.parametrize("report_out", [False, True],
+                             ids=["plain", "report-out"])
+    @pytest.mark.parametrize("mode", ["ground-truth", "network"])
+    def test_resume_refuses_a_duplicated_verdict(self, journals, mode,
+                                                 report_out, tmp_path,
+                                                 capsys):
+        lines = journals[mode].read_bytes().splitlines(keepends=True)
+        first = next(line for line in lines
+                     if line.startswith(b'{"type":"verdict"'))
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(lines) + first)
+        damaged = path.read_bytes()
+        report = tmp_path / "report.json"
+        argv = self.scan_argv(mode, path)
+        if report_out:
+            argv += ["--report-out", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"repro-chain scan: {path}: corrupt journal: line "
+            f"{len(lines) + 1}: duplicate verdict for "), captured.err
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""  # nothing scanned, nothing analysed
+        assert path.read_bytes() == damaged
+        assert not report.exists()
+
+    @pytest.mark.parametrize("attempts, kind", [("x", "a string"),
+                                                ([1], "an array")],
+                             ids=["string", "array"])
+    @pytest.mark.parametrize("command", ["report", "watch", "diff-runs",
+                                         "scan"])
+    def test_a_mistyped_scan_field(self, journals, attempts, kind, command,
+                                   tmp_path, capsys):
+        import json
+
+        source = journals["network"]
+        lines = source.read_bytes().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith(b'{"type":"scan"'))
+        event = json.loads(lines[at])
+        event["attempts"] = attempts
+        path = tmp_path / "run.jsonl"
+        _rewrite_line(path, lines, at, event)
+        argv = {
+            "report": ["report", str(path)],
+            "watch": ["watch", str(path), "--once"],
+            "diff-runs": ["diff-runs", str(source), str(path)],
+            "scan": self.scan_argv("network", path),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == (3 if command == "diff-runs" else 2)
+        assert capsys.readouterr().err == (
+            f"repro-chain {command}: {path}: corrupt journal: line "
+            f"{at + 1}: scan 'attempts' must be an integer, not {kind}\n")
+
+    @pytest.mark.parametrize("mode", ["ground-truth", "network"])
+    def test_an_undecodable_verdict_outside_the_run(self, journals, mode,
+                                                    tmp_path, capsys):
+        """Resume never asks for a verdict of a domain outside the run;
+        the read-back ``--report-out`` decodes it and refuses it in the
+        words of every other reader."""
+        import json
+
+        lines = journals[mode].read_bytes().splitlines(keepends=True)
+        outsider = json.loads(next(line for line in lines
+                                   if line.startswith(b'{"type":"verdict"')))
+        outsider.update(domain="outside.example", chain_key=["00" * 32])
+        outsider["report"]["leaf"]["deciding_index"] = True
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"".join(lines) + json.dumps(
+            outsider, separators=(",", ":")).encode() + b"\n")
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(self.scan_argv(mode, path)
+                    + ["--report-out", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro-chain scan: {path}: verdict for 'outside.example': "
+            f"report payload does not decode (TypeError: 'deciding_index' "
+            f"must be an integer or null, not a boolean)\n")
+        assert not report.exists()
+
+    def test_diff_runs_refuses_a_report_it_cannot_read(self, tmp_path,
+                                                       capsys):
+        import json
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"report_version": 1, "vantages": [{}]}))
+        assert main(["diff-runs", str(bad), str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"repro-chain diff-runs: {bad}: run report does not decode "
+            f"(KeyError: 'vantage')\n")
 
 
 class TestUndecodableJournalVerdict:
@@ -1606,7 +1741,7 @@ class TestUndecodableJournalVerdict:
                          *network, "--journal", str(path)]) == 2
             assert capsys.readouterr().err == (
                 f"repro-chain scan: {path}: corrupt journal: line "
-                f"{at + 1}: verdict chain_key is not a list of "
+                f"{at + 1}: verdict 'chain_key' is not a list of "
                 f"fingerprint hex strings\n"
             )
 

@@ -126,6 +126,17 @@ def test_malformed_dict_raises_encoding_error(chain):
         load_pem_bundle(pem_block(too_deep))
 
 
+def test_key_scheme_without_a_verifier_does_not_decode(chain):
+    """A key no backend verifies could verify nothing: the block does
+    not decode, so the self-signed check never meets the scheme."""
+    for scheme in ("bogus", "", "SIM-BLAKE2"):
+        payload = {**certificate_to_dict(chain[-1]), "key_scheme": scheme}
+        with pytest.raises(EncodingError, match=f"no verifier for key "
+                           f"scheme {scheme!r}"):
+            load_pem_bundle(pem_block(json.dumps(payload)))
+    assert certificate_from_dict(certificate_to_dict(chain[-1])) == chain[-1]
+
+
 def test_block_that_fails_to_decode_is_not_memoised(chain):
     bad = pem_block(json.dumps({"version": 3}))
     memo: dict = {}
