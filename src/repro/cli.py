@@ -82,6 +82,20 @@ def _collector_policy():
             gc.disable()
 
 
+def _at_least(minimum: int, kind: type = int):
+    """An argparse type: a ``kind`` number no smaller than ``minimum``
+    (NaN is in no range), else argparse's one-line error, exit 2."""
+    def parse(text: str):
+        value = kind(text)  # a ValueError reads "invalid int value: ..."
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, not {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _unwritable(command: str, *paths: str | None) -> bool:
     """Report the first output path that cannot be written.
 
@@ -616,9 +630,7 @@ def _print_explanation(domain: str, chain_length: int, report) -> None:
 
 def _explain_from_journal(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core.compliance import ReportTable
     from repro.errors import JournalError
-    from repro.measurement.parallel import journaled_report
 
     try:
         _, events = obs.read_journal(args.journal)
@@ -635,17 +647,11 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
               f"{args.domain!r} in {args.journal}", file=sys.stderr)
         return 2
     first = True
-    table = ReportTable()
     for event in verdicts:
         if not first:
             print()
         first = False
-        try:
-            report = journaled_report(table, args.journal, args.domain,
-                                      event["report"])
-        except JournalError as exc:
-            print(f"repro-chain explain: {exc}", file=sys.stderr)
-            return 2
+        report = event["report"]
         _print_explanation(args.domain, report.chain_length, report)
         if event["chain_key"]:
             print("chain (presented order):")
@@ -659,10 +665,7 @@ def _explain_from_journal(args: argparse.Namespace) -> int:
               f"({event.get('chain_length', '?')} certificates)")
         for client, result in sorted(event.get("results", {}).items()):
             print(f"  {client:<12} {result}")
-        attribution = [
-            obs.evidence_from_dict(payload)
-            for payload in event.get("attribution", ())
-        ]
+        attribution = event.get("attribution", ())
         if attribution:
             print("attribution:")
             print(obs.render_evidence(attribution))
@@ -929,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="generate, scan and analyse a corpus")
-    scan.add_argument("--domains", type=int, default=2000)
+    scan.add_argument("--domains", type=_at_least(1), default=2000)
     scan.add_argument("--seed", type=int, default=833)
     scan.add_argument("--simulate-network", action="store_true",
                       help="scan over the simulated network instead of "
@@ -950,25 +953,26 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write an OpenMetrics text snapshot of the "
                            "metrics registry, refreshed periodically "
                            "during analysis")
-    scan.add_argument("--snapshot-interval", type=float, default=5.0,
+    scan.add_argument("--snapshot-interval", type=_at_least(0, float),
+                      default=5.0,
                       help="seconds between OpenMetrics snapshot "
                            "refreshes (default: 5)")
     scan.add_argument("--progress", action="store_true",
                       help="render a live single-line progress bar "
                            "per vantage and shard (requires "
                            "--simulate-network)")
-    scan.add_argument("--retries", type=int, default=0,
+    scan.add_argument("--retries", type=_at_least(0), default=0,
                       help="retry transient scan failures up to this "
                            "many times with exponential backoff "
                            "(requires --simulate-network; default: 0)")
-    scan.add_argument("--backoff", type=float, default=5.0,
+    scan.add_argument("--backoff", type=_at_least(0, float), default=5.0,
                       help="base backoff delay in simulated seconds "
                            "before the first retry (default: 5)")
-    scan.add_argument("--breaker-threshold", type=int, default=0,
+    scan.add_argument("--breaker-threshold", type=_at_least(0), default=0,
                       help="trip a per-vantage circuit breaker after "
                            "this many consecutive unreachable scans "
                            "(0: disabled)")
-    scan.add_argument("--shard-size", type=int, default=0,
+    scan.add_argument("--shard-size", type=_at_least(0), default=0,
                       help="stream collect → analyse in contiguous "
                            "domain shards of this size, bounding peak "
                            "memory by the shard instead of the corpus; "
@@ -1008,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("target",
                        help="run journal path, or the telemetry URL "
                             "printed by 'scan --serve'")
-    watch.add_argument("--interval", type=float, default=1.0,
+    watch.add_argument("--interval", type=_at_least(0, float), default=1.0,
                        help="seconds between polls (default: 1)")
     watch.add_argument("--once", action="store_true",
                        help="render a single frame and exit")
@@ -1020,12 +1024,12 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("metrics", nargs="?",
                        help="metrics JSON from 'scan --metrics-out'; "
                             "omitted: run a small instrumented campaign")
-    stats.add_argument("--domains", type=int, default=500)
+    stats.add_argument("--domains", type=_at_least(1), default=500)
     stats.add_argument("--seed", type=int, default=833)
     stats.add_argument("--openmetrics", action="store_true",
                        help="emit OpenMetrics text instead of the table "
                             "(requires a metrics file)")
-    stats.add_argument("--top", type=int, default=None,
+    stats.add_argument("--top", type=_at_least(0), default=None,
                        help="show only the N largest series (counters/"
                             "gauges by value, histograms by count)")
     stats.set_defaults(func=_cmd_stats)
@@ -1049,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json-out",
                         help="also write the machine-readable report "
                              "JSON (diff-runs baseline input)")
-    report.add_argument("--top", type=int, default=10,
+    report.add_argument("--top", type=_at_least(0), default=10,
                         help="slowest-scan rows to keep (default: 10)")
     report.set_defaults(func=_cmd_report)
 
@@ -1079,7 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="read the verdict (and any differential "
                               "outcome) from a run journal instead of "
                               "re-analysing")
-    explain.add_argument("--domains", type=int, default=2000,
+    explain.add_argument("--domains", type=_at_least(1), default=2000,
                          help="ecosystem size when re-analysing "
                               "(must match the original run)")
     explain.add_argument("--seed", type=int, default=833)
@@ -1112,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     differential = sub.add_parser(
         "differential", help="run §5.2 differential testing"
     )
-    differential.add_argument("--domains", type=int, default=2000)
+    differential.add_argument("--domains", type=_at_least(1), default=2000)
     differential.add_argument("--seed", type=int, default=833)
     differential.add_argument("--journal",
                               help="append per-chain outcomes (with "

@@ -265,8 +265,9 @@ class ReportTable:
       each field checked for its exact JSON type, so a payload that
       does not decode is refused with the same
       :class:`~repro.errors.PayloadError` whichever table decodes it.
-      Decoding encodes nothing, so a read-only pass (journal resume,
-      the shard fold, the run report) pays for no text.
+      Decoding encodes nothing, so a read-only pass (the journal
+      read every journal reader takes its reports from) pays for no
+      text.
     * :meth:`encode` keys a fresh report's sections on their encoded
       JSON text, which the report's line is assembled from anyway.
       :meth:`end_decode` keys each section :meth:`decode` made on its

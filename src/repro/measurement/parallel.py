@@ -4,9 +4,10 @@ Every observation's report comes from one of three places, asked in
 this order:
 
 1. **The resumed journal.**  An observation whose (domain, chain) the
-   journal held when it was opened is decoded from that verdict,
-   through the pass's one :class:`~repro.core.compliance.ReportTable`,
-   instead of re-analysed.
+   journal held when it was opened takes the report of that verdict,
+   which the journal's read decoded
+   (:meth:`~repro.obs.journal.RunJournal.verdict_for`), instead of
+   being re-analysed; this pass decodes nothing.
 2. **The verdict store.**  With a
    :class:`~repro.measurement.store.VerdictStore`, reports are keyed on
    ``(chain_key, root_store_digest)``: the same byte-identical chain
@@ -41,12 +42,10 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.compliance import (
     ChainComplianceReport,
-    ReportTable,
     analyze_chain,
     rebind_for_domain,
     record_outcome,
 )
-from repro.errors import JournalError, PayloadError
 from repro.measurement.store import VerdictStore
 from repro.obs.journal import RunJournal
 from repro.trust.aia import AIAFetcher
@@ -66,19 +65,6 @@ def chain_key_hex(chain: list[Certificate]) -> tuple[str, ...]:
     """A served chain's identity (order-sensitive), in the form the
     journal and the verdict store key on: fingerprint hexes."""
     return tuple(cert.fingerprint_hex for cert in chain)
-
-
-def journaled_report(table: ReportTable, journal, domain: str,
-                     payload) -> ChainComplianceReport:
-    """A verdict payload read back from the ``journal`` file, decoded
-    through the reading pass's ``table``; one that does not decode is a
-    :class:`JournalError` naming the journal and the verdict's domain,
-    in the words every journal reader uses."""
-    try:
-        return table.decode(payload)
-    except PayloadError as exc:
-        raise JournalError(
-            f"{journal}: verdict for {domain!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,6 @@ def analyze_observations(
     reports: list[ChainComplianceReport] = []
     unique: set[tuple[str, ...]] = set()
     analyzed = resumed = cache_hits = 0
-    table = ReportTable()  # decodes the verdicts the journal resumes
 
     for domain, chain in observations:
         hexkey = chain_key_hex(chain)
@@ -147,7 +132,7 @@ def analyze_observations(
         if recorded is None and verdict_store is not None:
             stored = verdict_store.get_report(hexkey, digest)
         if recorded is not None:
-            report = journaled_report(table, journal.path, domain, recorded)
+            report = recorded
             resumed += 1
         elif stored is not None:
             report = rebind_for_domain(stored, domain, chain)

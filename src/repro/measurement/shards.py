@@ -65,12 +65,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
-from repro.core.compliance import ChainComplianceReport, ReportTable
+from repro.core.compliance import ChainComplianceReport
 from repro.core.report import DatasetReport, aggregate
 from repro.errors import JournalError
 from repro.measurement.campaign import VANTAGES, Campaign, _Sweep
 from repro.measurement.dataset import observation_to_json
-from repro.measurement.parallel import journaled_report
 from repro.net.scanner import RetryPolicy
 from repro.obs.journal import RunJournal
 from repro.obs.trace import phase_scope
@@ -169,7 +168,8 @@ def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
     journal in union-observation order, so folding each shard's group
     in shard order reproduces the live merge byte for byte.  The scans
     rebuild the sweep's per-vantage attempt/success accounting, which
-    the degradation rule needs.  The verdicts decode through one
+    the degradation rule needs.  The verdicts come decoded by the
+    journal's read, through its one
     :class:`~repro.core.compliance.ReportTable`, so the folded reports
     share their equal sections.
     """
@@ -178,7 +178,6 @@ def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
         for i, domain in enumerate(domains[:bounds[-1][2]])
     }
     groups: list[list[ChainComplianceReport]] = [[] for _ in bounds]
-    table = ReportTable()
     for event in journal.events():
         at = position.get(event.get("domain"))
         if at is None:
@@ -190,10 +189,7 @@ def _fold_completed(dataset: DatasetReport, journal: RunJournal, bounds,
             if event.get("success"):
                 sweep.successes[vantage] += 1
         elif kind == "verdict":
-            groups[at // shard_size].append(
-                journaled_report(table, journal.path, event["domain"],
-                                 event["report"])
-            )
+            groups[at // shard_size].append(event["report"])
             chain_key = tuple(bytes.fromhex(fp) for fp in event["chain_key"])
             sweep.chain_keys.add(chain_key)
             sweep.certificates.update(chain_key)

@@ -21,7 +21,8 @@ with final tables byte-identical to an uninterrupted one.
 :func:`read_journal` is the one read of a journal file, resume
 included: it checks the JSON type of every event field a reader takes
 (:data:`_EVENT_FIELDS`) and the invariants every journal this package
-writes keeps, so every reader refuses a damaged file in the same words.
+writes keeps, and decodes every verdict and attribution record, so
+every reader refuses a damaged file in the same words.
 
 Appends are buffered: ``flush_every`` controls how many records may
 accumulate in the userspace buffer before a ``flush()`` pushes them to
@@ -37,20 +38,20 @@ exceptional exits alike.
 
 The journal keeps nothing it has written: a :class:`RunJournal`
 holds the identity of each verdict it appended (its domain and chain),
-so a (domain, chain) is appended at most once, and the payloads of the
+so a (domain, chain) is appended at most once, and the reports of the
 verdicts it resumed, which :meth:`RunJournal.verdict_for` serves.  A
 verdict this process recorded is read back, like any other event, from
 the file (:func:`read_journal`).
 
-The journal layer knows nothing about certificates — events are plain
+Writing, the journal knows nothing about certificates: events are plain
 dicts, and a verdict's ``report`` is the text
 :meth:`repro.core.compliance.ChainComplianceReport.to_json` wrote,
-which the journal frames as it is handed.  Every reader decodes it
-back through a :class:`repro.core.compliance.ReportTable`, one per
-pass (resume, the shard fold, ``explain``, the run report), so each
-refuses a verdict that does not decode in the same words.  The compact
-JSON primitives the verdict codec and the verdict store share live
-here, at the bottom of the import graph: :data:`encode_compact`,
+which the journal frames as it is handed.  Reading loads the verdict
+codec: the read decodes each verdict through one
+:class:`repro.core.compliance.ReportTable` per read, and each
+attribution record, so no reader keeps a table of its own.  The
+compact JSON primitives the verdict codec and the verdict store share
+live here, at the bottom of the import graph: :data:`encode_compact`,
 :func:`encode_str` and :func:`encode_str_array`, and the exact JSON
 type checks every decoder applies (:func:`typed` and its kin).
 """
@@ -63,7 +64,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from repro.errors import JournalError
+from repro.errors import JournalError, PayloadError
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -233,28 +234,31 @@ def _string_map(event, name):
         if type(value) is not str:
             raise TypeError(f"{name!r} must map strings to strings, "
                             f"not to {json_kind(value)}")
+    return event[name]
 
 
 def _fingerprints(event, name):
     if not is_chain_key(event[name]):
         raise TypeError(f"{name!r} is not a list of fingerprint hex strings")
+    return event[name]
 
 
 def _evidence_records(event, name):
     # obs.evidence imports this module's type checks
     from repro.obs.evidence import evidence_from_dict
 
-    for record in typed(event, name, list):
-        try:
-            evidence_from_dict(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TypeError(f"{name!r} holds a record that is not evidence "
-                            f"({type(exc).__name__}: {exc})") from None
+    records = typed(event, name, list)
+    try:
+        return tuple(map(evidence_from_dict, records))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TypeError(f"{name!r} holds a record that is not evidence "
+                        f"({type(exc).__name__}: {exc})") from None
 
 
 #: Every event field a reader takes, by event type: (name, required,
-#: exact JSON type or a check raising TypeError).  The identity fields
-#: (:data:`_EVENT_IDENTITY`) are required, so every identity hashes.
+#: exact JSON type, or a check that returns the value readers take and
+#: raises TypeError).  The identity fields (:data:`_EVENT_IDENTITY`) are
+#: required, so every identity hashes.
 _EVENT_FIELDS: dict[str, tuple[tuple[str, bool, Any], ...]] = {
     "manifest": (("run", False, str), ("cache", False, dict)),
     "scan": (("domain", True, str), ("vantage", True, str),
@@ -288,7 +292,8 @@ _DUPLICATE = {
 def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
     """:func:`read_journal`, and ``clean_end``, which ends the last
     complete line: what follows is a torn tail, which the events leave
-    out."""
+    out.  Each sound verdict decodes as its line parses, so no payload
+    outlives its line."""
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -307,6 +312,7 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
     problems: list[str] = []
     summarised = False
     seen: set[tuple] = set()
+    table = undecodable = None
     number = 0
     while lines:
         line = lines.pop()
@@ -315,6 +321,10 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
             continue
         try:
             record = json.loads(line)
+            if "\\u" in line:
+                # an escaped lone surrogate parses, but no UTF-8 output
+                # (a rendered report, a terminal) can hold it
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
         except (ValueError, RecursionError) as exc:
             raise JournalError(
                 f"{path}:{number}: malformed journal line: {exc}"
@@ -339,12 +349,22 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
                     if type(check) is type:
                         typed(record, name, check)  # raises: another type
                     else:
-                        check(record, name)
+                        record[name] = check(record, name)
                 except TypeError as exc:
                     problems.append(f"line {number}: {kind} {exc}")
                     sound = False
         if not sound:
             continue
+        if kind == "verdict" and undecodable is None:
+            if table is None:
+                # core imports obs: the codec loads with the first verdict
+                from repro.core.compliance import ReportTable
+
+                table = ReportTable()
+            try:
+                record["report"] = table.decode(record["report"])
+            except PayloadError as exc:
+                undecodable = f"verdict for {record['domain']!r}: {exc}"
         # The append-only discipline (plus resume dedup) keeps these in
         # every journal this package writes; a journal breaking one was
         # edited, interleaved or mis-merged.
@@ -380,12 +400,18 @@ def _read(path: Path) -> tuple[dict[str, Any], list[dict[str, Any]], int]:
         if len(problems) > 3:
             shown += f"; and {len(problems) - 3} more problem(s)"
         raise JournalError(f"{path}: corrupt journal: {shown}")
+    if undecodable is not None:
+        raise JournalError(f"{path}: {undecodable}")
     return manifest, records[1:], clean_end
 
 
 def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Read ``(manifest, events)`` from a journal file: the one read
     every journal reader, resume included, goes through.
+
+    Events come back decoded: a verdict's ``report`` is a
+    ``ChainComplianceReport``, a differential's ``attribution`` a tuple
+    of :class:`~repro.obs.evidence.Evidence`.
 
     Tolerates a truncated final line (the crash case) by dropping it.
     Raises :class:`JournalError` if the file is empty, its first line is
@@ -395,7 +421,9 @@ def read_journal(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]
     another JSON type (:data:`_EVENT_FIELDS`), a second ``collection``
     summary, a ``scan`` or ``degradation`` after it, or a second event
     of one :data:`_EVENT_IDENTITY` — damage resuming would turn into
-    dropped or doubled observations.
+    dropped or doubled observations; else, on the first verdict whose
+    report does not decode (``PATH: verdict for 'DOMAIN': report
+    payload does not decode (...)``).
     """
     return _read(Path(path))[:2]
 
@@ -430,9 +458,8 @@ class RunJournal:
         self.manifest = manifest
         self.flush_every = flush_every
         self.resumed_events: list[dict[str, Any]] = []
-        #: (domain, chain_key) → payload of each resumed verdict
-        self._resumed_verdicts: dict[tuple[str, tuple[str, ...]],
-                                     dict[str, Any]] = {}
+        #: (domain, chain_key) → the report of each resumed verdict
+        self._resumed_verdicts: dict[tuple[str, tuple[str, ...]], Any] = {}
         #: (domain, chain_key) of every verdict the file holds: resumed
         #: ones and those this process appended
         self._verdict_keys: set[tuple[str, tuple[str, ...]]] = set()
@@ -582,11 +609,10 @@ class RunJournal:
 
     # -- resume reads --------------------------------------------------
 
-    def verdict_for(self, domain: str,
-                    chain_key: tuple[str, ...]) -> dict[str, Any] | None:
-        """The payload of the verdict for one observation that the file
-        held when this journal was opened, if any.  A verdict appended
-        by this process is not served: its payload was not kept."""
+    def verdict_for(self, domain: str, chain_key: tuple[str, ...]):
+        """The decoded report of the verdict for one observation that the
+        file held when this journal was opened, if any.  A verdict
+        appended by this process is not served: its report was not kept."""
         return self._resumed_verdicts.get((domain, chain_key))
 
     @property

@@ -12,11 +12,11 @@ metrics) into the summary a measurement paper (or a CI gate) reads:
   domains violate ``R2.reversed_sequences``, how many evidence records
   back that up — plus per-domain verdict summaries that power
   cross-run regression diffing (:mod:`repro.obs.diff`).  Each verdict
-  is decoded by the codec resume uses
-  (:class:`~repro.core.compliance.ReportTable`), so a chain's
-  compliance is the report's own ``compliant``, the conjunction of the
-  three Section 3.1 rules, and a verdict that does not decode is
-  refused as every other journal reader refuses it;
+  comes decoded by the journal read resume uses
+  (:func:`~repro.obs.journal.read_journal`), so a chain's compliance is
+  the report's own ``compliant``, the conjunction of the three Section
+  3.1 rules, and a verdict that does not decode is refused by that
+  read, as every other journal reader refuses it;
 * the **top-K slowest domains** by simulated scan duration;
 * **retry / breaker / cache rollups** and **per-phase wall/CPU/RSS**
   resource attribution, read from a metrics snapshot when one is
@@ -43,9 +43,10 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from repro.errors import JournalError, PayloadError
+from repro.errors import PayloadError
 from repro.obs.journal import (
     json_kind,
+    manifest_identity,
     read_journal,
     typed,
     typed_number,
@@ -357,23 +358,16 @@ def build_report(manifest: dict[str, Any],
 
     ``manifest``/``events`` are :func:`repro.obs.journal.read_journal`
     output, whose field checks let every event field be read as it
-    stands; ``metrics`` is a ``MetricsRegistry.snapshot()`` dict (the
+    stands and whose verdicts and attribution records come decoded;
+    ``metrics`` is a ``MetricsRegistry.snapshot()`` dict (the
     ``scan --metrics-out`` file).  Everything journal-derived is
     deterministic for a seeded run; metrics-derived sections carry the
     wall-clock noise of the machine that ran them.
 
-    Each verdict decodes through one
-    :class:`~repro.core.compliance.ReportTable`, as resume does, so a
-    chain is compliant here exactly when the scan counted it so, and
-    its violated rules are the ``violation`` evidence it cites; a
-    verdict that does not decode raises
-    :class:`~repro.errors.PayloadError` naming its domain.
+    A verdict's report is the one resume takes, so a chain is compliant
+    here exactly when the scan counted it so, and its violated rules
+    are the ``violation`` evidence it cites.
     """
-    # core imports obs, so the codec loads when a report is first built
-    from repro.core.compliance import ReportTable
-    from repro.obs.evidence import evidence_from_dict
-    from repro.obs.journal import manifest_identity
-
     identity = manifest_identity(manifest)
     if "cache" in manifest:
         # Warm-started runs record which verdict store served them;
@@ -391,7 +385,6 @@ def build_report(manifest: dict[str, Any],
     degraded: dict[str, str] = {}
     rule_domains: dict[tuple[str, str], set[str]] = {}
     rule_evidence: dict[tuple[str, str], int] = {}
-    table = ReportTable()
 
     for event in events:
         kind = event["type"]
@@ -420,10 +413,7 @@ def build_report(manifest: dict[str, Any],
             degraded[event["vantage"]] = event.get("reason", "unknown")
         elif kind == "verdict":
             domain = event["domain"]
-            try:
-                verdict = table.decode(event["report"])
-            except PayloadError as exc:
-                raise PayloadError(f"verdict for {domain!r}: {exc}") from None
+            verdict = event["report"]
             compliant = verdict.compliant
             cited = [(e.rule_id, e.verdict) for e in verdict.evidence]
             rules = tuple(sorted({rule for rule, cited_as in cited
@@ -450,8 +440,7 @@ def build_report(manifest: dict[str, Any],
         elif kind == "differential":
             domain = event["domain"]
             report.differential[domain] = dict(event.get("results", {}))
-            for record in map(evidence_from_dict,
-                              event.get("attribution", ())):
+            for record in event.get("attribution", ()):
                 key = (record.rule_id, record.verdict)
                 rule_domains.setdefault(key, set()).add(domain)
                 rule_evidence[key] = rule_evidence.get(key, 0) + 1
@@ -489,15 +478,12 @@ def build_report(manifest: dict[str, Any],
 def report_from_journal(path: str | Path, *,
                         metrics: dict[str, Any] | None = None,
                         top_slowest: int = 10) -> RunReport:
-    """Read a journal file (:func:`~repro.obs.journal.read_journal`)
-    and build its report; a journal the read refuses, or a verdict that
-    does not decode, is a :class:`JournalError` naming the journal."""
+    """Read a journal file (:func:`~repro.obs.journal.read_journal`,
+    whose :class:`~repro.errors.JournalError` names the journal) and
+    build its report."""
     manifest, events = read_journal(path)
-    try:
-        return build_report(manifest, events, metrics=metrics,
-                            top_slowest=top_slowest)
-    except PayloadError as exc:
-        raise JournalError(f"{Path(path)}: {exc}") from None
+    return build_report(manifest, events, metrics=metrics,
+                        top_slowest=top_slowest)
 
 
 def flatten_metrics(snapshot: dict[str, Any]) -> dict[str, float]:

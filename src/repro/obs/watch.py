@@ -55,13 +55,9 @@ class JournalSource:
     def frame(self) -> dict[str, Any]:
         try:
             manifest, events = read_journal(self.path)
-            report = build_report(manifest, events)
-        except PayloadError as exc:
-            # a verdict that does not decode names its domain, not the
-            # journal holding it
-            raise SourceError(f"{self.path}: {exc}") from exc
         except JournalError as exc:
             raise SourceError(str(exc)) from exc
+        report = build_report(manifest, events)
 
         retries = sum(max(0, event.get("attempts", 1) - 1)
                       for event in events if event["type"] == "scan")

@@ -446,13 +446,22 @@ class TestSectionTexts:
             json.dumps(p, separators=(",", ":")) for p in payloads]
         assert encoded == []
 
-    def test_the_run_report_encodes_no_section(self, payloads, encoded):
+    def test_the_run_report_encodes_no_section(self, payloads, encoded,
+                                               tmp_path):
+        """The journal read decodes each verdict, and the report built
+        on the decoded events encodes nothing either."""
+        from repro.obs.journal import (JOURNAL_VERSION, encode_verdict_event,
+                                       read_journal)
         from repro.obs.report import build_report
 
-        events = [{"type": "verdict", "domain": p["domain"],
-                   "chain_key": [f"{index:064x}"], "report": p}
-                  for index, p in enumerate(payloads)]
-        report = build_report({"type": "manifest", "seed": 833}, events)
+        path = tmp_path / "run.jsonl"
+        path.write_text("".join(
+            [json.dumps({"type": "manifest", "seed": 833,
+                         "journal_version": JOURNAL_VERSION}) + "\n"]
+            + [encode_verdict_event(p["domain"], [f"{index:064x}"],
+                                    json.dumps(p, separators=(",", ":")))
+               + "\n" for index, p in enumerate(payloads)]))
+        report = build_report(*read_journal(path))
         assert report.verdict_total == len(payloads)
         assert encoded == []
 

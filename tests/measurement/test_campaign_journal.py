@@ -1,5 +1,7 @@
 """Journaled campaigns: crash, resume, byte-identical final tables."""
 
+import json
+
 import pytest
 
 from repro.errors import JournalError
@@ -56,7 +58,7 @@ class TestJournaledAnalysis:
         verdicts = [e for e in events if e["type"] == "verdict"]
         assert len(verdicts) == len(observations)
         assert verdicts[0]["chain_key"]
-        assert "leaf" in verdicts[0]["report"]
+        assert "leaf" in json.loads(verdicts[0]["report"].to_json())
 
     def test_crash_resume_is_byte_identical(self, campaign, tmp_path):
         """The ISSUE acceptance criterion, end to end."""

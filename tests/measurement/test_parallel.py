@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.core import aggregate, analyze_chain
-from repro.core.compliance import ReportTable, rebind_for_domain
+from repro.core.compliance import rebind_for_domain
 from repro.measurement import Campaign, VerdictStore
 from repro.measurement.parallel import analyze_observations, chain_key_hex
 from repro.obs import RunJournal, read_journal
@@ -179,10 +179,7 @@ class TestJournalParity:
         first = {}
         for (domain, chain), report in zip(stream, ref_reports):
             first.setdefault((domain, chain_key_hex(chain)), report)
-        table = ReportTable()
-        assert [
-            table.decode(event["report"]) for event in events
-        ] == list(first.values())
+        assert [event["report"] for event in events] == list(first.values())
         with VerdictStore(tmp_path / "warm") as warm:
             campaign.analyze(stream, verdict_store=warm)
         for tag, directory in (("none", None), ("fresh", "fresh"),

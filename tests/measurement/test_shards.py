@@ -34,9 +34,17 @@ def fingerprint(report):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def event_json(event):
+    """A read event as sorted JSON, a verdict's decoded report as the
+    JSON its ``to_json`` writes."""
+    if event["type"] == "verdict":
+        event = {**event, "report": json.loads(event["report"].to_json())}
+    return json.dumps(event, sort_keys=True)
+
+
 def event_multiset(events, *, skip=("shard",)):
     return sorted(
-        json.dumps(event, sort_keys=True)
+        event_json(event)
         for event in events
         if event.get("type") not in skip
     )

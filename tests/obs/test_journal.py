@@ -1,5 +1,7 @@
 """The append-only run journal: manifests, crash-safe resume."""
 
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -23,6 +25,30 @@ MANIFEST = {
 
 def fresh(tmp_path, name="run.jsonl", manifest=MANIFEST):
     return RunJournal.create(tmp_path / name, manifest)
+
+
+@functools.cache
+def analysed_report():
+    """A real verdict: ``journal.example``'s report over a one-level
+    hierarchy."""
+    from repro.ca import build_hierarchy
+    from repro.core import analyze_chain
+    from repro.trust import RootStore, StaticAIARepository
+
+    h = build_hierarchy("Journal", depth=1, key_seed_prefix="journal",
+                        aia_base="http://aia.journal.example")
+    leaf = h.issue_leaf("journal.example")
+    repo = StaticAIARepository()
+    for authority in h.authorities:
+        repo.publish(authority.aia_uri, authority.certificate)
+    store = RootStore("journal", [h.root.certificate])
+    return analyze_chain("journal.example", h.chain_for(leaf), store, repo)
+
+
+def report_for(domain):
+    """The real verdict re-bound to ``domain`` (the read decodes every
+    verdict it returns)."""
+    return dataclasses.replace(analysed_report(), domain=domain)
 
 
 class TestManifest:
@@ -64,19 +90,17 @@ class TestAppendAndRead:
         """A verdict goes to the file, and the journal keeps only its
         identity: ``verdict_for`` serves it once the file is resumed."""
         key = ("aa" * 32, "bb" * 32)
+        report = report_for("a.example")
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
+            journal.record_verdict("a.example", key, report.to_json())
             assert journal.verdict_count == 1
             assert journal.verdict_for("a.example", key) is None
         _, events = read_journal(tmp_path / "run.jsonl")
         assert events == [{"type": "verdict", "domain": "a.example",
-                           "chain_key": list(key),
-                           "report": {"domain": "a.example"}}]
+                           "chain_key": list(key), "report": report}]
         with RunJournal.open(tmp_path / "run.jsonl", MANIFEST) as resumed:
             assert resumed.verdict_count == 1
-            assert resumed.verdict_for("a.example", key) == {
-                "domain": "a.example"
-            }
+            assert resumed.verdict_for("a.example", key) == report
             assert resumed.verdict_for("a.example", ("cc" * 32,)) is None
             assert resumed.verdict_for("b.example", key) is None
 
@@ -86,17 +110,20 @@ class TestAppendAndRead:
         key = ("aa" * 32,)
         path = tmp_path / "run.jsonl"
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
-            journal.record_verdict("a.example", key, '{"domain":"again"}')
-            journal.record_verdict("b.example", key, '{"domain":"b.example"}')
+            for domain, reported in (("a.example", "a.example"),
+                                     ("a.example", "again"),
+                                     ("b.example", "b.example")):
+                journal.record_verdict(domain, key,
+                                       report_for(reported).to_json())
             assert journal.verdict_count == 2
         written = path.read_bytes()
         _, events = read_journal(path)
-        assert [(e["domain"], e["report"]["domain"]) for e in events] == [
+        assert [(e["domain"], e["report"].domain) for e in events] == [
             ("a.example", "a.example"), ("b.example", "b.example"),
         ]
         with RunJournal.open(path, MANIFEST) as resumed:
-            resumed.record_verdict("a.example", key, '{"domain":"again"}')
+            resumed.record_verdict("a.example", key,
+                                   report_for("again").to_json())
         assert path.read_bytes() == written
 
     def test_write_after_close_raises(self, tmp_path):
@@ -148,7 +175,8 @@ class TestCrashSafety:
         path = tmp_path / "run.jsonl"
         key = ("aa" * 32,)
         with fresh(tmp_path) as journal:
-            journal.record_verdict("a.example", key, '{"domain":"a.example"}')
+            journal.record_verdict("a.example", key,
+                                   report_for("a.example").to_json())
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type":"verdict","partial":tru')
         resumed = RunJournal.open(path, MANIFEST)
@@ -406,21 +434,6 @@ class TestBatchedFlush:
 
 
 class TestVerdictEncoding:
-    def report(self):
-        from repro.ca import build_hierarchy
-        from repro.core import analyze_chain
-        from repro.trust import RootStore, StaticAIARepository
-
-        h = build_hierarchy("Journal", depth=1, key_seed_prefix="journal",
-                            aia_base="http://aia.journal.example")
-        leaf = h.issue_leaf("journal.example")
-        repo = StaticAIARepository()
-        for authority in h.authorities:
-            repo.publish(authority.aia_uri, authority.certificate)
-        store = RootStore("journal", [h.root.certificate])
-        return analyze_chain("journal.example", h.chain_for(leaf), store,
-                             repo)
-
     def test_encoder_matches_generic_json(self):
         from repro.obs.journal import encode_verdict_event
 
@@ -441,10 +454,10 @@ class TestVerdictEncoding:
 
     def test_report_objects_use_their_own_serializer(self, tmp_path):
         """A verdict's report is the text ``to_json`` wrote, framed as
-        it is, and read back as that text parses."""
+        it is, and read back as the report that text encodes."""
         from repro.obs.journal import encode_verdict_event
 
-        report = self.report()
+        report = analysed_report()
         key = ("aa" * 32,)
         text = report.to_json()
         line = encode_verdict_event("journal.example", key, text)
@@ -455,8 +468,8 @@ class TestVerdictEncoding:
         assert (tmp_path / "run.jsonl").read_bytes().endswith(
             (line + "\n").encode("utf-8"))
         _, events = read_journal(tmp_path / "run.jsonl")
-        assert events == [json.loads(line)]
-        assert events[0]["report"] == json.loads(text)
+        assert events == [{**json.loads(line), "report": report}]
+        assert events[0]["report"].to_json() == text
 
 
 class TestValidation:
@@ -475,7 +488,7 @@ class TestValidation:
                            reason="breaker_open")
             journal.record("collection", domains=1, observations=1)
             journal.record_verdict("a.example", ("aa" * 32,),
-                                   '{"leaf":{}}')
+                                   report_for("a.example").to_json())
         return path
 
     def test_well_formed_journal_passes(self, tmp_path):

@@ -1577,9 +1577,10 @@ class TestOneJournalRead:
     @pytest.mark.parametrize("mode", ["ground-truth", "network"])
     def test_an_undecodable_verdict_outside_the_run(self, journals, mode,
                                                     tmp_path, capsys):
-        """Resume never asks for a verdict of a domain outside the run;
-        the read-back ``--report-out`` decodes it and refuses it in the
-        words of every other reader."""
+        """Resume never asks for a verdict of a domain outside the run,
+        yet the journal's open decodes every verdict, so it refuses this
+        one in the words of every other reader before anything is
+        scanned, printed or appended."""
         import json
 
         lines = journals[mode].read_bytes().splitlines(keepends=True)
@@ -1590,14 +1591,18 @@ class TestOneJournalRead:
         path = tmp_path / "run.jsonl"
         path.write_bytes(b"".join(lines) + json.dumps(
             outsider, separators=(",", ":")).encode() + b"\n")
+        damaged = path.read_bytes()
         report = tmp_path / "report.json"
         capsys.readouterr()
         assert main(self.scan_argv(mode, path)
                     + ["--report-out", str(report)]) == 2
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.err == (
             f"repro-chain scan: {path}: verdict for 'outside.example': "
             f"report payload does not decode (TypeError: 'deciding_index' "
             f"must be an integer or null, not a boolean)\n")
+        assert captured.out == ""  # not even "journal: resuming ..."
+        assert path.read_bytes() == damaged
         assert not report.exists()
 
     def test_diff_runs_refuses_a_report_it_cannot_read(self, tmp_path,
@@ -1797,6 +1802,60 @@ class TestReadersAgreeOnCompliance:
         capsys.readouterr()
         assert main(["diff-runs", str(journal), str(damaged)]) == 1
         assert event["domain"] in capsys.readouterr().out
+
+
+class TestNumericOptionRanges:
+    """A numeric option out of its range is refused while the command
+    line parses: exit 2 with argparse's ``error: argument ...`` line,
+    nothing scanned or printed, no traceback."""
+
+    @pytest.mark.parametrize("argv, option, value, minimum", [
+        (["scan", "--domains", "0"], "--domains", "0", 1),
+        (["scan", "--simulate-network", "--shard-size", "-1"],
+         "--shard-size", "-1", 0),
+        (["scan", "--simulate-network", "--retries", "-1"],
+         "--retries", "-1", 0),
+        (["scan", "--simulate-network", "--breaker-threshold", "-1"],
+         "--breaker-threshold", "-1", 0),
+        (["scan", "--simulate-network", "--retries", "1", "--backoff", "-1"],
+         "--backoff", "-1", 0),
+        (["scan", "--snapshot-interval", "-1"], "--snapshot-interval", "-1",
+         0),
+        (["differential", "--domains", "0"], "--domains", "0", 1),
+        (["explain", "x.example", "--domains", "0"], "--domains", "0", 1),
+        (["stats", "--domains", "0"], "--domains", "0", 1),
+        (["watch", "absent.jsonl", "--interval", "-1"], "--interval", "-1",
+         0),
+        (["report", "absent.jsonl", "--top", "-1"], "--top", "-1", 0),
+        (["stats", "absent.json", "--top", "-1"], "--top", "-1", 0),
+    ], ids=["scan-domains", "shard-size", "retries", "breaker-threshold",
+            "backoff", "snapshot-interval", "differential-domains",
+            "explain-domains", "stats-domains", "watch-interval",
+            "report-top", "stats-top"])
+    def test_out_of_range_is_a_parse_error(self, argv, option, value,
+                                           minimum, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == (
+            f"repro-chain {argv[0]}: error: argument {option}: must be at "
+            f"least {minimum}, not {value!r}")
+
+    def test_range_edges_keep_their_meaning(self, capsys):
+        """``--shard-size 0`` is one shard of the corpus, and
+        ``--breaker-threshold 0`` no breaker."""
+        assert main(["scan", "--domains", "30", "--seed", "833",
+                     "--simulate-network", "--shard-size", "0",
+                     "--breaker-threshold", "0", "--retries", "0",
+                     "--backoff", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "\nshards: 1 × " in out
+        assert main(["scan", "--domains", "30", "--seed", "833",
+                     "--simulate-network"]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestProcessLevel:
