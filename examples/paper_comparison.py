@@ -23,6 +23,9 @@ from repro.measurement import (
     TableContext,
     figure_case_outcomes,
     render_table_9,
+    table_3,
+    table_5,
+    table_7,
     table_8,
     table_10,
     table_11,
@@ -52,7 +55,7 @@ def main(n_domains: int = 10_000, seed: int = 833) -> None:
           f"{dataset.noncompliance_rate:.2f}%\n")
 
     print("## Table 3 (leaf placement, % of corpus)")
-    leaf = dataset.leaf_table()
+    leaf = {row["placement"]: row["percent"] for row in table_3(ctx)}
     paper3 = {
         LeafPlacement.CORRECTLY_PLACED_MATCHED: 92.5,
         LeafPlacement.CORRECTLY_PLACED_MISMATCHED: 6.9,
@@ -61,12 +64,13 @@ def main(n_domains: int = 10_000, seed: int = 833) -> None:
         LeafPlacement.OTHER: 0.6,
     }
     for placement, paper_value in paper3.items():
-        measured = leaf.get(placement, (0, 0.0))[1]
+        measured = leaf[placement.value]
         print(f"  {placement.value:32} paper {paper_value:5.1f}% | "
               f"measured {measured:5.2f}%")
 
     print("\n## Table 5 (share of order-non-compliant chains)")
-    order = dataset.order_table()
+    order = {row["type"]: row["percent_of_noncompliant"]
+             for row in table_5(ctx)}
     paper5 = {
         OrderDefect.DUPLICATE_CERTIFICATES: 35.2,
         OrderDefect.IRRELEVANT_CERTIFICATES: 17.9,
@@ -76,19 +80,19 @@ def main(n_domains: int = 10_000, seed: int = 833) -> None:
     print(f"  order-non-compliant rate      paper 1.9% | measured "
           f"{pct(dataset.order_noncompliant, total):.2f}%")
     for defect, paper_value in paper5.items():
-        measured = order.get(defect, (0, 0.0))[1]
+        measured = order[defect.value]
         print(f"  {defect.value:30} paper {paper_value:5.1f}% | "
               f"measured {measured:5.1f}%")
 
     print("\n## Table 7 (completeness, % of corpus)")
-    completeness = dataset.completeness_table()
+    completeness = {row["type"]: row["percent"] for row in table_7(ctx)}
     paper7 = {
         CompletenessClass.COMPLETE_WITH_ROOT: 8.7,
         CompletenessClass.COMPLETE_WITHOUT_ROOT: 89.9,
         CompletenessClass.INCOMPLETE: 1.3,
     }
     for category, paper_value in paper7.items():
-        measured = completeness.get(category, (0, 0.0))[1]
+        measured = completeness[category.value]
         print(f"  {category.value:24} paper {paper_value:5.1f}% | "
               f"measured {measured:5.2f}%")
     incomplete = dataset.incomplete_total

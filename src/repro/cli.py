@@ -9,10 +9,10 @@ Subcommands mirror the library's main workflows::
     repro-chain capabilities                   # Table 9 (live harness)
     repro-chain differential --domains 2000    # §5.2 summary
     repro-chain stats metrics.json             # render a metrics snapshot
-    repro-chain save-corpus corpus.jsonl       # archive observations
     repro-chain report run.jsonl               # aggregate a run report
     repro-chain diff-runs base.json run.jsonl  # cross-run regression gate
     repro-chain watch run.jsonl                # live dashboard over a run
+    repro-chain cache verify store/            # check a verdict store
 
 ``scan`` accepts ``--metrics-out``/``--trace-out``/``--openmetrics-out``
 to export the run's observability data, ``--journal`` to write (or
@@ -82,14 +82,23 @@ def _collector_policy():
             gc.disable()
 
 
-def _at_least(minimum: int, kind: type = int):
-    """An argparse type: a ``kind`` number no smaller than ``minimum``
-    (NaN is in no range), else argparse's one-line error, exit 2."""
+#: Longest ``watch --interval``, in seconds (a day): ``time.sleep``
+#: overflows past about 9.2e9 s, and ``inf`` with it
+_LONGEST_POLL = 86_400
+
+
+def _at_least(minimum: int, kind: type = int, maximum: int | None = None):
+    """An argparse type: a ``kind`` number no smaller than ``minimum``,
+    nor larger than ``maximum`` when given (NaN is in no range), else
+    argparse's one-line error, exit 2."""
     def parse(text: str):
         value = kind(text)  # a ValueError reads "invalid int value: ..."
         if not value >= minimum:
             raise argparse.ArgumentTypeError(
                 f"must be at least {minimum}, not {text!r}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {maximum}, not {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -1012,8 +1021,11 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("target",
                        help="run journal path, or the telemetry URL "
                             "printed by 'scan --serve'")
-    watch.add_argument("--interval", type=_at_least(0, float), default=1.0,
-                       help="seconds between polls (default: 1)")
+    watch.add_argument("--interval",
+                       type=_at_least(0, float, maximum=_LONGEST_POLL),
+                       default=1.0,
+                       help=f"seconds between polls, at most {_LONGEST_POLL}"
+                            " (default: 1)")
     watch.add_argument("--once", action="store_true",
                        help="render a single frame and exit")
     watch.set_defaults(func=_cmd_watch)

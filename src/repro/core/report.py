@@ -2,10 +2,11 @@
 
 Takes the per-domain :class:`~repro.core.compliance.ChainComplianceReport`
 objects a measurement campaign produced and rolls them into the counts
-the paper's tables print: leaf-placement classes (Table 3), issuance
-order defects (Table 5), completeness classes (Table 7), and the 2.9%
-headline.  Cross-tabulations by arbitrary metadata (HTTP server
-software for Table 10, issuing CA for Table 11) are supported through a
+the paper's tables print (``repro.measurement.tables`` turns them into
+rows): leaf-placement classes (Table 3), issuance order defects
+(Table 5), completeness classes (Table 7), and the 2.9% headline.
+Cross-tabulations by arbitrary metadata (HTTP server software for
+Table 10, issuing CA for Table 11) are supported through a
 ``group_key`` callback.
 """
 
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.core.compliance import ChainComplianceReport
 from repro.core.completeness import CompletenessClass
-from repro.core.leaf import LeafPlacement
-from repro.core.order import OrderDefect
 
 
 @dataclass
@@ -132,38 +131,6 @@ class DatasetReport:
     def noncompliance_rate(self) -> float:
         """The headline rate (paper: 2.9% of Tranco Top 1M)."""
         return self.pct(self.noncompliant)
-
-    def leaf_table(self) -> dict[LeafPlacement, tuple[int, float]]:
-        """Table 3: count and percentage per placement class."""
-        return {
-            placement: (count, self.pct(count))
-            for placement, count in sorted(
-                self.leaf_placements.items(), key=lambda kv: kv[0].value
-            )
-        }
-
-    def order_table(self) -> dict[OrderDefect, tuple[int, float]]:
-        """Table 5: count per defect and share of order-noncompliant chains."""
-        return {
-            defect: (
-                count,
-                100.0 * count / self.order_noncompliant
-                if self.order_noncompliant
-                else 0.0,
-            )
-            for defect, count in sorted(
-                self.order_defects.items(), key=lambda kv: kv[0].value
-            )
-        }
-
-    def completeness_table(self) -> dict[CompletenessClass, tuple[int, float]]:
-        """Table 7: count and percentage per completeness class."""
-        return {
-            category: (count, self.pct(count))
-            for category, count in sorted(
-                self.completeness.items(), key=lambda kv: kv[0].value
-            )
-        }
 
     @property
     def incomplete_total(self) -> int:

@@ -294,20 +294,3 @@ class ChainTopology:
         if self.path_is_reversed(path):
             return False
         return len(path) == len(self.nodes)
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (edges run subject→issuer)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for position, node in self.nodes.items():
-            graph.add_node(
-                position,
-                role=node.role,
-                subject=node.certificate.subject.rfc4514_string(),
-                duplicated=node.is_duplicated,
-            )
-        for child, parents in self.parents.items():
-            for parent in parents:
-                graph.add_edge(child, parent)
-        return graph

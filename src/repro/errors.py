@@ -61,21 +61,6 @@ class ChainError(ReproError):
     """Base class for chain-construction and path-validation errors."""
 
 
-class PathBuildingError(ChainError):
-    """No candidate certification path could be constructed.
-
-    Attributes
-    ----------
-    reason:
-        A short machine-readable reason code (e.g. ``"no_issuer_found"``,
-        ``"length_limit_exceeded"``, ``"untrusted_root"``).
-    """
-
-    def __init__(self, message: str, reason: str = "unspecified") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
 # ---------------------------------------------------------------------------
 # Trust / AIA
 # ---------------------------------------------------------------------------

@@ -121,24 +121,22 @@ class TestAggregation:
 
     def test_order_table(self, dataset):
         ds, _ = dataset
-        table = ds.order_table()
-        assert table[OrderDefect.REVERSED_SEQUENCES][0] == 1
-        assert table[OrderDefect.DUPLICATE_CERTIFICATES][0] == 1
+        assert ds.order_defects[OrderDefect.REVERSED_SEQUENCES] == 1
+        assert ds.order_defects[OrderDefect.DUPLICATE_CERTIFICATES] == 1
 
     def test_completeness_table(self, dataset):
         ds, _ = dataset
-        table = ds.completeness_table()
-        assert table[CompletenessClass.INCOMPLETE][0] == 1
-        assert table[CompletenessClass.COMPLETE_WITH_ROOT][0] == 2
+        assert ds.completeness[CompletenessClass.INCOMPLETE] == 1
+        assert ds.completeness[CompletenessClass.COMPLETE_WITH_ROOT] == 2
 
     def test_leaf_table(self, dataset):
         ds, _ = dataset
-        table = ds.leaf_table()
         # The fixture leaf names compr.example, so every scanned domain
         # sees a hostlike-but-mismatched first certificate.
-        mismatched = table[LeafPlacement.CORRECTLY_PLACED_MISMATCHED]
-        assert mismatched[0] == 5
-        assert sum(count for count, _ in table.values()) == 5
+        mismatched = ds.leaf_placements[
+            LeafPlacement.CORRECTLY_PLACED_MISMATCHED]
+        assert mismatched == 5
+        assert sum(ds.leaf_placements.values()) == 5
 
     def test_noncompliant_domains_recorded(self, dataset):
         ds, _ = dataset

@@ -138,12 +138,3 @@ class TestReversedAndMultipath:
         assert topo.leaf_paths  # terminates rather than recursing forever
         for path in topo.leaf_paths:
             assert len(path) == len(set(path))
-
-
-class TestExports:
-    def test_networkx_export(self, world):
-        h, leaf, _ = world
-        graph = ChainTopology(h.chain_for(leaf, include_root=True)).to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.has_edge(0, 1)
-        assert graph.nodes[3]["role"] == "root"

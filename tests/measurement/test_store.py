@@ -21,6 +21,7 @@ from repro.measurement.parallel import analyze_observations
 from repro.measurement.store import SCHEMA_VERSION
 from repro.obs import RunJournal
 from repro.webpki import Ecosystem, EcosystemConfig
+from tests.damage import encode, first_segment, rewrite_first_record
 
 
 @pytest.fixture(scope="module")
@@ -140,19 +141,6 @@ class TestRotationAndCompaction:
         assert check.ok and check.stale_records == 0
 
 
-def _segment_lines(path):
-    return (path / "segments" / "000001.seg").read_bytes().splitlines(
-        keepends=True)
-
-
-def _rewrite_first_record(path, change):
-    lines = _segment_lines(path)
-    record = json.loads(lines[0])
-    change(record)
-    lines[0] = (json.dumps(record, separators=(",", ":")) + "\n").encode()
-    (path / "segments" / "000001.seg").write_bytes(b"".join(lines))
-
-
 def _set_store_version(path, version):
     meta = json.loads((path / "meta.json").read_text())
     meta["store_version"] = version
@@ -160,9 +148,10 @@ def _set_store_version(path, version):
 
 
 def _damage_interior(path):
-    lines = _segment_lines(path)
+    segment = first_segment(path)
+    lines = segment.read_bytes().splitlines(keepends=True)
     lines[1] = b"XXXX corrupt XXXX\n"
-    (path / "segments" / "000001.seg").write_bytes(b"".join(lines))
+    segment.write_bytes(b"".join(lines))
 
 
 def _append(path, text):
@@ -173,7 +162,7 @@ def _append(path, text):
 #: damage -> (how to inflict it, what opening does, the check's reason)
 DAMAGED_STORES = {
     "record-without-chain-key": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.pop("chain_key")),
         "refused",
         "segments/000001.seg: record at byte 0 is missing field "
@@ -202,13 +191,13 @@ DAMAGED_STORES = {
         "leftover",
     ),
     "undecodable-report": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(report=5)),
         "refused", "stored report for chain [",
     ),
     # the journal reader's chain-key rule holds for stored records too
     "chain-key-not-hex": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(chain_key=[1, 2])),
         "refused",
         "segments/000001.seg: record at byte 0 has a malformed key "
@@ -218,14 +207,14 @@ DAMAGED_STORES = {
     # hex bytes.fromhex takes, and the digest (an outcome's domain too) a
     # string: a lookup could never hit anything else
     "chain-key-short-hex": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(chain_key=["ab"])),
         "refused",
         "segments/000001.seg: record at byte 0 has a malformed key "
         "(chain_key is not a list of fingerprint hex strings)",
     ),
     "chain-key-upper-case": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(
                 chain_key=[fp.upper() for fp in record["chain_key"]])),
         "refused",
@@ -233,14 +222,14 @@ DAMAGED_STORES = {
         "(chain_key is not a list of fingerprint hex strings)",
     ),
     "digest-not-a-string": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(digest=5)),
         "refused",
         "segments/000001.seg: record at byte 0 has a malformed key "
         "(digest is not a string)",
     ),
     "outcome-domain-not-a-string": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record.update(
                 kind="outcome", domain=5, chain_length=1, results={})),
         "refused",
@@ -250,7 +239,7 @@ DAMAGED_STORES = {
     # a flag where an index belongs would re-encode as `True`, which
     # is not JSON
     "deciding-index-true": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record["report"]["leaf"].update(
                 deciding_index=True)),
         "refused",
@@ -259,21 +248,21 @@ DAMAGED_STORES = {
     # evidence records decode type-exact: each of these used to decode,
     # and compaction wrote it back as the string it was coerced to
     "evidence-rule-id-not-a-string": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record["report"]["completeness"][
                 "evidence"][0].update(rule_id=5)),
         "refused",
         "stored report for chain [",
     ),
     "evidence-certs-not-strings": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record["report"]["completeness"][
                 "evidence"][0].update(certs=[7])),
         "refused",
         "stored report for chain [",
     ),
     "evidence-edge-a-boolean": (
-        lambda path: _rewrite_first_record(
+        lambda path: rewrite_first_record(
             path, lambda record: record["report"]["completeness"][
                 "evidence"][0].update(edges=[[True, 0]])),
         "refused",
@@ -328,10 +317,7 @@ class TestCrashSafety:
     def test_interior_damage_raises(self, ecosystem, union, tmp_path):
         path = tmp_path / "vs"
         self.populate(path, ecosystem, union)
-        segment = path / "segments" / "000001.seg"
-        lines = segment.read_bytes().splitlines(keepends=True)
-        lines[1] = b"XXXX corrupt XXXX\n"
-        segment.write_bytes(b"".join(lines))
+        _damage_interior(path)
         with pytest.raises(StoreError):
             VerdictStore(path)
 
@@ -414,9 +400,7 @@ class TestOnlyLiveRecordsDecode:
         good = segment.read_bytes()
         bad = json.loads(good)
         bad["report"] = 5
-        segment.write_bytes(
-            (json.dumps(bad, separators=(",", ":")) + "\n").encode() + good
-        )
+        segment.write_bytes(encode(bad) + good)
         check = check_store(path)
         assert check.ok, check.problems
         assert (check.reports, check.superseded_records) == (1, 1)
@@ -433,7 +417,7 @@ class TestOnlyLiveRecordsDecode:
         segment = path / "segments" / "000001.seg"
         bad = json.loads(segment.read_bytes())
         bad["report"] = {"leaf": 3}
-        _append(path, json.dumps(bad, separators=(",", ":")) + "\n")
+        _append(path, encode(bad).decode())
         check = check_store(path)
         assert len(check.problems) == 1, check.problems
         assert check.problems[0].startswith("stored report for chain [")
@@ -447,7 +431,7 @@ class TestOnlyLiveRecordsDecode:
         with VerdictStore(path) as store:
             store.put_outcome("a.example", ("ab" * 32,), "cap",
                               chain_length=3, results={"openssl": "ok"})
-        _rewrite_first_record(path, lambda record: record.update(
+        rewrite_first_record(path, lambda record: record.update(
             results={"openssl": 5}))
         check = check_store(path)
         assert check.problems == [

@@ -28,6 +28,7 @@ from repro.core.compliance import ChainComplianceReport
 from repro.errors import JournalError
 from repro.obs.evidence import Evidence
 from repro.obs.journal import read_journal
+from tests.damage import first_event, rewrite_line
 
 SEED = 833
 MUTANTS = 200
@@ -73,13 +74,14 @@ def _fields(value, found):
 
 def swap_type(rng: random.Random, data: bytes) -> bytes:
     lines = _lines(data)
-    at = rng.randrange(len(lines))
-    event = json.loads(lines[at])
-    container, key = rng.choice(_fields(event, []))
-    container[key] = rng.choice([value for value in JSON_VALUES
-                                 if type(value) is not type(container[key])])
-    lines[at] = json.dumps(event, separators=(",", ":")).encode() + b"\n"
-    return b"".join(lines)
+
+    def change(event):
+        container, key = rng.choice(_fields(event, []))
+        container[key] = rng.choice(
+            [value for value in JSON_VALUES
+             if type(value) is not type(container[key])])
+
+    return rewrite_line(lines, rng.randrange(len(lines)), change)
 
 
 def duplicate_or_drop_line(rng: random.Random, data: bytes) -> bytes:
@@ -96,14 +98,14 @@ def non_ascii_domain(rng: random.Random, data: bytes) -> bytes:
     lines = _lines(data)
     at = rng.choice([i for i, line in enumerate(lines)
                      if b'"domain":' in line])
-    event = json.loads(lines[at])
-    domain = f"{rng.choice(NON_ASCII_LABELS)}.{event['domain']}"
-    event["domain"] = domain
-    if type(event.get("report")) is dict:
-        event["report"]["domain"] = domain
-    lines[at] = json.dumps(event, separators=(",", ":"),
-                           ensure_ascii=rng.random() < 0.5).encode() + b"\n"
-    return b"".join(lines)
+    label = rng.choice(NON_ASCII_LABELS)
+
+    def change(event):
+        event["domain"] = domain = f"{label}.{event['domain']}"
+        if type(event.get("report")) is dict:
+            event["report"]["domain"] = domain
+
+    return rewrite_line(lines, at, change, ensure_ascii=rng.random() < 0.5)
 
 
 MUTATIONS = {mutate.__name__: mutate for mutate in (
@@ -190,13 +192,10 @@ def test_an_escaped_surrogate_in_a_domain(journals, domain, reads, tmp_path,
     character and reads; a lone one parses as JSON but no rendered
     report could print it, so the read refuses its line."""
     lines = _lines(journals["scan"])
-    at = next(i for i, line in enumerate(lines)
-              if line.startswith(b'{"type":"scan"'))
-    event = json.loads(lines[at])
-    event["domain"] = domain
-    lines[at] = json.dumps(event, separators=(",", ":")).encode() + b"\n"
+    at = first_event(lines, "scan")
     path = tmp_path / "escaped.jsonl"
-    path.write_bytes(b"".join(lines))
+    path.write_bytes(rewrite_line(
+        lines, at, lambda event: event.update(domain=domain)))
     capsys.readouterr()
     code = main(["report", str(path), "--top", "1000"])
     captured = capsys.readouterr()

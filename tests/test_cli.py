@@ -4,6 +4,13 @@ import pytest
 
 from repro.cli import main
 from repro.x509 import load_pem_bundle, to_pem_bundle
+from tests.damage import (
+    STORE_DAMAGES,
+    encode,
+    first_event,
+    rewrite_first_record,
+    rewrite_line,
+)
 
 
 @pytest.fixture()
@@ -1370,13 +1377,6 @@ class TestDifferentialCacheDir:
         assert stats(warm) == stats(cold)
 
 
-def _rewrite_line(path, lines, at, payload) -> None:
-    import json
-
-    lines[at] = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
-    path.write_bytes(b"".join(lines))
-
-
 class TestUndecodableStoredPayload:
     """A stored payload that does not decode: ``cache verify`` lists it
     and exits 1, and the run that hits it stops with one line naming
@@ -1398,10 +1398,10 @@ class TestUndecodableStoredPayload:
         lines = segment.read_bytes().splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines)
                   if json.loads(line)["kind"] == kind)
-        record = json.loads(lines[at])
-        record[field] = 5
-        _rewrite_line(segment, lines, at, record)
-        chain = json.dumps(record["chain_key"], separators=(",", ":"))
+        segment.write_bytes(rewrite_line(
+            lines, at, lambda record: record.update({field: 5})))
+        chain = json.dumps(json.loads(lines[at])["chain_key"],
+                           separators=(",", ":"))
         capsys.readouterr()
         assert main(["cache", "verify", str(store)]) == 1
         assert (f"verify: stored {kind} for chain {chain}: "
@@ -1432,8 +1432,7 @@ class TestStoreRefusedAtOpen:
         record["chain_key"] = ["ff" * 32]
         record["report"] = 5
         with open(segment, "ab") as handle:
-            handle.write(json.dumps(record, separators=(",", ":")).encode()
-                         + b"\n")
+            handle.write(encode(record))
         chain = json.dumps(record["chain_key"], separators=(",", ":"))
         capsys.readouterr()
         assert main(["cache", "verify", str(store)]) == 1
@@ -1465,25 +1464,11 @@ class TestStoreRefusedAtOpen:
         """A stored field of the wrong JSON type, or a key that is not
         fingerprints and a digest string, fails ``cache verify`` and
         stops the scan with one line, where each used to pass."""
-        import json
-
         store = tmp_path / "vs"
         argv = ["scan", "--domains", "30", "--seed", "833",
                 "--cache-dir", str(store)]
         assert main(argv) == 0
-        segment = store / "segments" / "000001.seg"
-        lines = segment.read_bytes().splitlines(keepends=True)
-        record = json.loads(lines[0])
-        if damage == "chain_key":
-            record["chain_key"] = [1, 2]
-        elif damage == "digest":
-            record["digest"] = 5
-        elif damage == "evidence":
-            record["report"]["completeness"]["evidence"][0]["rule_id"] = 5
-        else:
-            record["report"]["leaf"]["deciding_index"] = True
-        lines[0] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
-        segment.write_bytes(b"".join(lines))
+        rewrite_first_record(store, STORE_DAMAGES[damage])
         capsys.readouterr()
         assert main(["cache", "verify", str(store)]) == 1
         assert reason in capsys.readouterr().out
@@ -1525,9 +1510,8 @@ class TestOneJournalRead:
                                                  report_out, tmp_path,
                                                  capsys):
         lines = journals[mode].read_bytes().splitlines(keepends=True)
-        first = next(line for line in lines
-                     if line.startswith(b'{"type":"verdict"'))
         path = tmp_path / "run.jsonl"
+        first = lines[first_event(lines, "verdict")]
         path.write_bytes(b"".join(lines) + first)
         damaged = path.read_bytes()
         report = tmp_path / "report.json"
@@ -1552,16 +1536,12 @@ class TestOneJournalRead:
                                          "scan"])
     def test_a_mistyped_scan_field(self, journals, attempts, kind, command,
                                    tmp_path, capsys):
-        import json
-
         source = journals["network"]
         lines = source.read_bytes().splitlines(keepends=True)
-        at = next(i for i, line in enumerate(lines)
-                  if line.startswith(b'{"type":"scan"'))
-        event = json.loads(lines[at])
-        event["attempts"] = attempts
+        at = first_event(lines, "scan")
         path = tmp_path / "run.jsonl"
-        _rewrite_line(path, lines, at, event)
+        path.write_bytes(rewrite_line(
+            lines, at, lambda event: event.update(attempts=attempts)))
         argv = {
             "report": ["report", str(path)],
             "watch": ["watch", str(path), "--once"],
@@ -1584,13 +1564,11 @@ class TestOneJournalRead:
         import json
 
         lines = journals[mode].read_bytes().splitlines(keepends=True)
-        outsider = json.loads(next(line for line in lines
-                                   if line.startswith(b'{"type":"verdict"')))
+        outsider = json.loads(lines[first_event(lines, "verdict")])
         outsider.update(domain="outside.example", chain_key=["00" * 32])
         outsider["report"]["leaf"]["deciding_index"] = True
         path = tmp_path / "run.jsonl"
-        path.write_bytes(b"".join(lines) + json.dumps(
-            outsider, separators=(",", ":")).encode() + b"\n")
+        path.write_bytes(b"".join(lines) + encode(outsider))
         damaged = path.read_bytes()
         report = tmp_path / "report.json"
         capsys.readouterr()
@@ -1637,13 +1615,9 @@ class TestUndecodableJournalVerdict:
         import json
 
         lines = journal.read_bytes().splitlines(keepends=True)
-        at = next(i for i, line in enumerate(lines)
-                  if line.startswith(b'{"type":"verdict"'))
-        event = json.loads(lines[at])
-        domain = event["domain"]
-        mutate(event)
-        _rewrite_line(path, lines, at, event)
-        return at, domain
+        at = first_event(lines, "verdict")
+        path.write_bytes(rewrite_line(lines, at, mutate))
+        return at, json.loads(lines[at])["domain"]
 
     @pytest.mark.parametrize("damage", ["report-does-not-decode",
                                         "verdict-without-domain",
@@ -1689,9 +1663,8 @@ class TestUndecodableJournalVerdict:
         dashboard refuses it as ``report`` does, not counting the chain
         twice."""
         lines = journal.read_bytes().splitlines(keepends=True)
-        first = next(line for line in lines
-                     if line.startswith(b'{"type":"verdict"'))
         path = tmp_path / "run.jsonl"
+        first = lines[first_event(lines, "verdict")]
         path.write_bytes(b"".join(lines) + first)
         argv = {"report": ["report", str(path)],
                 "watch": ["watch", str(path), "--once"]}[command]
@@ -1779,9 +1752,12 @@ class TestReadersAgreeOnCompliance:
             and not any(e["verdict"] == "violation"
                         for section in ("leaf", "order", "completeness")
                         for e in event["report"][section]["evidence"]))
-        event["report"]["completeness"]["category"] = "incomplete"
+
+        def incomplete(verdict):
+            verdict["report"]["completeness"]["category"] = "incomplete"
+
         damaged = tmp_path / "damaged.jsonl"
-        _rewrite_line(damaged, lines, at, event)
+        damaged.write_bytes(rewrite_line(lines, at, incomplete))
 
         capsys.readouterr()
         assert main([*scan, "--journal", str(damaged)]) == 0
@@ -1809,31 +1785,39 @@ class TestNumericOptionRanges:
     line parses: exit 2 with argparse's ``error: argument ...`` line,
     nothing scanned or printed, no traceback."""
 
-    @pytest.mark.parametrize("argv, option, value, minimum", [
-        (["scan", "--domains", "0"], "--domains", "0", 1),
+    @pytest.mark.parametrize("argv, option, value, bound", [
+        (["scan", "--domains", "0"], "--domains", "0", "at least 1"),
         (["scan", "--simulate-network", "--shard-size", "-1"],
-         "--shard-size", "-1", 0),
+         "--shard-size", "-1", "at least 0"),
         (["scan", "--simulate-network", "--retries", "-1"],
-         "--retries", "-1", 0),
+         "--retries", "-1", "at least 0"),
         (["scan", "--simulate-network", "--breaker-threshold", "-1"],
-         "--breaker-threshold", "-1", 0),
+         "--breaker-threshold", "-1", "at least 0"),
         (["scan", "--simulate-network", "--retries", "1", "--backoff", "-1"],
-         "--backoff", "-1", 0),
+         "--backoff", "-1", "at least 0"),
         (["scan", "--snapshot-interval", "-1"], "--snapshot-interval", "-1",
-         0),
-        (["differential", "--domains", "0"], "--domains", "0", 1),
-        (["explain", "x.example", "--domains", "0"], "--domains", "0", 1),
-        (["stats", "--domains", "0"], "--domains", "0", 1),
+         "at least 0"),
+        (["differential", "--domains", "0"], "--domains", "0", "at least 1"),
+        (["explain", "x.example", "--domains", "0"], "--domains", "0",
+         "at least 1"),
+        (["stats", "--domains", "0"], "--domains", "0", "at least 1"),
         (["watch", "absent.jsonl", "--interval", "-1"], "--interval", "-1",
-         0),
-        (["report", "absent.jsonl", "--top", "-1"], "--top", "-1", 0),
-        (["stats", "absent.json", "--top", "-1"], "--top", "-1", 0),
+         "at least 0"),
+        # time.sleep overflows past about 9.2e9 s
+        (["watch", "absent.jsonl", "--interval", "inf"], "--interval", "inf",
+         "at most 86400"),
+        (["watch", "absent.jsonl", "--interval", "1e300"], "--interval",
+         "1e300", "at most 86400"),
+        (["report", "absent.jsonl", "--top", "-1"], "--top", "-1",
+         "at least 0"),
+        (["stats", "absent.json", "--top", "-1"], "--top", "-1", "at least 0"),
     ], ids=["scan-domains", "shard-size", "retries", "breaker-threshold",
             "backoff", "snapshot-interval", "differential-domains",
             "explain-domains", "stats-domains", "watch-interval",
+            "watch-interval-inf", "watch-interval-1e300",
             "report-top", "stats-top"])
     def test_out_of_range_is_a_parse_error(self, argv, option, value,
-                                           minimum, capsys):
+                                           bound, capsys):
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
@@ -1841,8 +1825,8 @@ class TestNumericOptionRanges:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.splitlines()[-1] == (
-            f"repro-chain {argv[0]}: error: argument {option}: must be at "
-            f"least {minimum}, not {value!r}")
+            f"repro-chain {argv[0]}: error: argument {option}: must be "
+            f"{bound}, not {value!r}")
 
     def test_range_edges_keep_their_meaning(self, capsys):
         """``--shard-size 0`` is one shard of the corpus, and

@@ -150,23 +150,21 @@ class TestCalibratedShape:
     def test_omitted_root_dominates_completeness(self, dataset):
         from repro.core import CompletenessClass
 
-        table = dataset.completeness_table()
-        without_root = table[CompletenessClass.COMPLETE_WITHOUT_ROOT][1]
+        without_root = dataset.pct(
+            dataset.completeness[CompletenessClass.COMPLETE_WITHOUT_ROOT])
         assert without_root > 80.0
 
     def test_incomplete_is_small_minority(self, dataset):
         from repro.core import CompletenessClass
 
-        share = dataset.completeness_table().get(
-            CompletenessClass.INCOMPLETE, (0, 0.0)
-        )[1]
+        share = dataset.pct(dataset.completeness[CompletenessClass.INCOMPLETE])
         assert share <= 4.0
 
     def test_leaf_compliance_high(self, dataset):
         from repro.core import LeafPlacement
 
-        table = dataset.leaf_table()
-        matched = table.get(LeafPlacement.CORRECTLY_PLACED_MATCHED, (0, 0.0))[1]
+        matched = dataset.pct(
+            dataset.leaf_placements[LeafPlacement.CORRECTLY_PLACED_MATCHED])
         assert matched > 85.0
 
     def test_network_install_round_trips(self, small_ecosystem):
